@@ -35,6 +35,7 @@ __all__ = [
     "complexity_term",
     "empirical_bernstein_bound",
     "expected_sample_variance",
+    "sample_variance_from_sums",
     "little_kl_mean_bound",
     "AsymptoticsCheck",
     "asymptotics_inequality_check",
@@ -142,26 +143,36 @@ def empirical_bernstein_bound(comp: float, v_hat: float, n: int) -> float:
     return min(value, 1.0)
 
 
+def sample_variance_from_sums(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
+    """Per-atom unbiased sample variance (n S2 - S1^2) / (n (n - 1)).
+
+    S1 and S2 are the per-atom sums of n losses and of their squares.
+    Rounding residue below zero is clipped, so the result is never
+    negative.
+    """
+    if int(n) != n or n < 2:
+        raise ValidationError("need at least two samples")
+    s1 = np.asarray(s1, dtype=float)
+    return np.maximum(n * np.asarray(s2, dtype=float) - s1 * s1, 0.0) / (n * (n - 1.0))
+
+
 def expected_sample_variance(losses: np.ndarray, posterior: DiscreteDistribution) -> float:
     """Posterior average of the per-atom unbiased sample variance.
 
     Equals (1/(n(n-1))) sum_{i<j} E_posterior[(f(theta, X_i) -
-    f(theta, X_j))^2], computed via n*sum(a^2) - (sum a)^2 rather than the
+    f(theta, X_j))^2], computed from the column sums of the losses and of
+    their squares (``sample_variance_from_sums``) rather than the
     quadratic double sum.
     """
     arr = np.asarray(losses, dtype=float)
     if arr.ndim != 2:
         raise ValidationError("losses must be an (n, m) matrix")
     n, m = arr.shape
-    if n < 2:
-        raise ValidationError("need at least two samples")
     if m != posterior.support_size:
         raise ValidationError("losses column count must match the posterior support")
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
         raise ValidationError("losses must lie in [0, 1]")
-    s1 = arr.sum(axis=0)
-    s2 = (arr * arr).sum(axis=0)
-    per_atom = np.maximum(n * s2 - s1 * s1, 0.0) / (n * (n - 1.0))
+    per_atom = sample_variance_from_sums(arr.sum(axis=0), (arr * arr).sum(axis=0), n)
     return float(posterior.weights @ per_atom)
 
 

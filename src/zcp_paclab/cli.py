@@ -173,7 +173,12 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_divergence(args) -> tuple[list[dict], dict, bool | None]:
-    kind = DivergenceKind(str(_require(args.kind, "kind")))
+    kind_name = str(_require(args.kind, "kind"))
+    try:
+        kind = DivergenceKind(kind_name)
+    except ValueError:
+        valid = ", ".join(k.value for k in DivergenceKind)
+        raise ValidationError(f"--kind must be one of {valid}, got {kind_name!r}") from None
     alpha = None if args.alpha is None else _as_float(args.alpha, "alpha")
     c = None if args.c is None else _as_float(args.c, "c")
     if kind is DivergenceKind.RENYI:

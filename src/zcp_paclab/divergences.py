@@ -350,6 +350,9 @@ def _check_chain_args(kl: float, tv: float, c: float) -> None:
         raise ValidationError("kl must be >= 0")
     if math.isnan(tv) or not (0.0 <= tv <= 1.0):
         raise ValidationError("tv must lie in [0, 1]")
+    if tv == 0.0 and kl == math.inf:
+        # tv = 0 means P = Q, so kl = 0; sqrt(tv * kl) would be NaN
+        raise ValidationError("kl = inf with tv = 0 is inconsistent: tv = 0 forces kl = 0")
     if math.isnan(c) or c < 0.0 or c == math.inf:
         raise ValidationError("c must be finite and >= 0")
 

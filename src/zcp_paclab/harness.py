@@ -28,10 +28,10 @@ from .bounds import (
     BoundReport,
     complexity_term,
     empirical_bernstein_bound,
-    expected_sample_variance,
     hoeffding_zcp_bound,
     little_kl_mean_bound,
     mcallester_baseline,
+    sample_variance_from_sums,
 )
 from .distributions import (
     DiscreteDistribution,
@@ -151,13 +151,47 @@ class LearningInstance:
         return self.bernoulli_means
 
     def draw_losses(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(n, m) loss matrix for one i.i.d. sample of size n."""
+        """(n, m) loss matrix for one i.i.d. sample of size n.
+
+        Coverage trials use ``loss_sums`` instead; this matrix is the
+        reference its sums are tested against.
+        """
         if int(n) != n or n < 1:
             raise ValidationError("n must be a positive integer")
         if self.loss_kind is LossKind.ABS_DISTANCE:
             x = rng.random(n)
             return np.abs(self.atom_positions[None, :] - x[:, None])
         return (rng.random((n, self.theta_count)) < self.bernoulli_means[None, :]).astype(float)
+
+    def loss_sums(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Per-atom sums (S1, S2) of the losses and squared losses of one
+        i.i.d. sample of size n, without building the (n, m) loss matrix.
+
+        ABS_DISTANCE makes the same draw as ``draw_losses`` and sorts it:
+        with prefix sums C of the sorted sample and k = #{X_i < t_j},
+        S1_j = t_j k - C[k] + (C[n] - C[k]) - t_j (n - k)
+        = t_j (2k - n) + C[n] - 2 C[k] and
+        S2_j = n t_j^2 - 2 t_j sum X + sum X^2, in O(n log n + m log n).
+        BERNOULLI draws the per-atom counts as Binomial(n, mean_j), which
+        has the law of ``draw_losses`` column sums but not its random
+        stream; bits square to themselves, so S2 = S1, in O(m).  S1 is
+        clipped to [0, n] and S2 to [0, S1], so rounding never pushes a
+        mean out of [0, 1].
+        """
+        if int(n) != n or n < 1:
+            raise ValidationError("n must be a positive integer")
+        n = int(n)
+        if self.loss_kind is LossKind.BERNOULLI:
+            counts = rng.binomial(n, self.bernoulli_means).astype(float)
+            return counts, counts
+        x = np.sort(rng.random(n))
+        prefix = np.concatenate(([0.0], np.cumsum(x)))
+        t = self.atom_positions
+        k = np.searchsorted(x, t)
+        total = prefix[-1]
+        s1 = np.clip(t * (2 * k - n) + total - 2.0 * prefix[k], 0.0, n)
+        s2 = n * t * t - 2.0 * t * total + float(x @ x)
+        return s1, np.clip(s2, 0.0, s1)
 
     def posterior(self, empirical_means: np.ndarray, n: int) -> DiscreteDistribution:
         """Posterior for one realized sample (empirical means, sample size)."""
@@ -231,14 +265,14 @@ def _trial_report(
     instance: LearningInstance, config: BoundConfig, rng: np.random.Generator
 ) -> BoundReport:
     n = config.n
-    losses = instance.draw_losses(n, rng)
-    mu_hat = losses.mean(axis=0)
+    s1, s2 = instance.loss_sums(n, rng)
+    mu_hat = s1 / n
     posterior = instance.posterior(mu_hat, n)
     true_mu = instance.true_means()
     w = posterior.weights
 
     gap = float(w @ (mu_hat - true_mu))
-    v_hat = expected_sample_variance(losses, posterior)
+    v_hat = float(w @ sample_variance_from_sums(s1, s2, n))
     p_hat_mean = float(w @ mu_hat)
     p_mean = float(w @ true_mu)
 

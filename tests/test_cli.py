@@ -53,6 +53,14 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    def test_unknown_divergence_kind(self, capsys):
+        code, out, err = _run(capsys, ["divergence", "--kind", "bogus", "--p", "1", "--q", "1"])
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("zcp-paclab divergence: error: --kind must be one of")
+        assert "kl, tv, renyi, zcp, little_kl" in err
+
     def test_failed_verification_exits_two(self, capsys):
         # wilson_upper(0, 1000) is about 0.005, so delta = 0.001 cannot PASS
         code, out, _ = _run(

@@ -320,6 +320,23 @@ class TestChainBounds:
         np.testing.assert_allclose(shift, 0.5 + expected_term, rtol=1e-15)
         np.testing.assert_allclose(kl_tv, 2.0 + expected_term, rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            lambda kl, tv: zcp1_upper_bound_kl_tv(kl, tv),
+            lambda kl, tv: zcp_upper_bound_kl_tv(kl, tv, 3.0),
+            lambda kl, tv: zcp_kl_tv_upper_bound(kl, tv, 3.0),
+        ],
+        ids=["zcp1_upper_bound_kl_tv", "zcp_upper_bound_kl_tv", "zcp_kl_tv_upper_bound"],
+    )
+    def test_infinite_kl_with_zero_tv_is_rejected(self, bound):
+        # tv = 0 means P = Q, so kl = inf cannot go with it; sqrt(0 * inf)
+        # used to come back as NaN
+        with pytest.raises(ValidationError, match="kl = inf with tv = 0"):
+            bound(math.inf, 0.0)
+        assert bound(math.inf, 0.25) == math.inf
+        assert bound(0.0, 0.0) == 0.0
+
 
 class TestQuadrature:
     def test_config_validation(self):

@@ -17,8 +17,10 @@ from zcp_paclab import (
     divergence_scaling_table,
     gaussian_instance_check,
     learning_instance_from_dict,
+    expected_sample_variance,
     make_discrete,
     run_coverage,
+    sample_variance_from_sums,
     tightness_comparison,
     ville_experiment,
     wilson_upper,
@@ -120,6 +122,97 @@ class TestLearningInstance:
     def test_draw_losses_rejects_bad_n(self):
         with pytest.raises(ValidationError):
             _instance().draw_losses(0, np.random.default_rng(0))
+
+
+class _FixedDraw:
+    """Stands in for a generator whose ``random(n)`` returns given points."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+
+    def random(self, n):
+        assert n == self.points.size
+        return self.points.copy()
+
+
+def _assert_sums_match_matrix(inst, n, make_rng):
+    losses = inst.draw_losses(n, make_rng())
+    s1, s2 = inst.loss_sums(n, make_rng())
+    np.testing.assert_allclose(s1, losses.sum(axis=0), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(s2, (losses * losses).sum(axis=0), rtol=1e-12, atol=1e-12)
+    assert ((0.0 <= s2) & (s2 <= s1) & (s1 <= n)).all()
+    posterior = make_discrete(np.linspace(1.0, 2.0, inst.theta_count))
+    np.testing.assert_allclose(
+        float(posterior.weights @ sample_variance_from_sums(s1, s2, n)),
+        expected_sample_variance(losses, posterior),
+        rtol=1e-10,
+        atol=1e-15,
+    )
+
+
+class TestLossSums:
+    @pytest.mark.parametrize("m, n", [(1, 2), (1, 1000), (7, 2), (50, 3), (50, 1000), (2000, 500)])
+    def test_abs_sums_match_the_loss_matrix(self, m, n):
+        inst = _instance(m=m)
+        for seed in range(5):
+            _assert_sums_match_matrix(inst, n, lambda: np.random.default_rng((seed, m)))
+
+    def test_abs_sums_with_sample_points_on_atoms(self):
+        # atoms sit at 0, 0.25, 0.5, 0.75; ties and repeats must not shift
+        # the searchsorted split
+        inst = _instance(m=4)
+        for points in ([0.25, 0.5, 0.5, 0.0, 0.9], [0.0, 0.0], [0.75, 0.25], [0.5, 0.5, 0.5]):
+            _assert_sums_match_matrix(inst, len(points), lambda: _FixedDraw(points))
+
+    def test_bernoulli_counts_are_binomial(self):
+        means = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
+        inst = _instance(m=5, loss=LossKind.BERNOULLI, bernoulli_means=means)
+        n, draws = 50, 4000
+        rng = np.random.default_rng(11)
+        counts = np.empty((draws, 5))
+        for t in range(draws):
+            s1, s2 = inst.loss_sums(n, rng)
+            np.testing.assert_array_equal(s1, s2)
+            counts[t] = s1
+        assert (counts == np.round(counts)).all()
+        assert counts.min() >= 0 and counts.max() <= n
+        np.testing.assert_array_equal(counts[:, 0], 0.0)
+        np.testing.assert_array_equal(counts[:, -1], n)
+        # standard error of each mean count is at most sqrt(50 / 4 / 4000) = 0.056
+        np.testing.assert_allclose(counts.mean(axis=0), n * means, rtol=0, atol=0.35)
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (5, 2), (5, 50)])
+    def test_bernoulli_variance_from_counts_matches_a_bit_matrix(self, m, n):
+        inst = _instance(m=m, loss=LossKind.BERNOULLI)
+        posterior = make_discrete(np.arange(1.0, m + 1.0))
+        for seed in range(10):
+            s1, s2 = inst.loss_sums(n, np.random.default_rng(seed))
+            bits = (np.arange(n)[:, None] < s1[None, :]).astype(float)
+            np.testing.assert_array_equal(bits.sum(axis=0), s1)
+            np.testing.assert_allclose(
+                float(posterior.weights @ sample_variance_from_sums(s1, s2, n)),
+                expected_sample_variance(bits, posterior),
+                rtol=1e-13,
+                atol=1e-16,
+            )
+
+    def test_rejects_bad_n(self):
+        for loss in LossKind:
+            with pytest.raises(ValidationError):
+                _instance(loss=loss).loss_sums(0, np.random.default_rng(0))
+
+    def test_variance_kernel_needs_two_samples(self):
+        with pytest.raises(ValidationError):
+            sample_variance_from_sums(np.ones(3), np.ones(3), 1)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_coverage_never_builds_the_loss_matrix(self, monkeypatch, loss):
+        def refuse(self, n, rng):
+            raise AssertionError("coverage trials must not build the (n, m) loss matrix")
+
+        monkeypatch.setattr(LearningInstance, "draw_losses", refuse)
+        config = BoundConfig(n=50, delta=0.05)
+        assert len(list(coverage_reports(_instance(m=20, loss=loss), config, 3, 0))) == 3
 
 
 class TestInstanceFromDict:
