@@ -25,6 +25,7 @@ __all__ = [
     "kt_bettor",
     "wealth_quadratic_lower",
     "ville_first_crossing",
+    "mean_zero_coins",
 ]
 
 _BISECT_TOL = 1e-12
@@ -179,3 +180,12 @@ def ville_first_crossing(trace: WealthTrace, delta: float) -> int | None:
     if crossed.size == 0:
         return None
     return int(crossed[0]) + 1
+
+
+def mean_zero_coins(n: int, seed: int, path: int = 0) -> np.ndarray:
+    """n coins from ``default_rng((seed, path))``: a fair sign times a Uniform[0, 1) magnitude."""
+    if n < 1:
+        raise ValidationError("n must be a positive integer")
+    rng = np.random.default_rng((seed, path))
+    signs = rng.integers(0, 2, n) * 2 - 1
+    return signs * rng.random(n)

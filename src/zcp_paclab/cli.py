@@ -2,9 +2,10 @@
 
 Output contract: a header row, data rows, and a trailing ``# summary``
 comment block (CSV), or a ``{"rows": [...], "summary": {...}}`` document
-mirroring the same fields (JSON).  The payload goes to stdout, or — with
---out — atomically to a file (temp file in the target directory, then
-rename).  Identical argv and seed produce byte-identical output.
+mirroring the same fields (RFC 8259 JSON: non-finite floats are the strings
+``"inf"``, ``"-inf"``, ``"nan"`` the CSV prints).  The payload goes to stdout,
+or — with --out — atomically to a file (temp file in the target directory,
+then rename).  Identical argv and seed produce byte-identical output.
 
 Exit codes: 0 success, 1 usage or validation error, 2 when a verification
 subcommand (coverage, gaussian-check, ville, inequalities, self-check)
@@ -14,6 +15,8 @@ finds a failed PASS criterion.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -22,17 +25,13 @@ import tempfile
 
 import numpy as np
 
-from .betting import kt_bettor, max_log_wealth, wealth_quadratic_lower
+from .betting import kt_bettor, max_log_wealth, mean_zero_coins, wealth_quadratic_lower
 from .bounds import BoundConfig, analytic_inequality_suite, asymptotics_inequality_check
 from .distributions import (
-    bernoulli_instance,
-    gaussian_instance,
-    make_discrete,
-    multivariate_instance,
+    bernoulli_instance, gaussian_instance, make_discrete, multivariate_instance
 )
 from .divergences import (
     DivergenceKind,
-    QuadratureConfig,
     divergence_gaussian,
     kl_discrete,
     little_kl,
@@ -60,48 +59,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# ---------------------------------------------------------------------------
-# Flag coercion (flags arrive as strings; config values as JSON types)
-# ---------------------------------------------------------------------------
+def float_list(text: str) -> list[float]:
+    """Comma-separated numbers; empty items are skipped (the library rejects an empty list)."""
+    return [float(part) for part in text.split(",") if part.strip()]
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ValidationError(f"missing required flag --{flag}")
-    return value
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers, written as integers or integral floats."""
+    values = float_list(text)
+    if not all(value.is_integer() for value in values):
+        raise ValueError("not integers")
+    return [int(value) for value in values]
 
 
-def _as_float(value, flag: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"--{flag} expects a number, got {value!r}") from None
-
-
-def _as_int(value, flag: str) -> int:
-    try:
-        out = int(str(value), 10) if not isinstance(value, (int, float)) else int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"--{flag} expects an integer, got {value!r}") from None
-    if isinstance(value, float) and value != out:
-        raise ValidationError(f"--{flag} expects an integer, got {value!r}")
-    return out
-
-
-def _as_floats(value, flag: str) -> list[float]:
-    if isinstance(value, str):
-        parts = [part for part in value.split(",") if part.strip()]
-    elif isinstance(value, (list, tuple)):
-        parts = list(value)
-    else:
-        parts = [value]
-    if not parts:
-        raise ValidationError(f"--{flag} expects a comma-separated list of numbers")
-    return [_as_float(part, flag) for part in parts]
-
-
-def _as_ints(value, flag: str) -> list[int]:
-    return [_as_int(part, flag) for part in _as_floats(value, flag)]
+def _require_flags(args: argparse.Namespace, *flags: str) -> None:
+    """Check flags that only some --kind values need, which argparse cannot express."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is None:
+            raise ValidationError(f"missing required flag --{flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +100,15 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+def _json_value(value):
+    """A plain value; a non-finite float becomes the text the CSV prints."""
+    value = _plain(value)
+    return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _render_csv(rows: list[dict], summary: dict) -> str:
@@ -144,10 +123,10 @@ def _render_csv(rows: list[dict], summary: dict) -> str:
 
 def _render_json(rows: list[dict], summary: dict) -> str:
     payload = {
-        "rows": [{k: _plain(v) for k, v in row.items()} for row in rows],
-        "summary": {k: _plain(v) for k, v in summary.items()},
+        "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
+        "summary": {k: _json_value(v) for k, v in summary.items()},
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, out_path: str | None) -> None:
@@ -173,64 +152,52 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_divergence(args) -> tuple[list[dict], dict, bool | None]:
-    kind_name = str(_require(args.kind, "kind"))
     try:
-        kind = DivergenceKind(kind_name)
+        kind = DivergenceKind(args.kind)
     except ValueError:
         valid = ", ".join(k.value for k in DivergenceKind)
-        raise ValidationError(f"--kind must be one of {valid}, got {kind_name!r}") from None
-    alpha = None if args.alpha is None else _as_float(args.alpha, "alpha")
-    c = None if args.c is None else _as_float(args.c, "c")
+        raise ValidationError(f"--kind must be one of {valid}, got {args.kind!r}") from None
     if kind is DivergenceKind.RENYI:
-        _require(alpha, "alpha")
+        _require_flags(args, "alpha")
     if kind is DivergenceKind.ZCP:
-        _require(c, "c")
+        _require_flags(args, "c")
 
     if kind is DivergenceKind.LITTLE_KL:
-        p_hat = _as_float(_require(args.p, "p"), "p")
-        q = _as_float(_require(args.q, "q"), "q")
-        value, abs_error = little_kl(p_hat, q), 0.0
+        if args.p is None or args.q is None or len(args.p) != 1 or len(args.q) != 1:
+            raise ValidationError("little_kl takes one number for each of --p and --q")
+        value, abs_error = little_kl(args.p[0], args.q[0]), 0.0
     elif args.p is not None or args.q is not None:
-        p = make_discrete(_as_floats(_require(args.p, "p"), "p"))
-        q = make_discrete(_as_floats(_require(args.q, "q"), "q"))
+        _require_flags(args, "p", "q")
+        p, q = make_discrete(args.p), make_discrete(args.q)
         if kind is DivergenceKind.KL:
             value = kl_discrete(p, q)
         elif kind is DivergenceKind.TV:
             value = tv_discrete(p, q)
         elif kind is DivergenceKind.RENYI:
-            value = renyi_discrete(p, q, alpha)
+            value = renyi_discrete(p, q, args.alpha)
         else:
-            value = zcp_discrete(p, q, c)
+            value = zcp_discrete(p, q, args.c)
         abs_error = 0.0
     elif args.mixture_p is not None:
-        pair = gaussian_instance(
-            _as_float(args.mixture_p, "mixture-p"),
-            _as_float(args.sigma1, "sigma1") if args.sigma1 is not None else 1.0,
-            _as_float(args.exponent, "exponent") if args.exponent is not None else 1.0,
-        )
-        result = divergence_gaussian(pair, kind, alpha=alpha, c=c)
+        pair = gaussian_instance(args.mixture_p, args.sigma1, args.exponent)
+        result = divergence_gaussian(pair, kind, alpha=args.alpha, c=args.c)
         value, abs_error = result.value, result.abs_error
     else:
         raise ValidationError("divergence needs either --p/--q weights or --mixture-p")
 
-    row = {
-        "kind": kind.value,
-        "alpha": alpha,
-        "c": c,
-        "value": value,
-        "abs_error_estimate": abs_error,
-    }
+    row = dict(
+        kind=kind.value, alpha=args.alpha, c=args.c, value=value, abs_error_estimate=abs_error
+    )
     return [row], {"seed": args.seed}, None
 
 
 def _cmd_instance(args) -> tuple[list[dict], dict, bool | None]:
-    kind = str(_require(args.kind, "kind"))
-    if kind == "bernoulli":
-        p = _as_float(_require(args.p, "p"), "p")
-        ln_a = _as_float(args.lna, "lna") if args.lna is not None else 1.0 / (p * p)
+    if args.kind == "bernoulli":
+        _require_flags(args, "p")
+        p, ln_a = args.p, args.lna if args.lna is not None else 1.0 / (args.p * args.p)
         dist_p, dist_q = bernoulli_instance(p, ln_a)
         row = {
-            "kind": kind,
+            "kind": args.kind,
             "p": p,
             "ln_a": ln_a,
             "tv": tv_discrete(dist_p, dist_q),
@@ -240,27 +207,23 @@ def _cmd_instance(args) -> tuple[list[dict], dict, bool | None]:
             "kl_upper": p * ln_a,
             "zcp1": zcp_discrete(dist_p, dist_q, 1.0),
         }
-    elif kind == "multivariate":
-        d = _as_int(_require(args.d, "d"), "d")
-        u = _as_float(_require(args.u, "u"), "u")
-        dist_p, dist_q = multivariate_instance(d, u)
+    elif args.kind == "multivariate":
+        _require_flags(args, "d", "u")
+        dist_p, dist_q = multivariate_instance(args.d, args.u)
         row = {
-            "kind": kind,
-            "d": d,
-            "u": u,
-            "ln_a": float(d) ** (1.5 * u),
+            "kind": args.kind,
+            "d": args.d,
+            "u": args.u,
+            "ln_a": float(args.d) ** (1.5 * args.u),
             "kl": kl_discrete(dist_p, dist_q),
             "tv": tv_discrete(dist_p, dist_q),
             "zcp1": zcp_discrete(dist_p, dist_q, 1.0),
         }
-    elif kind == "gaussian":
-        pair = gaussian_instance(
-            _as_float(_require(args.mixture_p, "mixture-p"), "mixture-p"),
-            _as_float(args.sigma1, "sigma1") if args.sigma1 is not None else 1.0,
-            _as_float(args.exponent, "exponent") if args.exponent is not None else 1.0,
-        )
+    else:
+        _require_flags(args, "mixture-p")
+        pair = gaussian_instance(args.mixture_p, args.sigma1, args.exponent)
         row = {
-            "kind": kind,
+            "kind": args.kind,
             "p": pair.p,
             "sigma1": pair.sigma1,
             "sigma2": pair.sigma2,
@@ -269,33 +232,21 @@ def _cmd_instance(args) -> tuple[list[dict], dict, bool | None]:
             "tv": divergence_gaussian(pair, DivergenceKind.TV).value,
             "zcp1": divergence_gaussian(pair, DivergenceKind.ZCP, c=1.0).value,
         }
-    else:
-        raise ValidationError("instance --kind must be bernoulli, multivariate, or gaussian")
     return [row], {"seed": args.seed}, None
-
-
-def _sampled_coins(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng((seed, 0))
-    signs = rng.integers(0, 2, n) * 2 - 1
-    return signs * rng.random(n)
 
 
 def _cmd_betting(args) -> tuple[list[dict], dict, bool | None]:
     if args.coins is not None:
-        coins = np.asarray(_as_floats(args.coins, "coins"))
+        coins = np.asarray(args.coins)
     elif args.n is not None:
-        coins = _sampled_coins(_as_int(args.n, "n"), args.seed)
+        coins = mean_zero_coins(args.n, args.seed)
     else:
         raise ValidationError("betting needs --coins or --n (sampled mean-zero coins)")
     trace = kt_bettor(coins)
+    columns = zip(trace.coins, trace.bets, trace.log_wealth[1:])
     rows = [
-        {
-            "t": t + 1,
-            "c_t": float(trace.coins[t]),
-            "beta_t": float(trace.bets[t]),
-            "ln_w_t": float(trace.log_wealth[t + 1]),
-        }
-        for t in range(trace.n)
+        {"t": t, "c_t": float(c_t), "beta_t": float(beta_t), "ln_w_t": float(ln_w_t)}
+        for t, (c_t, beta_t, ln_w_t) in enumerate(columns, start=1)
     ]
     summary = {
         "beta_star": trace.beta_star,
@@ -308,40 +259,21 @@ def _cmd_betting(args) -> tuple[list[dict], dict, bool | None]:
     return rows, summary, None
 
 
-def _bound_config(args) -> BoundConfig:
-    return BoundConfig(
-        n=_as_int(_require(args.n, "n"), "n"),
-        delta=_as_float(args.delta, "delta") if args.delta is not None else 0.05,
-        alpha=_as_float(args.alpha, "alpha") if args.alpha is not None else 2.0,
-    )
-
-
-def _instance_from_args(args):
-    if args.instance_config is not None:
-        return learning_instance_from_dict(args.instance_config)
-    payload = {
-        "m": _as_int(args.m, "m") if args.m is not None else 50,
-        "loss": str(args.loss) if args.loss is not None else "abs",
-        "posterior": "gibbs",
-        "eta": _as_float(args.eta, "eta") if args.eta is not None else 5.0,
-    }
-    return learning_instance_from_dict(payload)
+def _bound_inputs(args):
+    config = BoundConfig(n=args.n, delta=args.delta, alpha=args.alpha)
+    flags = {"m": args.m, "loss": args.loss, "posterior": "gibbs", "eta": args.eta}
+    return config, learning_instance_from_dict(flags if args.instance is None else args.instance)
 
 
 def _cmd_bound(args) -> tuple[list[dict], dict, bool | None]:
-    config = _bound_config(args)
-    instance = _instance_from_args(args)
+    config, instance = _bound_inputs(args)
     report = next(iter(coverage_reports(instance, config, trials=1, seed=args.seed)))
-    row = report.as_dict()
-    summary = {"n": config.n, "delta": config.delta, "alpha": config.alpha, "seed": args.seed}
-    return [row], summary, None
+    return [report.as_dict()], {**dataclasses.asdict(config), "seed": args.seed}, None
 
 
 def _cmd_coverage(args) -> tuple[list[dict], dict, bool | None]:
-    config = _bound_config(args)
-    instance = _instance_from_args(args)
-    trials = _as_int(args.trials, "trials") if args.trials is not None else 2000
-    report = run_coverage(instance, config, trials, args.seed)
+    config, instance = _bound_inputs(args)
+    report = run_coverage(instance, config, args.trials, args.seed)
     rows = [
         {
             "bound": name,
@@ -354,36 +286,15 @@ def _cmd_coverage(args) -> tuple[list[dict], dict, bool | None]:
         }
         for name in report.failures_per_bound
     ]
-    summary = {
-        "n": config.n,
-        "delta": config.delta,
-        "alpha": config.alpha,
-        "trials": report.trials,
-        "seed": args.seed,
-        "all_passed": report.all_passed,
-    }
+    summary = dataclasses.asdict(config)
+    summary.update(trials=report.trials, seed=args.seed, all_passed=report.all_passed)
     return rows, summary, report.all_passed
 
 
 def _cmd_scaling(args) -> tuple[list[dict], dict, bool | None]:
-    u = _as_float(args.u, "u") if args.u is not None else 1.0
-    d_values = (
-        _as_ints(args.d, "d") if args.d is not None else [2**k for k in range(4, 13)]
-    )
-    table = divergence_scaling_table(u, d_values)
-    rows = [
-        {
-            "d": r.d,
-            "kl": r.kl,
-            "tv": r.tv,
-            "zcp1": r.zcp1,
-            "kl_ratio": r.kl_ratio,
-            "tv_ratio": r.tv_ratio,
-            "zcp1_ratio": r.zcp1_ratio,
-        }
-        for r in table.rows
-    ]
-    summary = {"u": u}
+    table = divergence_scaling_table(args.u, args.d)
+    rows = [dataclasses.asdict(row) for row in table.rows]
+    summary = {"u": args.u}
     for name in ("kl", "tv", "zcp1"):
         summary[f"slope_{name}"] = table.slopes[name]
         summary[f"expected_slope_{name}"] = table.expected_slopes[name]
@@ -391,102 +302,42 @@ def _cmd_scaling(args) -> tuple[list[dict], dict, bool | None]:
 
 
 def _cmd_gaussian_check(args) -> tuple[list[dict], dict, bool | None]:
-    p_values = _as_floats(args.p, "p") if args.p is not None else [0.2, 0.1, 0.05, 0.02]
-    exponent = _as_float(args.exponent, "exponent") if args.exponent is not None else 1.0
-    checks = gaussian_instance_check(p_values, exponent)
-    rows = [
-        {
-            "p": r.p,
-            "exponent": r.exponent,
-            "kl": r.kl,
-            "tv": r.tv,
-            "kl_floor": r.kl_floor,
-            "kl_ok": r.kl_ok,
-            "product": r.product,
-            "product_ok": r.product_ok,
-        }
-        for r in checks
-    ]
+    checks = gaussian_instance_check(args.p, args.exponent)
+    rows = [dataclasses.asdict(row) for row in checks]
     all_ok = all(r.kl_ok and r.product_ok for r in checks)
-    return rows, {"exponent": exponent, "all_passed": all_ok}, all_ok
+    return rows, {"exponent": args.exponent, "all_passed": all_ok}, all_ok
 
 
 def _cmd_ville(args) -> tuple[list[dict], dict, bool | None]:
-    n = _as_int(args.n, "n") if args.n is not None else 1000
-    paths = _as_int(args.paths, "paths") if args.paths is not None else 10_000
-    deltas = _as_floats(args.delta, "delta") if args.delta is not None else [0.1, 0.05]
-    rows_data = ville_experiment(n, deltas, paths, args.seed)
-    rows = [
-        {
-            "delta": r.delta,
-            "crossings": r.crossings,
-            "paths": r.paths,
-            "rate": r.rate,
-            "wilson_upper_99": r.wilson_upper_99,
-            "passed": r.passed,
-        }
-        for r in rows_data
-    ]
+    rows_data = ville_experiment(args.n, args.delta, args.paths, args.seed)
+    rows = [dataclasses.asdict(row) for row in rows_data]
     all_ok = all(r.passed for r in rows_data)
-    summary = {"n": n, "paths": paths, "seed": args.seed, "all_passed": all_ok}
+    summary = {"n": args.n, "paths": args.paths, "seed": args.seed, "all_passed": all_ok}
     return rows, summary, all_ok
 
 
-def _suite_rows(report) -> list[dict]:
-    return [
-        {
-            "check": name,
-            "worst_slack": result.worst_slack,
-            "violations": result.violations,
-            "passed": result.violations == 0,
-        }
-        for name, result in report.results.items()
-    ]
+def _check_row(check: str, worst_slack: float, violations: int) -> dict:
+    return dict(check=check, worst_slack=worst_slack, violations=violations, passed=violations == 0)
 
 
 def _cmd_inequalities(args) -> tuple[list[dict], dict, bool | None]:
-    trials = _as_int(args.trials, "trials") if args.trials is not None else 100_000
-    report = analytic_inequality_suite(trials=trials, seed=args.seed, tolerance=1e-9)
-    rows = _suite_rows(report)
+    report = analytic_inequality_suite(trials=args.trials, seed=args.seed, tolerance=1e-9)
+    rows = [_check_row(name, r.worst_slack, r.violations) for name, r in report.results.items()]
     summary = {"trials": report.trials, "tolerance": report.tolerance, "all_passed": report.ok}
     return rows, summary, report.ok
 
 
-def _random_pair(rng: np.random.Generator, max_support: int = 64):
-    size = int(rng.integers(2, max_support + 1))
-    p = make_discrete(rng.random(size) + 1e-3)
-    q = make_discrete(rng.random(size) + 1e-3)
-    return p, q
-
-
-def _cmd_self_check(args) -> tuple[list[dict], dict, bool | None]:
-    trials = _as_int(args.trials, "trials") if args.trials is not None else 50_000
-    rows = _suite_rows(analytic_inequality_suite(trials=trials, seed=args.seed, tolerance=1e-9))
-
-    rng = np.random.default_rng((args.seed, 1))
-    worst_slack, worst_at, violations = math.inf, "", 0
+def _asymptotics_fuzz(rng: np.random.Generator):
     for index in range(300):
-        p, q = _random_pair(rng)
+        size = int(rng.integers(2, 65))
+        p = make_discrete(rng.random(size) + 1e-3)
+        q = make_discrete(rng.random(size) + 1e-3)
         for n in (25, 100, 10_000):
             check = asymptotics_inequality_check(p, q, n)
-            slack = check.a_value - check.b_over_l
-            if math.isfinite(slack) and slack < worst_slack:
-                worst_slack, worst_at = slack, f"pair={index},n={n}"
-            if not check.holds:
-                violations += 1
-    rows.append(
-        {
-            "check": "asymptotics_surrogate",
-            "worst_slack": worst_slack,
-            "violations": violations,
-            "passed": violations == 0,
-        }
-    )
-    if violations:
-        print(f"self-check: asymptotics_surrogate violated at {worst_at}", file=sys.stderr)
+            yield check.a_value - check.b_over_l, f"pair={index},n={n}", not check.holds
 
-    rng = np.random.default_rng((args.seed, 2))
-    worst_slack, worst_at, violations = math.inf, "", 0
+
+def _betting_fuzz(rng: np.random.Generator):
     for index in range(300):
         n = int(rng.integers(1, 257))
         # the quadratic wealth lower bound holds for every [-1, 1] sequence
@@ -496,63 +347,106 @@ def _cmd_self_check(args) -> tuple[list[dict], dict, bool | None]:
         # false for general magnitudes, so fuzz it on +-1 sequences only
         bias = rng.uniform(0.1, 0.9)
         trace = kt_bettor(np.where(rng.random(n) < bias, 1.0, -1.0))
-        regret_slack = math.log(2.0 * math.sqrt(trace.n)) - trace.log_regret
-        slack = min(quad_slack, regret_slack)
-        if slack < worst_slack:
-            worst_slack, worst_at = slack, f"sequence={index},n={trace.n}"
-        if slack < -1e-12:
-            violations += 1
-    rows.append(
-        {
-            "check": "betting_invariants",
-            "worst_slack": worst_slack,
-            "violations": violations,
-            "passed": violations == 0,
-        }
-    )
-    if violations:
-        print(f"self-check: betting_invariants violated at {worst_at}", file=sys.stderr)
+        slack = min(quad_slack, math.log(2.0 * math.sqrt(trace.n)) - trace.log_regret)
+        yield slack, f"sequence={index},n={trace.n}", slack < -1e-12
 
+
+def _fuzz_row(check: str, results) -> dict:
+    """The check row of (slack, where, violated) fuzz results; stderr names the worst one."""
+    worst_slack, worst_at, violations = math.inf, "", 0
+    for slack, where, violated in results:
+        if math.isfinite(slack) and slack < worst_slack:
+            worst_slack, worst_at = slack, where
+        violations += violated
+    if violations:
+        print(f"self-check: {check} violated at {worst_at}", file=sys.stderr)
+    return _check_row(check, worst_slack, violations)
+
+
+def _cmd_self_check(args) -> tuple[list[dict], dict, bool | None]:
+    rows = _cmd_inequalities(args)[0]
+    rng = np.random.default_rng((args.seed, 1))
+    rows.append(_fuzz_row("asymptotics_surrogate", _asymptotics_fuzz(rng)))
+    rng = np.random.default_rng((args.seed, 2))
+    rows.append(_fuzz_row("betting_invariants", _betting_fuzz(rng)))
     all_ok = all(row["passed"] for row in rows)
     for row in rows:
         if not row["passed"]:
-            print(
-                f"self-check failure: {row['check']} worst_slack={_fmt(row['worst_slack'])}",
-                file=sys.stderr,
-            )
-    summary = {"trials": trials, "seed": args.seed, "all_passed": all_ok}
+            message = f"self-check failure: {row['check']} worst_slack={_fmt(row['worst_slack'])}"
+            print(message, file=sys.stderr)
+    summary = {"trials": args.trials, "seed": args.seed, "all_passed": all_ok}
     return rows, summary, all_ok
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly and entry points
+# The flag table, parser assembly and entry points
 # ---------------------------------------------------------------------------
 
-_HANDLERS = {
-    "divergence": _cmd_divergence,
-    "instance": _cmd_instance,
-    "betting": _cmd_betting,
-    "bound": _cmd_bound,
-    "coverage": _cmd_coverage,
-    "scaling": _cmd_scaling,
-    "gaussian-check": _cmd_gaussian_check,
-    "ville": _cmd_ville,
-    "inequalities": _cmd_inequalities,
-    "self-check": _cmd_self_check,
+# A flag is (type or choices, default); defaults are immutable, as the parser
+# lives for the process.  _REQUIRED marks a flag that argv or --config must give.
+_REQUIRED = object()
+
+_MIXTURE_FLAGS = {"mixture-p": (float, None), "sigma1": (float, 1.0), "exponent": (float, 1.0)}
+
+_BOUND_FLAGS = {
+    "n": (int, _REQUIRED),
+    "delta": (float, 0.05),
+    "alpha": (float, 2.0),
+    "m": (int, 50),
+    "loss": (("abs", "bernoulli"), "abs"),
+    "eta": (float, 5.0),
 }
 
-_SUBCOMMAND_FLAGS = {
-    "divergence": ["kind", "p", "q", "c", "alpha", "mixture-p", "sigma1", "exponent"],
-    "instance": ["kind", "p", "lna", "d", "u", "mixture-p", "sigma1", "exponent"],
-    "betting": ["coins", "n"],
-    "bound": ["n", "delta", "alpha", "m", "loss", "eta"],
-    "coverage": ["n", "delta", "alpha", "m", "loss", "eta", "trials"],
-    "scaling": ["u", "d"],
-    "gaussian-check": ["p", "exponent"],
-    "ville": ["n", "delta", "paths"],
-    "inequalities": ["trials"],
-    "self-check": ["trials"],
+_COMMANDS = {
+    "divergence": (
+        _cmd_divergence,
+        {
+            "kind": (str, _REQUIRED),
+            "p": (float_list, None),
+            "q": (float_list, None),
+            "c": (float, None),
+            "alpha": (float, None),
+            **_MIXTURE_FLAGS,
+        },
+    ),
+    "instance": (
+        _cmd_instance,
+        {
+            "kind": (("bernoulli", "multivariate", "gaussian"), _REQUIRED),
+            "p": (float, None),
+            "lna": (float, None),
+            "d": (int, None),
+            "u": (float, None),
+            **_MIXTURE_FLAGS,
+        },
+    ),
+    "betting": (_cmd_betting, {"coins": (float_list, None), "n": (int, None)}),
+    "bound": (_cmd_bound, _BOUND_FLAGS),
+    "coverage": (_cmd_coverage, {**_BOUND_FLAGS, "trials": (int, 2000)}),
+    "scaling": (
+        _cmd_scaling,
+        {"u": (float, 1.0), "d": (int_list, tuple(2**k for k in range(4, 13)))},
+    ),
+    "gaussian-check": (
+        _cmd_gaussian_check,
+        {"p": (float_list, (0.2, 0.1, 0.05, 0.02)), "exponent": (float, 1.0)},
+    ),
+    "ville": (
+        _cmd_ville,
+        {"n": (int, 1000), "delta": (float_list, (0.1, 0.05)), "paths": (int, 10_000)},
+    ),
+    "inequalities": (_cmd_inequalities, {"trials": (int, 100_000)}),
+    "self-check": (_cmd_self_check, {"trials": (int, 50_000)}),
 }
+
+_COMMON_FLAGS = {
+    "seed": (int, 0),
+    "format": (("csv", "json"), "csv"),
+    "out": (str, None),
+    "config": (str, None),
+}
+
+_INSTANCE_COMMANDS = ("bound", "coverage")  # take a nested "instance" object from --config
 
 _FLAG_HELP = {
     "kind": "divergence kind (kl, tv, renyi, zcp, little_kl) or instance family",
@@ -574,32 +468,35 @@ _FLAG_HELP = {
     "eta": "Gibbs posterior temperature",
     "trials": "number of Monte Carlo trials / fuzz draws",
     "paths": "number of independent sample paths",
+    "seed": "master seed for all randomness",
+    "format": "output format",
+    "out": "write output atomically to this path",
+    "config": "JSON file of flag values; explicit flags win",
 }
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parsers() -> tuple[_Parser, _Parser]:
+    """The early --config reader and the full parser, built on first use."""
+    # without abbreviations, so that --c is never read as --config
+    config_reader = _Parser(prog="zcp-paclab", add_help=False, allow_abbrev=False)
+    config_reader.add_argument("--config")
+
     parser = _Parser(prog="zcp-paclab", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, flags in _SUBCOMMAND_FLAGS.items():
+    for name, (_, flags) in _COMMANDS.items():
         sub = subparsers.add_parser(name, prog=f"zcp-paclab {name}")
-        for flag in flags:
-            if flag == "loss":
-                sub.add_argument("--loss", choices=["abs", "bernoulli"], help=_FLAG_HELP[flag])
-            else:
-                sub.add_argument(f"--{flag}", help=_FLAG_HELP[flag])
-        sub.add_argument("--seed", help="master seed for all randomness")
-        sub.add_argument("--format", choices=["csv", "json"], help="output format")
-        sub.add_argument("--out", help="write output atomically to this path")
-        sub.add_argument("--config", help="JSON file with default flag values")
-    return parser
+        for flag, (kind, default) in {**flags, **_COMMON_FLAGS}.items():
+            options = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            options["required"] = default is _REQUIRED
+            sub.add_argument(f"--{flag}", default=default, help=_FLAG_HELP[flag], **options)
+    return config_reader, parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    args.instance_config = None
-    if args.config is None:
-        return
+def _read_config(command: str, path: str) -> tuple[list[str], dict | None]:
+    """The config file's entries as flag text, and its nested ``instance`` object."""
     try:
-        with open(args.config, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}") from None
@@ -607,32 +504,46 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise ValidationError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("config file must contain a JSON object")
+    flags, instance = [], None
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest == "instance":
-            args.instance_config = value
-        elif hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
+        flag = key.replace("_", "-")
+        if value is None or isinstance(value, bool):
+            raise ValidationError(f"config key {key!r} cannot be {json.dumps(value)}")
+        if key == "instance" and command in _INSTANCE_COMMANDS:
+            instance = value
+        elif flag not in _COMMANDS[command][1] and flag not in _COMMON_FLAGS:
+            raise ValidationError(f"config key {key!r} is not a flag of {command}")
+        elif isinstance(value, dict):
+            raise ValidationError(f"config key {key!r} cannot be a JSON object")
+        else:
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            flags.append(f"--{flag}={text}")
+    return flags, instance
 
 
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
+    config_reader, parser = _parsers()
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        _apply_config(args)
-        args.seed = _as_int(args.seed, "seed") if args.seed is not None else 0
-        rows, summary, passed = _HANDLERS[args.subcommand](args)
+        if command is None:
+            parser.parse_args(argv)  # exits with help, or with a bad-subcommand error
+            parser.print_usage(sys.stderr)
+            return 1
+        config = config_reader.parse_known_args(argv[1:])[0].config
+        flags, instance = ([], None) if config is None else _read_config(command, config)
+        # config entries come first, so explicit flags win
+        namespace = argparse.Namespace(instance=instance)
+        args = parser.parse_args([command, *flags, *argv[1:]], namespace)
+        if args.config != config:
+            raise ValidationError("write --config in full; it cannot be abbreviated")
+        rows, summary, passed = _COMMANDS[command][0](args)
         text = _render_json(rows, summary) if args.format == "json" else _render_csv(rows, summary)
         _write_output(text, args.out)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (ValidationError, NumericalError) as exc:
-        print(f"zcp-paclab {args.subcommand}: error: {exc}", file=sys.stderr)
+        print(f"zcp-paclab {command}: error: {exc}", file=sys.stderr)
         return 1
     return 0 if passed is None or passed else 2
 

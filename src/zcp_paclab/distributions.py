@@ -275,7 +275,12 @@ def density_ratio_log(pair: GaussianMixturePair, x: float) -> float:
 def to_json(dist: DiscreteDistribution | GaussianMixturePair) -> str:
     """Serialize a distribution to its interchange JSON form."""
     if isinstance(dist, DiscreteDistribution):
-        payload = {"type": "discrete", "weights": [float(w) for w in dist.weights]}
+        payload = {
+            "type": "discrete",
+            "weights": [float(w) for w in dist.weights],
+            # a zero-mass atom's -inf is written "-inf", as RFC 8259 has no infinity
+            "log_weights": [float(lw) if lw > -math.inf else "-inf" for lw in dist.log_weights],
+        }
     elif isinstance(dist, GaussianMixturePair):
         payload = {
             "type": "gaussian_mixture",
@@ -301,7 +306,12 @@ def from_json(text: str) -> DiscreteDistribution | GaussianMixturePair:
     if kind == "discrete":
         if "weights" not in payload:
             raise ValidationError("discrete distribution JSON requires 'weights'")
-        return make_discrete(payload["weights"])
+        try:
+            if "log_weights" in payload:
+                return DiscreteDistribution(payload["weights"], payload["log_weights"])
+            return make_discrete(payload["weights"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed discrete distribution JSON: {exc}") from None
     if kind == "gaussian_mixture":
         try:
             return GaussianMixturePair(

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 from scipy.special import ndtri
 
-from .betting import kt_log_wealth
+from .betting import kt_log_wealth, mean_zero_coins
 from .bounds import (
     BOUND_NAMES,
     BoundConfig,
@@ -531,10 +531,7 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
     for path in range(int(paths)):
-        rng = np.random.default_rng((seed, path))
-        signs = rng.integers(0, 2, int(n)) * 2 - 1
-        coins = signs * rng.random(int(n))
-        peak = float(kt_log_wealth(coins)[1:].max())
+        peak = float(kt_log_wealth(mean_zero_coins(int(n), seed, path))[1:].max())
         crossings += peak >= thresholds
     rows = []
     for delta, crossed in zip(deltas, crossings):

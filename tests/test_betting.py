@@ -13,6 +13,7 @@ from zcp_paclab import (
     kt_log_wealth,
     log_wealth_fixed,
     max_log_wealth,
+    mean_zero_coins,
     ville_first_crossing,
     wealth_quadratic_lower,
 )
@@ -196,6 +197,27 @@ class TestMartingaleProperty:
         wealth = np.exp(np.log1p(bets * coins).sum(axis=1))
         standard_error = wealth.std(ddof=1) / math.sqrt(paths)
         assert abs(wealth.mean() - 1.0) <= 5.0 * standard_error
+
+
+class TestMeanZeroCoins:
+    def test_stream_is_sign_times_uniform(self):
+        # pins the random stream that `betting --n` and `ville` both draw
+        for seed, path in [(0, 0), (4, 0), (1, 999)]:
+            rng = np.random.default_rng((seed, path))
+            signs = rng.integers(0, 2, 50) * 2 - 1
+            expected = signs * rng.random(50)
+            np.testing.assert_array_equal(mean_zero_coins(50, seed, path), expected)
+
+    def test_coins_lie_in_the_open_interval(self):
+        coins = mean_zero_coins(10_000, 3)
+        assert coins.shape == (10_000,)
+        assert (np.abs(coins) < 1.0).all()
+        assert abs(coins.mean()) < 0.05
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_nonpositive_n(self, n):
+        with pytest.raises(ValidationError):
+            mean_zero_coins(n, 0)
 
 
 class TestVilleFirstCrossing:

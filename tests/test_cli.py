@@ -148,6 +148,18 @@ class TestOutputContract:
         )
 
 
+    def test_json_writes_non_finite_values_as_strings(self, capsys):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        argv = ["divergence", "--kind", "kl", "--p", "1,0", "--q", "0,1"]
+        _, csv_text, _ = _run(capsys, argv)
+        code, out, _ = _run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        row = json.loads(out, parse_constant=reject)["rows"][0]
+        assert row["value"] == "inf" == csv_text.splitlines()[1].split(",")[3]
+
+
 class TestAtomicOutput:
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         argv = ["scaling", "--d", "16,32,64", "--u", "1"]
@@ -206,6 +218,47 @@ class TestConfigFile:
         row = json.loads(out)["rows"][0]
         assert 0.0 < row["hoeffding_zcp"] <= 1.0
         assert row["p_mean"] > 0.0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"format": "xml"}, {"bogus": 1}, {"out": None}, {"c": True}, {"c": {"x": 1}}],
+    )
+    def test_config_values_go_through_the_parser(self, entry, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"kind": "kl", "p": "0.5,0.5", "q": "0.25,0.75", **entry}))
+        code, out, err = _run(capsys, ["divergence", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        (key,) = entry
+        assert key in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["c.json"]  # no file named None
+
+    def test_config_supplies_required_flag(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"n": 200, "m": 8, "trials": 100}))
+        code, out, _ = _run(capsys, ["coverage", "--config", str(config)])
+        assert code == 0
+        assert "# n=200" in out
+        assert "# trials=100" in out
+
+    def test_config_list_matches_comma_flag(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"delta": [0.1, 0.05]}))
+        argv = ["ville", "--n", "50", "--paths", "1000"]
+        code, from_flag, _ = _run(capsys, argv + ["--delta", "0.1,0.05"])
+        assert code == 0
+        _, from_config, _ = _run(capsys, argv + ["--config", str(config)])
+        assert from_config == from_flag
+
+    def test_abbreviated_config_flag_rejected(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"p": "0.5,0.5", "q": "0.25,0.75"}))
+        code, out, err = _run(capsys, ["divergence", "--kind", "kl", "--conf", str(config)])
+        assert code == 1
+        assert out == ""
+        assert "--config" in err
 
     def test_malformed_config_rejected(self, tmp_path, capsys):
         config = tmp_path / "c.json"

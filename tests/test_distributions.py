@@ -15,9 +15,11 @@ from zcp_paclab import (
     from_json,
     from_log_weights,
     gaussian_instance,
+    kl_discrete,
     make_discrete,
     multivariate_instance,
     to_json,
+    zcp_discrete,
 )
 
 
@@ -193,6 +195,41 @@ class TestSerialization:
         assert payload["type"] == "discrete"
         restored = from_json(to_json(dist))
         np.testing.assert_array_equal(restored.weights, dist.weights)
+
+    def test_round_trip_keeps_log_weights(self):
+        # d = 4096 puts atoms below exp(-745), so their weights underflow to
+        # 0.0 and only the log-weights keep KL and ZCP finite
+        p, q = multivariate_instance(4096, 1.0)
+        restored_p, restored_q = from_json(to_json(p)), from_json(to_json(q))
+        np.testing.assert_array_equal(restored_p.log_weights, p.log_weights)
+        np.testing.assert_array_equal(restored_q.log_weights, q.log_weights)
+        assert (q.weights == 0.0).any() and np.isfinite(q.log_weights).all()
+        assert kl_discrete(restored_p, restored_q) == kl_discrete(p, q)
+        assert math.isfinite(kl_discrete(p, q))
+        assert zcp_discrete(restored_p, restored_q, 1.0) == zcp_discrete(p, q, 1.0)
+
+    def test_zero_mass_atoms_serialize_as_minus_inf_string(self):
+        dist = make_discrete([1.0, 0.0])
+        text = to_json(dist)
+        assert json.loads(text)["log_weights"] == [0.0, "-inf"]
+        assert "Infinity" not in text
+        np.testing.assert_array_equal(from_json(text).log_weights, [0.0, -np.inf])
+
+    def test_weights_only_payload_still_loads(self):
+        restored = from_json('{"type": "discrete", "weights": [1, 3]}')
+        np.testing.assert_array_equal(restored.weights, [0.25, 0.75])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "discrete", "weights": ["a"]},
+            {"type": "discrete", "weights": [0.5, 0.5], "log_weights": ["x", 0.0]},
+            {"type": "discrete", "weights": [0.5, 0.5], "log_weights": [0.0, 0.0]},
+        ],
+    )
+    def test_malformed_discrete_payload_rejected(self, payload):
+        with pytest.raises(ValidationError):
+            from_json(json.dumps(payload))
 
     def test_gaussian_round_trip(self):
         pair = gaussian_instance(0.2, 1.5, 0.75)
