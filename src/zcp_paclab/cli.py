@@ -261,8 +261,9 @@ def _cmd_betting(args) -> tuple[list[dict], dict, bool | None]:
 
 def _bound_inputs(args):
     config = BoundConfig(n=args.n, delta=args.delta, alpha=args.alpha)
-    flags = {"m": args.m, "loss": args.loss, "posterior": "gibbs", "eta": args.eta}
-    return config, learning_instance_from_dict(flags if args.instance is None else args.instance)
+    # a config instance's m, loss and eta were read as flags, so explicit flags win
+    flags = {"m": args.m, "loss": args.loss, "eta": args.eta}
+    return config, learning_instance_from_dict({**(args.instance or {}), **flags})
 
 
 def _cmd_bound(args) -> tuple[list[dict], dict, bool | None]:
@@ -510,7 +511,10 @@ def _read_config(command: str, path: str) -> tuple[list[str], dict | None]:
         if value is None or isinstance(value, bool):
             raise ValidationError(f"config key {key!r} cannot be {json.dumps(value)}")
         if key == "instance" and command in _INSTANCE_COMMANDS:
+            if not isinstance(value, dict):
+                raise ValidationError("instance config must be a JSON object")
             instance = value
+            flags += [f"--{name}={value[name]}" for name in ("m", "loss", "eta") if name in value]
         elif flag not in _COMMANDS[command][1] and flag not in _COMMON_FLAGS:
             raise ValidationError(f"config key {key!r} is not a flag of {command}")
         elif isinstance(value, dict):

@@ -203,18 +203,18 @@ class GaussianMixturePair:
         if not (0.0 <= self.p <= 1.0):
             raise ValidationError("p must lie in [0, 1]")
 
-    def log_pdf_p(self, x: float) -> float:
-        """Log-density of the mixture P at x."""
+    def log_pdf_p(self, x):
+        """Log-density of the mixture P at x (a number or an array)."""
         l1 = _log_normal_pdf(x, self.mu, self.sigma1)
         l2 = _log_normal_pdf(x, self.mu, self.sigma2)
         if self.p == 0.0:
             return l2
         if self.p == 1.0:
             return l1
-        return _logaddexp(math.log(self.p) + l1, math.log1p(-self.p) + l2)
+        return np.logaddexp(math.log(self.p) + l1, math.log1p(-self.p) + l2)
 
-    def log_pdf_q(self, x: float) -> float:
-        """Log-density of the reference component Q at x."""
+    def log_pdf_q(self, x):
+        """Log-density of the reference component Q at x (a number or an array)."""
         return _log_normal_pdf(x, self.mu, self.sigma2)
 
 
@@ -233,38 +233,22 @@ def gaussian_instance(p: float, sigma1: float, exponent: float) -> GaussianMixtu
     return GaussianMixturePair(mu=0.0, sigma1=sigma1, sigma2=sigma1 * p**exponent, p=p)
 
 
-def _log_normal_pdf(x: float, mu: float, sigma: float) -> float:
-    z = (x - mu) / sigma
+def _log_normal_pdf(x, mu: float, sigma: float):
+    z = (np.asarray(x, dtype=float) - mu) / sigma
     return -0.5 * z * z - math.log(sigma) - 0.5 * _LOG_2PI
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def density_ratio_log(pair: GaussianMixturePair, x: float) -> float:
+def density_ratio_log(pair: GaussianMixturePair, x):
     """ln(dP/dQ)(x) for a GaussianMixturePair, stable over the whole real line.
 
-    Equals ln(p * phi1(x)/phi2(x) + 1 - p) assembled in log-space; in the far
-    tail it grows like ln(p) + ln(sigma2/sigma1) + x^2 (1/(2 sigma2^2) -
-    1/(2 sigma1^2)) without ever forming the overflowing raw ratio.
+    The difference of the two log-densities: in the far tail it grows like
+    ln(p) + ln(sigma2/sigma1) + x^2 (1/(2 sigma2^2) - 1/(2 sigma1^2)) without
+    ever forming the overflowing raw ratio.  ``x`` may be a number or an array.
     """
-    if not math.isfinite(x):
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
         raise ValidationError("x must be finite")
-    if pair.p == 0.0:
-        return 0.0
-    log_component_ratio = (
-        math.log(pair.sigma2 / pair.sigma1)
-        + (x - pair.mu) ** 2 * 0.5 * (1.0 / pair.sigma2**2 - 1.0 / pair.sigma1**2)
-    )
-    if pair.p == 1.0:
-        return log_component_ratio
-    return _logaddexp(math.log(pair.p) + log_component_ratio, math.log1p(-pair.p))
+    return pair.log_pdf_p(x) - pair.log_pdf_q(x)
 
 
 # ---------------------------------------------------------------------------

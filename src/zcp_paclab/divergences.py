@@ -94,35 +94,13 @@ class QuadratureConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stable scalar/vector kernels
+# Per-atom kernels: one array function per divergence formula, shared by the
+# sums over atoms and the quadrature over nodes.  lp and lq are ln p and ln q.
 # ---------------------------------------------------------------------------
 
 
-def _log_abs_expm1(d: float) -> float:
-    """ln|exp(d) - 1| for d in [-inf, +inf], never overflowing."""
-    if d == 0.0:
-        return -math.inf
-    if d > 0.0:
-        if d > 700.0:
-            return d + math.log1p(-math.exp(-d))
-        return math.log(math.expm1(d))
-    return math.log(-math.expm1(d))
-
-
-def _log1p_sq(ln_t: float, c: float) -> float:
-    """ln(1 + (c*t)^2) given ln_t = ln(t), valid for arbitrarily large t."""
-    if c == 0.0 or ln_t == -math.inf:
-        return 0.0
-    if ln_t == math.inf:
-        return math.inf
-    s2 = 2.0 * (math.log(c) + ln_t)
-    if s2 <= 700.0:
-        return math.log1p(math.exp(s2))
-    # ct > 1e8 territory: 2 ln(ct) + ln(1 + (ct)^-2)
-    return s2 + math.log1p(math.exp(-s2))
-
-
-def _log_abs_expm1_vec(d: np.ndarray) -> np.ndarray:
+def _log_abs_expm1(d: np.ndarray) -> np.ndarray:
+    """ln|exp(d) - 1| elementwise for d in [-inf, +inf], never overflowing."""
     out = np.full_like(d, -np.inf)
     pos_small = (d > 0.0) & (d <= 700.0)
     pos_big = d > 700.0
@@ -134,13 +112,16 @@ def _log_abs_expm1_vec(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log1p_sq_vec(ln_t: np.ndarray, c: float) -> np.ndarray:
+def _log1p_sq(ln_t, c: float) -> np.ndarray:
+    """ln(1 + (c*t)^2) elementwise given ln_t = ln(t), valid for arbitrarily large t."""
+    ln_t = np.asarray(ln_t, dtype=float)
     if c == 0.0:
         return np.zeros_like(ln_t)
     s2 = 2.0 * (math.log(c) + ln_t)
     out = np.empty_like(s2)
     small = s2 <= 700.0
     out[small] = np.log1p(np.exp(s2[small]))
+    # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
     out[~small] = s2[~small] + np.log1p(np.exp(-s2[~small]))
     return out
 
@@ -162,6 +143,28 @@ def _abs_diff_of_exps(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
         return np.where(both_zero, 0.0, np.exp(hi) * (-np.expm1(-gap)))
 
 
+def _kl_terms(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """p ln(p/q) per atom; the atoms must have p > 0 and q > 0."""
+    return np.exp(lp) * (lp - lq)
+
+
+def _tv_terms(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+    """|p - q| / 2 per atom."""
+    return 0.5 * _abs_diff_of_exps(lp, lq)
+
+
+def _renyi_log_terms(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
+    """ln(p^alpha q^(1 - alpha)) per atom; the atoms must not have p = q = 0."""
+    return alpha * lp + (1.0 - alpha) * lq
+
+
+def _zcp_terms(lp: np.ndarray, lq: np.ndarray, c: float) -> np.ndarray:
+    """q |r - 1| sqrt(ln(1 + c^2 (r - 1)^2)) per atom, r = p/q; no atom may have q = 0 < p."""
+    both_zero = np.isneginf(lp) & np.isneginf(lq)
+    ln_t = _log_abs_expm1(np.where(both_zero, 0.0, lp - lq))
+    return _abs_diff_of_exps(lp, lq) * np.sqrt(_log1p_sq(ln_t, c))
+
+
 # ---------------------------------------------------------------------------
 # Exact divergences on finite support
 # ---------------------------------------------------------------------------
@@ -173,14 +176,13 @@ def kl_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     support = lp > -np.inf
     if np.any(support & np.isneginf(lq)):
         return math.inf
-    d = lp[support] - lq[support]
-    return float(np.sum(np.exp(lp[support]) * d))
+    return float(np.sum(_kl_terms(lp[support], lq[support])))
 
 
 def tv_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Total variation distance (1/2) sum |p_i - q_i|, always in [0, 1]."""
     lp, lq = _pair_logs(p, q)
-    return 0.5 * float(_abs_diff_of_exps(lp, lq).sum())
+    return float(_tv_terms(lp, lq).sum())
 
 
 def renyi_discrete(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float) -> float:
@@ -197,43 +199,22 @@ def renyi_discrete(p: DiscreteDistribution, q: DiscreteDistribution, alpha: floa
     if alpha > 1.0 and np.any((lp > -np.inf) & np.isneginf(lq)):
         return math.inf
     active = ~(np.isneginf(lp) & np.isneginf(lq))
-    exponents = alpha * lp[active] + (1.0 - alpha) * lq[active]
-    return float(logsumexp(exponents) / (alpha - 1.0))
+    return float(logsumexp(_renyi_log_terms(lp[active], lq[active], alpha)) / (alpha - 1.0))
 
 
-def zcp_discrete(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    c: float,
-    ln_ratio_override: np.ndarray | None = None,
-) -> float:
+def zcp_discrete(p: DiscreteDistribution, q: DiscreteDistribution, c: float) -> float:
     """ZCP(P, Q; c) = sum q_i |r_i - 1| sqrt(ln(1 + c^2 (r_i - 1)^2)).
 
-    ``ln_ratio_override`` substitutes per-atom values for ln(p_i/q_i),
-    letting callers evaluate the integrand along a ratio field that was
-    never materialized as two weight vectors.  +inf when some q_i = 0 <
-    p_i and c > 0; identically 0 at c = 0.
+    +inf when some q_i = 0 < p_i and c > 0; identically 0 at c = 0.
     """
     if not math.isfinite(c) or c < 0.0:
         raise ValidationError("c must be finite and >= 0")
     lp, lq = _pair_logs(p, q)
-    if ln_ratio_override is not None:
-        override = np.asarray(ln_ratio_override, dtype=float)
-        if override.shape != lq.shape:
-            raise ValidationError("ln_ratio_override must match the support size")
-        if np.isnan(override).any():
-            raise ValidationError("ln_ratio_override must not contain NaN")
-        lp = lq + override
     if c == 0.0:
         return 0.0
     if np.any((lp > -np.inf) & np.isneginf(lq)):
         return math.inf
-    both_zero = np.isneginf(lp) & np.isneginf(lq)
-    d = np.where(both_zero, 0.0, lp - lq)
-    ln_t = _log_abs_expm1_vec(d)
-    log_factor = _log1p_sq_vec(ln_t, c)
-    mass = _abs_diff_of_exps(lp, lq)
-    return float(np.sum(mass * np.sqrt(log_factor)))
+    return float(np.sum(_zcp_terms(lp, lq, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -362,86 +343,67 @@ def _check_chain_args(kl: float, tv: float, c: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _exp_or_inf(x: float) -> float:
-    return math.exp(x) if x < 709.0 else math.inf
+# Intervals refined per integrand call; bounds memory when many refine at once.
+_BATCH = 2048
 
 
-def _make_integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
-    mu, s1, s2, p = pair.mu, pair.sigma1, pair.sigma2, pair.p
-    inv2s1 = 0.5 / (s1 * s1)
-    inv2s2 = 0.5 / (s2 * s2)
-    log_norm_q = -math.log(s2) - 0.5 * math.log(2.0 * math.pi)
-    log_sigma_ratio = math.log(s2 / s1)
-    log_p = math.log(p) if p > 0.0 else -math.inf
-    log_1mp = math.log1p(-p) if p < 1.0 else -math.inf
+def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
+    """The divergence's per-atom terms at an array of nodes."""
+    terms = {
+        DivergenceKind.KL: _kl_terms,
+        DivergenceKind.TV: _tv_terms,
+        DivergenceKind.ZCP: lambda lp, lq: _zcp_terms(lp, lq, c),
+        DivergenceKind.RENYI: lambda lp, lq: np.exp(_renyi_log_terms(lp, lq, alpha)),
+    }[kind]
 
-    def log_q(x: float) -> float:
-        z = x - mu
-        return -z * z * inv2s2 + log_norm_q
-
-    def ratio_log(x: float) -> float:
-        if p == 0.0:
-            return 0.0
-        z2 = (x - mu) ** 2
-        component = log_sigma_ratio + z2 * (inv2s2 - inv2s1)
-        if p == 1.0:
-            return component
-        a, b = log_p + component, log_1mp
-        hi, lo = (a, b) if a >= b else (b, a)
-        return hi + math.log1p(math.exp(lo - hi))
-
-    if kind is DivergenceKind.KL:
-
-        def integrand(x: float) -> float:
-            ell = ratio_log(x)
-            return _exp_or_inf(log_q(x) + ell) * ell
-
-    elif kind is DivergenceKind.TV:
-
-        def integrand(x: float) -> float:
-            ell = ratio_log(x)
-            if ell == 0.0:
-                return 0.0
-            return 0.5 * _exp_or_inf(log_q(x) + _log_abs_expm1(ell))
-
-    elif kind is DivergenceKind.ZCP:
-
-        def integrand(x: float) -> float:
-            ell = ratio_log(x)
-            if ell == 0.0:
-                return 0.0
-            ln_t = _log_abs_expm1(ell)
-            return _exp_or_inf(log_q(x) + ln_t) * math.sqrt(_log1p_sq(ln_t, c))
-
-    else:  # RENYI
-
-        def integrand(x: float) -> float:
-            return _exp_or_inf(log_q(x) + alpha * ratio_log(x))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return terms(pair.log_pdf_p(x), pair.log_pdf_q(x))
 
     return integrand
 
 
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth):
+def _adaptive_simpson(f, edges: np.ndarray, budget: float, max_depth: int):
+    """Adaptive Simpson on every panel between ``edges``; returns (value, error, exhausted).
+
+    A panel gets tolerance budget * width / total width.  An interval is
+    accepted when its halves' Simpson sum is within 15 tol of its own (the
+    Richardson-corrected sum counts), or when it is max_depth levels deep,
+    which marks the result exhausted; otherwise both halves are refined at
+    tol / 2.  Each test depends only on the interval itself, so the accepted
+    intervals are those of the depth-first recursion; they are refined level
+    by level instead, evaluating f on at most 2 * _BATCH nodes per call.
+    """
+    a, b = edges[:-1], edges[1:]
     m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0, False
-    if depth <= 0:
-        return left + right + delta / 15.0, abs(delta) / 15.0, True
-    lv, le, lx = _simpson_recurse(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rv, re, rx = _simpson_recurse(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-    return lv + rv, le + re, lx or rx
-
-
-def _integrate_panel(f, a, b, tol, depth):
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
+    fe, fm = f(edges), f(m)
+    fa, fb = fe[:-1], fe[1:]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth)
+    tol = budget * (b - a) / (edges[-1] - edges[0])
+    stack = [(a, m, b, fa, fm, fb, whole, tol, max_depth)]
+    value = err = 0.0
+    exhausted = False
+    while stack:
+        a, m, b, fa, fm, fb, whole, tol, depth = stack.pop()
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        refine = ~(np.abs(delta) <= 15.0 * tol)
+        if depth <= 0:
+            exhausted = exhausted or bool(refine.any())
+            refine[:] = False
+        done = ~refine
+        value += float(np.sum(left[done] + right[done] + delta[done] / 15.0))
+        err += float(np.sum(np.abs(delta[done]) / 15.0))
+        half_tol = 0.5 * tol
+        children = ((a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
+                    (half_tol, half_tol))
+        halves = [np.concatenate([lo[refine], hi[refine]]) for lo, hi in children]
+        for start in range(0, halves[0].size, _BATCH):
+            stack.append((*(h[start : start + _BATCH] for h in halves), depth - 1))
+    return value, err, exhausted
 
 
 def _panel_edges(pair: GaussianMixturePair, half_width: float) -> np.ndarray:
@@ -457,13 +419,11 @@ def _panel_edges(pair: GaussianMixturePair, half_width: float) -> np.ndarray:
 
 
 def _rough_composite(f, edges: np.ndarray, per_panel: int = 32) -> float:
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = np.linspace(a, b, per_panel + 1)
-        ys = np.array([f(x) for x in xs])
-        h = (b - a) / per_panel
-        total += h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum())
-    return total
+    """Composite Simpson with per_panel steps on each panel, all nodes in one call."""
+    ys = f(np.linspace(edges[:-1], edges[1:], per_panel + 1, axis=-1))
+    h = np.diff(edges) / per_panel
+    odd, even = ys[:, 1::2].sum(axis=1), ys[:, 2:-1:2].sum(axis=1)
+    return float(np.sum(h / 3.0 * (ys[:, 0] + ys[:, -1] + 4.0 * odd + 2.0 * even)))
 
 
 def divergence_gaussian(
@@ -480,6 +440,8 @@ def divergence_gaussian(
     alpha != 1).  Integrates the defining integrand over mu +/-
     half_width_in_sigma1 * sigma1 with panel edges seeded at multiples of
     both component scales, so the narrow spike cannot be stepped over.
+    RENYI is +inf, without integrating, when p > 0 and the integrand's tail
+    exponent (alpha - 1)/(2 sigma2^2) - alpha/(2 sigma1^2) is >= 0.
     Raises NumericalError when the error estimate cannot be brought below
     rel_tol * |value| + 1e-12 within the subdivision budget.
     """
@@ -502,23 +464,19 @@ def divergence_gaussian(
     elif c is not None:
         raise ValidationError(f"c is only meaningful for ZCP, not {kind.value}")
 
-    f = _make_integrand(pair, kind, alpha, c)
+    if kind is DivergenceKind.RENYI and pair.p > 0.0:
+        # far out p^alpha q^(1 - alpha) ~ exp(tail * x^2), so tail >= 0 diverges
+        tail = (alpha - 1.0) / (2.0 * pair.sigma2**2) - alpha / (2.0 * pair.sigma1**2)
+        if tail >= 0.0:
+            return DivergenceValue(kind, math.inf, alpha=alpha, abs_error=0.0)
+
+    f = _integrand(pair, kind, alpha, c)
     edges = _panel_edges(pair, config.half_width_in_sigma1)
     rough = _rough_composite(f, edges)
     if not math.isfinite(rough):
         raise NumericalError("integrand overflows float64 on the truncated domain")
     budget = 0.5 * (config.rel_tol * abs(rough) + 1e-12)
-    total_width = edges[-1] - edges[0]
-
-    value = 0.0
-    err = 0.0
-    exhausted = False
-    for a, b in zip(edges[:-1], edges[1:]):
-        tol = budget * (b - a) / total_width
-        v, e, x = _integrate_panel(f, a, b, tol, config.max_subdivisions)
-        value += v
-        err += e
-        exhausted = exhausted or x
+    value, err, exhausted = _adaptive_simpson(f, edges, budget, config.max_subdivisions)
     if not math.isfinite(value):
         raise NumericalError("integrand overflows float64 on the truncated domain")
     if err > config.rel_tol * abs(value) + 1e-12:

@@ -103,6 +103,12 @@ class TestDivergenceCommand:
         assert row["value"] > 0.0
         assert 0.0 <= row["abs_error_estimate"] < 1e-6
 
+    def test_divergent_mixture_renyi_prints_inf(self, capsys):
+        argv = ["divergence", "--mixture-p", "0.2", "--exponent", "1", "--kind", "renyi"]
+        code, out, _ = _run(capsys, [*argv, "--alpha", "1.05"])
+        assert code == 0
+        assert out.splitlines()[1] == "renyi,1.05,,inf,0"
+
 
 class TestOutputContract:
     ARGV = ["betting", "--n", "40", "--seed", "4"]
@@ -135,6 +141,12 @@ class TestOutputContract:
         np.testing.assert_allclose(summary["ln_w_star"], 4.0 * math.log(2.0), rtol=1e-15)
         np.testing.assert_allclose(summary["regret"], 16.0 / 4.375, rtol=1e-12)
         np.testing.assert_allclose(summary["quadratic_lower"], 1.0, rtol=1e-15)
+
+    def test_list_with_a_negative_first_item(self, capsys):
+        # "--coins -0.5,1" reads -0.5,1 as an option; the "=" form passes it as a value
+        code, out, _ = _run(capsys, ["betting", "--coins=-0.5,1", "--format", "json"])
+        assert code == 0
+        assert [row["c_t"] for row in json.loads(out)["rows"]] == [-0.5, 1.0]
 
     def test_floats_round_trip_through_csv(self, capsys):
         # .17g is enough digits to reproduce the exact double
@@ -218,6 +230,28 @@ class TestConfigFile:
         row = json.loads(out)["rows"][0]
         assert 0.0 < row["hoeffding_zcp"] <= 1.0
         assert row["p_mean"] > 0.0
+
+    def test_explicit_flags_beat_config_instance(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(
+            json.dumps(
+                {"instance": {"m": 8, "loss": "bernoulli", "posterior": "gibbs", "eta": 2.0}}
+            )
+        )
+        argv = ["bound", "--n", "200", "--format", "json"]
+        code, out, _ = _run(capsys, [*argv, "--config", str(config), "--m", "4", "--loss", "abs"])
+        assert code == 0
+        assert json.loads(out)["rows"][0]["d_kl"] <= math.log(4.0) + 1e-12
+        _, direct, _ = _run(capsys, [*argv, "--m", "4", "--loss", "abs", "--eta", "2.0"])
+        assert out == direct
+
+    def test_config_instance_values_go_through_the_parser(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"instance": {"m": 2.5, "loss": "abs"}}))
+        code, out, err = _run(capsys, ["bound", "--n", "200", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert "--m" in err
 
     @pytest.mark.parametrize(
         "entry",

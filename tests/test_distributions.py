@@ -164,6 +164,20 @@ class TestGaussianMixturePair:
         assert gaussian_instance(0.25, 2.0, 1.0).sigma2 == 0.5
         np.testing.assert_allclose(gaussian_instance(0.0625, 1.0, 0.75).sigma2, 0.125)
 
+    @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
+    def test_densities_take_arrays(self, p):
+        pair = GaussianMixturePair(mu=0.5, sigma1=1.3, sigma2=0.4, p=p)
+        xs = np.array([[-30.0, -2.0, 0.5], [0.51, 3.0, 45.0]])
+        for f in (pair.log_pdf_p, pair.log_pdf_q, lambda x: density_ratio_log(pair, x)):
+            values = f(xs)
+            assert values.shape == xs.shape
+            np.testing.assert_array_equal(values, [[f(x) for x in row] for row in xs])
+
+    def test_density_ratio_rejects_nonfinite_array_entries(self):
+        pair = gaussian_instance(0.25, 1.0, 1.0)
+        with pytest.raises(ValidationError):
+            density_ratio_log(pair, np.array([0.0, math.inf]))
+
     def test_degenerate_mixture_weights(self):
         pair = GaussianMixturePair(mu=0.0, sigma1=1.0, sigma2=0.5, p=0.0)
         assert density_ratio_log(pair, 3.0) == 0.0

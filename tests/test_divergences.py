@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import zcp_paclab.divergences as divergences
 from conftest import random_dominated_pair, random_pair
 from zcp_paclab import (
     DivergenceKind,
+    DivergenceValue,
     NumericalError,
     QuadratureConfig,
     ValidationError,
@@ -105,16 +107,6 @@ class TestDiscreteEdgeCases:
     def test_zcp_negative_c_rejected(self):
         with pytest.raises(ValidationError):
             zcp_discrete(P_HALF, Q_QUARTER, -1.0)
-
-    def test_zcp_ratio_override_matches_direct_evaluation(self):
-        rng = np.random.default_rng(22)
-        p, q = random_pair(rng)
-        override = p.log_weights - q.log_weights
-        np.testing.assert_allclose(
-            zcp_discrete(p, q, 10.0, ln_ratio_override=override),
-            zcp_discrete(p, q, 10.0),
-            rtol=1e-13,
-        )
 
     def test_zcp_handles_extreme_ratio_pairs(self):
         # first-atom ratio e**400: the log kernel must be evaluated in log
@@ -391,10 +383,39 @@ class TestQuadrature:
         value = divergence_gaussian(pair, "renyi", alpha=2.0).value
         np.testing.assert_allclose(value, oracle, rtol=1e-6)
 
-    def test_divergent_renyi_raises_numerical_error(self):
+    def test_divergent_renyi_is_infinite(self):
         pair = gaussian_instance(0.3, 1.0, 1.0)  # threshold 1.099 < 2
-        with pytest.raises(NumericalError):
-            divergence_gaussian(pair, "renyi", alpha=2.0)
+        assert divergence_gaussian(pair, "renyi", alpha=2.0).value == math.inf
+
+    def test_divergent_renyi_on_a_slowly_diverging_pair(self):
+        # tail exponent (alpha - 1)/(2 sigma2^2) - alpha/(2 sigma1^2) = +0.1: the
+        # truncated integral is finite (732.6 at 20 sigma1) but the true one is not
+        pair = gaussian_instance(0.2, 1.0, 1.0)
+        result = divergence_gaussian(pair, "renyi", alpha=1.05)
+        assert result == DivergenceValue(DivergenceKind.RENYI, math.inf, alpha=1.05, abs_error=0.0)
+        # just below the threshold alpha = 1/(1 - p^2) the integral converges
+        assert math.isfinite(divergence_gaussian(pair, "renyi", alpha=1.04).value)
+
+    @pytest.mark.parametrize("max_subdivisions", [1, 3])
+    def test_subdivision_budget_exhausted(self, max_subdivisions):
+        pair = gaussian_instance(0.2, 1.0, 1.0)
+        config = QuadratureConfig(max_subdivisions=max_subdivisions)
+        with pytest.raises(NumericalError, match=r"\(subdivision budget exhausted\)"):
+            divergence_gaussian(pair, "kl", config)
+
+    def test_small_subdivision_budget_suffices(self):
+        pair = gaussian_instance(0.2, 1.0, 1.0)
+        loose = divergence_gaussian(pair, "kl", QuadratureConfig(max_subdivisions=5))
+        full = divergence_gaussian(pair, "kl")
+        assert abs(loose.value - full.value) <= loose.abs_error + full.abs_error + 1e-12
+
+    def test_refinement_batches_do_not_change_the_value(self, monkeypatch):
+        pair = gaussian_instance(0.05, 1.0, 0.75)
+        whole_levels = divergence_gaussian(pair, "zcp", c=10.0)
+        monkeypatch.setattr(divergences, "_BATCH", 3)
+        batched = divergence_gaussian(pair, "zcp", c=10.0)
+        np.testing.assert_allclose(batched.value, whole_levels.value, rtol=1e-14)
+        np.testing.assert_allclose(batched.abs_error, whole_levels.abs_error, rtol=1e-12)
 
     def test_error_estimate_brackets_refined_value(self):
         pair = gaussian_instance(0.2, 1.0, 1.0)
