@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import _as_floats
 from .errors import ValidationError
 
 __all__ = [
@@ -32,7 +33,7 @@ _BISECT_TOL = 1e-12
 
 
 def _validate_coins(coins) -> np.ndarray:
-    arr = np.asarray(coins, dtype=float)
+    arr = _as_floats(coins, "coins")
     if arr.ndim != 1 or arr.size < 1:
         raise ValidationError("coins must be a nonempty 1-d sequence")
     if np.isnan(arr).any() or (np.abs(arr) > 1.0).any():
@@ -80,8 +81,10 @@ class WealthTrace:
 
 def log_wealth_fixed(beta: float, coins) -> float:
     """ln W_n(beta) = sum ln(1 + beta c_t); -inf on exact ruin."""
-    beta = _validate_beta(beta)
-    arr = _validate_coins(coins)
+    return _log_wealth(_validate_beta(beta), _validate_coins(coins))
+
+
+def _log_wealth(beta: float, arr: np.ndarray) -> float:
     with np.errstate(divide="ignore"):
         return float(np.log1p(beta * arr).sum())
 
@@ -118,8 +121,7 @@ def max_log_wealth(coins) -> tuple[float, float]:
         candidate = 0.5 * (lo + hi)
     best_beta, best_value = 0.0, 0.0
     for beta in (candidate, -1.0, 1.0):
-        with np.errstate(divide="ignore"):
-            value = float(np.log1p(beta * arr).sum())
+        value = _log_wealth(beta, arr)
         if value > best_value:
             best_beta, best_value = beta, value
     return best_beta, best_value

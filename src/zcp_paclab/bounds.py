@@ -252,17 +252,9 @@ def asymptotics_inequality_check(
         return AsymptoticsCheck(math.inf, math.inf, True)
     tv = tv_discrete(p, p0)
     log_n = math.log(n)
-    alpha_n = 1.0 + 1.0 / log_n
-    d_alpha = renyi_discrete(p, p0, alpha_n)
-    c_big = math.sqrt(2.0) * float(n) ** 4.5
-    zcp_big = zcp_discrete(p, p0, c_big)
-
-    log_sum = math.log(4.0) + 4.0 * log_n + log_n * (log_n + 1.0) + d_alpha
-    b_n = (
-        math.sqrt(0.5) * math.sqrt(log_sum) * zcp_big
-        + math.log(2.0 * math.e**2 * math.sqrt(n) * (1.0 + 4.0 * float(n) ** 4))
-        + 1.0 / (float(n) ** 3 * (n + 1.0))
-    )
+    config = BoundConfig(n, 1.0 / (float(n) * n), 1.0 + 1.0 / log_n)
+    d_alpha = renyi_discrete(p, p0, config.alpha)
+    b_n = complexity_term(d_alpha, zcp_discrete(p, p0, config.thm2_c), config)
     l_n = math.sqrt(2.0 * log_n * (log_n + 1.0) * math.log(2.0 + 2.0 * math.sqrt(2.0) * float(n) ** 4.5))
     a_n = 2.0 + (2.0 + math.sqrt(d_alpha)) * (zcp1 + tv)
     ratio = b_n / l_n
@@ -274,16 +266,16 @@ def asymptotics_inequality_check(
 # ---------------------------------------------------------------------------
 
 
-def fenchel_dual_bound(a: float, b: float, y: float) -> float:
+def fenchel_dual_bound(a, b, y):
     """Upper bound |y| sqrt(a ln(1 + a y^2/b^2)) - b on the conjugate of
-    F*(x) = b exp(x^2 / (2a))."""
+    F*(x) = b exp(x^2 / (2a)); numbers or arrays, elementwise."""
+    a, b, y = (np.asarray(v, dtype=float) for v in (a, b, y))
     for name, v in (("a", a), ("b", b)):
-        if not math.isfinite(v) or v <= 0.0:
+        if not (np.isfinite(v) & (v > 0.0)).all():
             raise ValidationError(f"{name} must be finite and > 0")
-    if not math.isfinite(y):
+    if not np.isfinite(y).all():
         raise ValidationError("y must be finite")
-    t = a * y * y / (b * b)
-    return abs(y) * math.sqrt(a * math.log1p(t)) - b
+    return np.abs(y) * np.sqrt(a * np.log1p(a * y * y / (b * b))) - b
 
 
 def _gaussian_potential_conjugate(a, b, y):
@@ -355,8 +347,7 @@ def analytic_inequality_suite(
     fb = rng.uniform(0.1, 5.0, trials)
     fy = rng.uniform(-10.0, 10.0, trials)
     fy[:: max(trials // 100, 1)] = 0.0
-    dual = np.abs(fy) * np.sqrt(fa * np.log1p(fa * fy * fy / (fb * fb))) - fb
-    fenchel_slack = dual - _gaussian_potential_conjugate(fa, fb, fy)
+    fenchel_slack = fenchel_dual_bound(fa, fb, fy) - _gaussian_potential_conjugate(fa, fb, fy)
 
     results = {}
     for name, slack in (

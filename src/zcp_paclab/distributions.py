@@ -1,15 +1,16 @@
 """Distribution families consumed by the divergence and bound machinery.
 
-Finite-support distributions carry exact log-weights next to the weight
-vector: the adversarial two-block constructions put mass like exp(-d**1.5)
-on half of their atoms, which underflows float64 weights long before the
-divergences built from the log-ratios become meaningless.  The Gaussian
-mixture pair is the continuous wide-plus-narrow family whose KL stays large
-while total variation shrinks.
+A finite-support distribution is its exact log-weights; the weights are a
+derived view.  The adversarial two-block constructions put mass like
+exp(-d**1.5) on half of their atoms, which underflows float64 weights long
+before the divergences built from the log-ratios become meaningless.  The
+Gaussian mixture pair is the continuous wide-plus-narrow family whose KL
+stays large while total variation shrinks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,53 +36,52 @@ _SUM_TOL = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
-    arr.setflags(write=False)
-    return arr
+def _as_floats(values, name: str, *, scalar: bool = False):
+    """A float array (a float if ``scalar``); ValidationError if not numeric."""
+    try:
+        return float(values) if scalar else np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numeric") from None
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Probability vector over a finite support.
+    """Probability vector over a finite support, held as its log-weights.
 
-    ``log_weights`` is the authoritative representation; ``weights`` is
-    ``exp(log_weights)`` and may underflow to 0.0 for extreme atoms while
-    the log-weights stay exact.  Atoms with zero mass carry ``-inf``.
-    Instances are immutable and safe to share across threads.
+    ``weights`` is the derived view ``exp(log_weights)``, computed on first
+    access; it may underflow to 0.0 for extreme atoms while the log-weights
+    stay exact.  Atoms with zero mass carry ``-inf``.  Instances are
+    immutable and safe to share across threads.
     """
 
-    weights: np.ndarray
     log_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _frozen_array(self.weights)
-        lw = _frozen_array(self.log_weights)
-        if w.ndim != 1 or w.size < 1:
-            raise ValidationError("weights must be a nonempty 1-d vector")
-        if lw.shape != w.shape:
-            raise ValidationError("log_weights must match weights in shape")
-        if np.isnan(w).any() or np.isinf(w).any() or (w < 0).any():
-            raise ValidationError("weights must be finite and nonnegative")
+        lw = _as_floats(self.log_weights, "log_weights").copy()
+        if lw.ndim != 1 or lw.size < 1:
+            raise ValidationError("log_weights must be a nonempty 1-d vector")
         if np.isnan(lw).any() or (lw == np.inf).any():
             raise ValidationError("log_weights must be < +inf and not NaN")
-        if abs(float(w.sum()) - 1.0) > _SUM_TOL:
-            raise ValidationError(
-                f"weights must sum to 1 within {_SUM_TOL}, got {float(w.sum())!r}"
-            )
-        if np.max(np.abs(w - np.exp(lw))) > _SUM_TOL:
-            raise ValidationError("weights must equal exp(log_weights) atom by atom")
-        object.__setattr__(self, "weights", w)
+        total = float(np.exp(lw).sum())
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ValidationError(f"weights must sum to 1 within {_SUM_TOL}, got {total!r}")
+        lw.setflags(write=False)
         object.__setattr__(self, "log_weights", lw)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        w = np.exp(self.log_weights)
+        w.setflags(write=False)
+        return w
 
     @property
     def support_size(self) -> int:
-        return int(self.weights.size)
+        return int(self.log_weights.size)
 
 
 def make_discrete(weights) -> DiscreteDistribution:
     """Normalize a nonnegative weight vector into a DiscreteDistribution."""
-    w = np.asarray(weights, dtype=float)
+    w = _as_floats(weights, "weights")
     if w.ndim != 1 or w.size < 1:
         raise ValidationError("weights must be a nonempty 1-d vector")
     if np.isnan(w).any() or np.isinf(w).any() or (w < 0).any():
@@ -92,7 +92,7 @@ def make_discrete(weights) -> DiscreteDistribution:
     w = w / total
     with np.errstate(divide="ignore"):
         lw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-    return DiscreteDistribution(w, lw)
+    return DiscreteDistribution(lw)
 
 
 def from_log_weights(log_weights) -> DiscreteDistribution:
@@ -101,7 +101,7 @@ def from_log_weights(log_weights) -> DiscreteDistribution:
     Normalization happens in log-space, so inputs may span thousands of
     orders of magnitude; ``-inf`` entries denote zero-mass atoms.
     """
-    lw = np.asarray(log_weights, dtype=float)
+    lw = _as_floats(log_weights, "log_weights")
     if lw.ndim != 1 or lw.size < 1:
         raise ValidationError("log_weights must be a nonempty 1-d vector")
     if np.isnan(lw).any() or (lw == np.inf).any():
@@ -111,8 +111,7 @@ def from_log_weights(log_weights) -> DiscreteDistribution:
         raise ValidationError("log_weights must have at least one finite entry")
     shift = float(finite.max())
     log_total = shift + math.log(float(np.exp(lw - shift).sum()))
-    lw = lw - log_total
-    return DiscreteDistribution(np.exp(lw), lw)
+    return DiscreteDistribution(lw - log_total)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +134,7 @@ def bernoulli_instance(p: float, ln_a: float) -> tuple[DiscreteDistribution, Dis
     dist_p = from_log_weights([math.log(p), math.log1p(-p)])
     lq0 = math.log(p) - ln_a
     lq1 = math.log1p(-math.exp(lq0))
-    dist_q = DiscreteDistribution(np.array([math.exp(lq0), math.exp(lq1)]), np.array([lq0, lq1]))
-    return dist_p, dist_q
+    return dist_p, DiscreteDistribution(np.array([lq0, lq1]))
 
 
 def multivariate_instance(
@@ -163,17 +161,13 @@ def multivariate_instance(
     if log_half_mass >= 0.0:
         raise ValidationError("first-block mass p*d/2 must be < 1")
 
-    lp_first = log_p
     lp_last = math.log1p(-math.exp(log_half_mass)) - math.log(half)
     lq_first = log_p - ln_a
     lq_last = math.log1p(-math.exp(log_half_mass - ln_a)) - math.log(half)
 
-    lw_p = np.concatenate([np.full(half, lp_first), np.full(half, lp_last)])
+    lw_p = np.concatenate([np.full(half, log_p), np.full(half, lp_last)])
     lw_q = np.concatenate([np.full(half, lq_first), np.full(half, lq_last)])
-    return (
-        DiscreteDistribution(np.exp(lw_p), lw_p),
-        DiscreteDistribution(np.exp(lw_q), lw_q),
-    )
+    return DiscreteDistribution(lw_p), DiscreteDistribution(lw_q)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +284,13 @@ def from_json(text: str) -> DiscreteDistribution | GaussianMixturePair:
     if kind == "discrete":
         if "weights" not in payload:
             raise ValidationError("discrete distribution JSON requires 'weights'")
-        try:
-            if "log_weights" in payload:
-                return DiscreteDistribution(payload["weights"], payload["log_weights"])
+        if "log_weights" not in payload:
             return make_discrete(payload["weights"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed discrete distribution JSON: {exc}") from None
+        dist = DiscreteDistribution(payload["log_weights"])
+        w = _as_floats(payload["weights"], "weights")
+        if w.shape != dist.log_weights.shape or not (np.abs(w - dist.weights) <= _SUM_TOL).all():
+            raise ValidationError("weights must equal exp(log_weights) atom by atom")
+        return dist
     if kind == "gaussian_mixture":
         try:
             return GaussianMixturePair(

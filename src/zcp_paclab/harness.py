@@ -35,6 +35,7 @@ from .bounds import (
 )
 from .distributions import (
     DiscreteDistribution,
+    _as_floats,
     from_log_weights,
     gaussian_instance,
     make_discrete,
@@ -131,7 +132,7 @@ class LearningInstance:
             means = self.bernoulli_means
             if means is None:
                 means = np.linspace(0.1, 0.9, m)
-            means = np.asarray(means, dtype=float).copy()
+            means = _as_floats(means, "bernoulli_means").copy()
             if means.shape != (m,) or np.isnan(means).any() or (means < 0).any() or (means > 1).any():
                 raise ValidationError("bernoulli_means must be m values in [0, 1]")
             means.setflags(write=False)
@@ -226,19 +227,19 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     prior = make_discrete(payload["prior"]) if "prior" in payload else make_discrete(np.ones(m))
     rule_name = payload.get("posterior", "gibbs")
     if rule_name == "gibbs":
-        rule: FixedPosterior | GibbsPosterior = GibbsPosterior(float(payload.get("eta", 1.0)))
+        eta = _as_floats(payload.get("eta", 1.0), "eta", scalar=True)
+        rule: FixedPosterior | GibbsPosterior = GibbsPosterior(eta)
     elif rule_name == "fixed":
         weights = payload.get("fixed_weights")
         rule = FixedPosterior(make_discrete(weights) if weights is not None else prior)
     else:
         raise ValidationError(f"unknown posterior rule {rule_name!r}")
-    means = payload.get("bernoulli_means")
     return LearningInstance(
         theta_count=m,
         prior=prior,
         loss_kind=loss,
         posterior_rule=rule,
-        bernoulli_means=None if means is None else np.asarray(means, dtype=float),
+        bernoulli_means=payload.get("bernoulli_means"),
     )
 
 

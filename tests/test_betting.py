@@ -1,5 +1,6 @@
 """Coin-betting wealth: fixed fractions, the hindsight optimum, and KT."""
 
+import functools
 import math
 
 import numpy as np
@@ -43,6 +44,14 @@ class TestLogWealthFixed:
     def test_invalid_coins(self, coins):
         with pytest.raises(ValidationError):
             log_wealth_fixed(0.5, coins)
+
+    @pytest.mark.parametrize(
+        "call", [functools.partial(log_wealth_fixed, 0.5), max_log_wealth, kt_log_wealth, kt_bettor]
+    )
+    @pytest.mark.parametrize("coins", [["a"], "ab", [{"x": 1}], [[0.5], [0.1, 0.2]]])
+    def test_non_numeric_coins_are_validation_errors(self, call, coins):
+        with pytest.raises(ValidationError, match="must be numeric"):
+            call(coins)
 
 
 class TestMaxLogWealth:

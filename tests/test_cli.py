@@ -269,6 +269,23 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["c.json"]  # no file named None
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"m": 2, "prior": ["x", 1]},
+            {"m": 2, "posterior": "fixed", "fixed_weights": "ab"},
+            {"m": 2, "loss": "bernoulli", "bernoulli_means": ["x", 0.5]},
+        ],
+    )
+    def test_non_numeric_instance_values_exit_one(self, instance, tmp_path, capsys):
+        config = tmp_path / "inst.json"
+        config.write_text(json.dumps({"instance": instance}))
+        code, out, err = _run(capsys, ["bound", "--n", "20", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert "must be numeric" in err
+        assert "Traceback" not in err
+
     def test_config_supplies_required_flag(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"n": 200, "m": 8, "trials": 100}))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zcp_paclab import (
     DiscreteDistribution,
@@ -51,13 +53,30 @@ class TestMakeDiscrete:
             make_discrete(weights)
 
     def test_direct_construction_checks_consistency(self):
+        # each array sums to 1, but the weights are not exp(log_weights)
+        payload = {"type": "discrete", "weights": [0.9, 0.1], "log_weights": [math.log(0.5)] * 2}
         with pytest.raises(ValidationError):
-            DiscreteDistribution(np.array([0.5, 0.5]), np.array([0.0, math.log(0.5)]))
+            from_json(json.dumps(payload))
         with pytest.raises(ValidationError):
-            DiscreteDistribution(np.array([0.6, 0.6]), np.log([0.6, 0.6]))
+            DiscreteDistribution(np.log([0.6, 0.6]))
 
     def test_support_size(self):
         assert make_discrete([1, 2, 3]).support_size == 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_discrete(["a"]),
+            lambda: make_discrete("ab"),
+            lambda: make_discrete({"a": 1}),
+            lambda: make_discrete([[1.0], [2.0, 3.0]]),
+            lambda: from_log_weights(["a", 0]),
+            lambda: DiscreteDistribution(["a"]),
+        ],
+    )
+    def test_non_numeric_input_is_a_validation_error(self, build):
+        with pytest.raises(ValidationError, match="must be numeric"):
+            build()
 
 
 class TestFromLogWeights:
@@ -257,3 +276,31 @@ class TestSerialization:
             from_json('{"type": "cauchy", "scale": 1}')
         with pytest.raises(ValidationError):
             from_json("not json at all")
+
+
+# Unnormalized log-weights spanning far more than float64 weights can hold:
+# after normalization some atoms sit below exp(-745), where the weight
+# underflows to 0.0, and some are exact zeros (-inf).
+_LOG_WEIGHTS = st.lists(
+    st.one_of(st.floats(-2000.0, 50.0), st.just(-math.inf)), min_size=1, max_size=40
+).filter(lambda lw: max(lw) > -math.inf)
+
+
+class TestLogWeightsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_LOG_WEIGHTS)
+    @example([0.0, -800.0, -math.inf])
+    def test_json_round_trip_is_bit_exact(self, raw):
+        dist = from_log_weights(raw)
+        restored = from_json(to_json(dist))
+        assert restored.log_weights.tobytes() == dist.log_weights.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LOG_WEIGHTS)
+    @example([0.0, -800.0, -math.inf])
+    def test_weights_are_a_cached_read_only_view(self, raw):
+        dist = from_log_weights(raw)
+        weights = dist.weights
+        assert weights.tobytes() == np.exp(dist.log_weights).tobytes()
+        assert not weights.flags.writeable
+        assert dist.weights is weights

@@ -252,6 +252,25 @@ class TestInstanceFromDict:
         with pytest.raises(ValidationError):
             learning_instance_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"m": 2, "eta": "x"},
+            {"m": 2, "eta": [1.0]},
+            {"m": 2, "prior": ["x", 1]},
+            {"m": 2, "posterior": "fixed", "fixed_weights": "ab"},
+            {"m": 2, "loss": "bernoulli", "bernoulli_means": ["x", 0.5]},
+            {"m": 2, "loss": "bernoulli", "bernoulli_means": {"a": 1}},
+        ],
+    )
+    def test_non_numeric_values_are_validation_errors(self, payload):
+        with pytest.raises(ValidationError, match="must be numeric"):
+            learning_instance_from_dict(payload)
+
+    def test_non_numeric_bernoulli_means_in_the_constructor(self):
+        with pytest.raises(ValidationError, match="must be numeric"):
+            _instance(m=1, loss=LossKind.BERNOULLI, bernoulli_means={"a": 1})
+
 
 class TestWilsonUpper:
     def test_all_failures_saturates(self):
