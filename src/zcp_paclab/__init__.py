@@ -6,156 +6,22 @@ generalization bounds with their complexity terms, and a Monte Carlo
 harness that stress-tests every bound against its failure budget.
 """
 
-from .betting import (
-    WealthTrace,
-    kt_bettor,
-    kt_log_wealth,
-    log_wealth_fixed,
-    max_log_wealth,
-    mean_zero_coins,
-    ville_first_crossing,
-    wealth_quadratic_lower,
-)
-from .bounds import (
-    BOUND_NAMES,
-    AsymptoticsCheck,
-    BoundConfig,
-    BoundReport,
-    InequalityReport,
-    InequalityResult,
-    analytic_inequality_suite,
-    asymptotics_inequality_check,
-    complexity_term,
-    empirical_bernstein_bound,
-    expected_sample_variance,
-    fenchel_dual_bound,
-    hoeffding_zcp_bound,
-    little_kl_mean_bound,
-    mcallester_baseline,
-    sample_variance_from_sums,
-)
-from .distributions import (
-    DiscreteDistribution,
-    GaussianMixturePair,
-    bernoulli_instance,
-    density_ratio_log,
-    from_json,
-    from_log_weights,
-    gaussian_instance,
-    make_discrete,
-    multivariate_instance,
-    to_json,
-)
-from .divergences import (
-    DivergenceKind,
-    DivergenceValue,
-    QuadratureConfig,
-    divergence_gaussian,
-    kl_discrete,
-    little_kl,
-    little_kl_inverse_upper,
-    renyi_discrete,
-    tv_discrete,
-    zcp_c_shift_bound,
-    zcp_c_shift_upper_bound,
-    zcp_discrete,
-    zcp_kl_tv_upper_bound,
-    zcp_upper_bound_kl_tv,
-    zcp1_upper_bound_kl_tv,
-)
-from .errors import NumericalError, ValidationError
-from .harness import (
-    CoverageReport,
-    FixedPosterior,
-    GaussianCheckRow,
-    GibbsPosterior,
-    LearningInstance,
-    LossKind,
-    ScalingRow,
-    ScalingTable,
-    TightnessRow,
-    VilleRow,
-    coverage_reports,
-    divergence_scaling_table,
-    gaussian_instance_check,
-    learning_instance_from_dict,
-    run_coverage,
-    tightness_comparison,
-    ville_experiment,
-    wilson_upper,
-)
+from . import betting, bounds, distributions, divergences, errors, harness
+from .betting import *  # noqa: F401,F403 - each module's __all__ is its public API
+from .bounds import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .divergences import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ValidationError",
-    "NumericalError",
-    "DiscreteDistribution",
-    "GaussianMixturePair",
-    "make_discrete",
-    "from_log_weights",
-    "bernoulli_instance",
-    "multivariate_instance",
-    "gaussian_instance",
-    "density_ratio_log",
-    "to_json",
-    "from_json",
-    "DivergenceKind",
-    "DivergenceValue",
-    "QuadratureConfig",
-    "kl_discrete",
-    "tv_discrete",
-    "renyi_discrete",
-    "zcp_discrete",
-    "little_kl",
-    "little_kl_inverse_upper",
-    "zcp_upper_bound_kl_tv",
-    "zcp_c_shift_bound",
-    "zcp_c_shift_upper_bound",
-    "zcp_kl_tv_upper_bound",
-    "zcp1_upper_bound_kl_tv",
-    "divergence_gaussian",
-    "WealthTrace",
-    "log_wealth_fixed",
-    "max_log_wealth",
-    "kt_log_wealth",
-    "kt_bettor",
-    "wealth_quadratic_lower",
-    "ville_first_crossing",
-    "mean_zero_coins",
-    "BOUND_NAMES",
-    "BoundConfig",
-    "BoundReport",
-    "hoeffding_zcp_bound",
-    "mcallester_baseline",
-    "complexity_term",
-    "empirical_bernstein_bound",
-    "expected_sample_variance",
-    "sample_variance_from_sums",
-    "little_kl_mean_bound",
-    "AsymptoticsCheck",
-    "asymptotics_inequality_check",
-    "fenchel_dual_bound",
-    "InequalityResult",
-    "InequalityReport",
-    "analytic_inequality_suite",
-    "LossKind",
-    "FixedPosterior",
-    "GibbsPosterior",
-    "LearningInstance",
-    "learning_instance_from_dict",
-    "CoverageReport",
-    "coverage_reports",
-    "run_coverage",
-    "wilson_upper",
-    "ScalingRow",
-    "ScalingTable",
-    "divergence_scaling_table",
-    "GaussianCheckRow",
-    "gaussian_instance_check",
-    "VilleRow",
-    "ville_experiment",
-    "TightnessRow",
-    "tightness_comparison",
+    *errors.__all__,
+    *distributions.__all__,
+    *divergences.__all__,
+    *betting.__all__,
+    *bounds.__all__,
+    *harness.__all__,
 ]

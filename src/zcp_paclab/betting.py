@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _as_floats
-from .errors import ValidationError
+from .errors import ValidationError, _as_floats, _integer, _real
 
 __all__ = [
     "WealthTrace",
@@ -39,12 +38,6 @@ def _validate_coins(coins) -> np.ndarray:
     if np.isnan(arr).any() or (np.abs(arr) > 1.0).any():
         raise ValidationError("coins must lie in [-1, 1]")
     return arr
-
-
-def _validate_beta(beta: float) -> float:
-    if math.isnan(beta) or abs(beta) > 1.0:
-        raise ValidationError("beta must lie in [-1, 1]")
-    return float(beta)
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ class WealthTrace:
 
 def log_wealth_fixed(beta: float, coins) -> float:
     """ln W_n(beta) = sum ln(1 + beta c_t); -inf on exact ruin."""
-    return _log_wealth(_validate_beta(beta), _validate_coins(coins))
+    return _log_wealth(_real(beta, "beta", -1.0, 1.0), _validate_coins(coins))
 
 
 def _log_wealth(beta: float, arr: np.ndarray) -> float:
@@ -175,8 +168,7 @@ def ville_first_crossing(trace: WealthTrace, delta: float) -> int | None:
     For any nonnegative martingale started at 1 the crossing probability
     is at most delta, which is what the harness verifies empirically.
     """
-    if math.isnan(delta) or not (0.0 < delta < 1.0):
-        raise ValidationError("delta must lie in (0, 1)")
+    delta = _real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
     threshold = -math.log(delta)
     crossed = np.nonzero(trace.log_wealth[1:] >= threshold)[0]
     if crossed.size == 0:
@@ -186,8 +178,7 @@ def ville_first_crossing(trace: WealthTrace, delta: float) -> int | None:
 
 def mean_zero_coins(n: int, seed: int, path: int = 0) -> np.ndarray:
     """n coins from ``default_rng((seed, path))``: a fair sign times a Uniform[0, 1) magnitude."""
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
-    rng = np.random.default_rng((seed, path))
+    n = _integer(n, "n", 1)
+    rng = np.random.default_rng((_integer(seed, "seed", 0), _integer(path, "path", 0)))
     signs = rng.integers(0, 2, n) * 2 - 1
     return signs * rng.random(n)

@@ -24,7 +24,7 @@ from .divergences import (
     tv_discrete,
     zcp_discrete,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _as_floats, _integer, _real
 
 __all__ = [
     "BoundConfig",
@@ -57,12 +57,9 @@ class BoundConfig:
     alpha: float = 2.0
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ValidationError("n must be a positive integer")
-        if math.isnan(self.delta) or not (0.0 < self.delta < 1.0):
-            raise ValidationError("delta must lie in (0, 1)")
-        if math.isnan(self.alpha) or self.alpha <= 1.0:
-            raise ValidationError("alpha must be > 1")
+        _integer(self.n, "n", 1)
+        _real(self.delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
+        _real(self.alpha, "alpha", 1.0, math.inf, open_low=True, open_high=True)
 
     @property
     def thm1_c(self) -> float:
@@ -75,12 +72,6 @@ class BoundConfig:
         return math.sqrt(2.0) * float(self.n) ** 2.5 / self.delta
 
 
-def _check_nonneg(name: str, value: float) -> float:
-    if math.isnan(value) or value < 0.0:
-        raise ValidationError(f"{name} must be >= 0")
-    return float(value)
-
-
 def hoeffding_zcp_bound(d_zcp: float, config: BoundConfig) -> float:
     """Gap bound (sqrt(2) ZCP + 2 + sqrt(ln(2 sqrt(n)/delta))) / sqrt(n).
 
@@ -88,7 +79,7 @@ def hoeffding_zcp_bound(d_zcp: float, config: BoundConfig) -> float:
     probability at least 1 - 2 delta when d_zcp is the posterior/prior
     ZCP divergence at scale sqrt(2n)/delta.  Capped at the vacuous 1.
     """
-    d_zcp = _check_nonneg("d_zcp", d_zcp)
+    d_zcp = _real(d_zcp, "d_zcp", 0.0, math.inf)
     n, delta = config.n, config.delta
     raw = (
         math.sqrt(2.0) * d_zcp + 2.0 + math.sqrt(math.log(2.0 * math.sqrt(n) / delta))
@@ -98,7 +89,7 @@ def hoeffding_zcp_bound(d_zcp: float, config: BoundConfig) -> float:
 
 def mcallester_baseline(d_kl: float, config: BoundConfig) -> float:
     """Classical baseline sqrt((KL + ln(2 sqrt(n)/delta)) / (2n)), capped at 1."""
-    d_kl = _check_nonneg("d_kl", d_kl)
+    d_kl = _real(d_kl, "d_kl", 0.0, math.inf)
     n, delta = config.n, config.delta
     raw = math.sqrt((d_kl + math.log(2.0 * math.sqrt(n) / delta)) / (2.0 * n))
     return min(raw, 1.0)
@@ -111,11 +102,9 @@ def complexity_term(d_alpha: float, d_zcp: float, config: BoundConfig) -> float:
     ZCP(.; sqrt(2) n^2.5/delta) + ln(2 e^2 sqrt(n) (1 + 4 n^2/delta)) +
     delta/(n(n+1)).  Requires n >= 2.
     """
-    d_alpha = _check_nonneg("d_alpha", d_alpha)
-    d_zcp = _check_nonneg("d_zcp", d_zcp)
-    n, delta, alpha = config.n, config.delta, config.alpha
-    if n < 2:
-        raise ValidationError("complexity_term requires n >= 2")
+    d_alpha = _real(d_alpha, "d_alpha", 0.0, math.inf)
+    d_zcp = _real(d_zcp, "d_zcp", 0.0, math.inf)
+    n, delta, alpha = _integer(config.n, "n", 2), config.delta, config.alpha
     if d_zcp == 0.0:
         main = 0.0
     else:
@@ -131,10 +120,9 @@ def empirical_bernstein_bound(comp: float, v_hat: float, n: int) -> float:
     sqrt(2 Comp V) / (sqrt(n) - 2 Comp/sqrt(n)) + 2 Comp / (n - 2 Comp),
     reported as the vacuous 1 whenever n <= 2 Comp.
     """
-    comp = _check_nonneg("comp", comp)
-    v_hat = _check_nonneg("v_hat", v_hat)
-    if int(n) != n or n < 2:
-        raise ValidationError("n must be an integer >= 2")
+    comp = _real(comp, "comp", 0.0, math.inf)
+    v_hat = _real(v_hat, "v_hat", 0.0, math.inf)
+    n = _integer(n, "n", 2)
     slack = n - 2.0 * comp
     if slack <= 0.0:
         return 1.0
@@ -150,8 +138,7 @@ def sample_variance_from_sums(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndar
     Rounding residue below zero is clipped, so the result is never
     negative.
     """
-    if int(n) != n or n < 2:
-        raise ValidationError("need at least two samples")
+    n = _integer(n, "n", 2)
     s1 = np.asarray(s1, dtype=float)
     return np.maximum(n * np.asarray(s2, dtype=float) - s1 * s1, 0.0) / (n * (n - 1.0))
 
@@ -182,12 +169,9 @@ def little_kl_mean_bound(p_hat_mean: float, comp: float, n: int) -> float:
     Inverts kl(p_hat_mean, .) <= Comp_n / n upward; exactly 1 when the
     budget is infinite or the inversion saturates.
     """
-    if math.isnan(p_hat_mean) or not (0.0 <= p_hat_mean <= 1.0):
-        raise ValidationError("p_hat_mean must lie in [0, 1]")
-    comp = _check_nonneg("comp", comp)
-    if int(n) != n or n < 2:
-        raise ValidationError("n must be an integer >= 2")
-    return little_kl_inverse_upper(p_hat_mean, comp / n)
+    p_hat_mean = _real(p_hat_mean, "p_hat_mean", 0.0, 1.0)
+    comp = _real(comp, "comp", 0.0, math.inf)
+    return little_kl_inverse_upper(p_hat_mean, comp / _integer(n, "n", 2))
 
 
 @dataclass(frozen=True)
@@ -244,9 +228,7 @@ def asymptotics_inequality_check(
     deterministically for every pair once n >= 25; vacuously true (inf vs
     inf) when P is not dominated by P0.
     """
-    if int(n) != n or n < 25:
-        raise ValidationError("n must be an integer >= 25")
-    n = int(n)
+    n = _integer(n, "n", 25)
     zcp1 = zcp_discrete(p, p0, 1.0)
     if math.isinf(zcp1):
         return AsymptoticsCheck(math.inf, math.inf, True)
@@ -269,7 +251,7 @@ def asymptotics_inequality_check(
 def fenchel_dual_bound(a, b, y):
     """Upper bound |y| sqrt(a ln(1 + a y^2/b^2)) - b on the conjugate of
     F*(x) = b exp(x^2 / (2a)); numbers or arrays, elementwise."""
-    a, b, y = (np.asarray(v, dtype=float) for v in (a, b, y))
+    a, b, y = (_as_floats(v, name) for v, name in ((a, "a"), (b, "b"), (y, "y")))
     for name, v in (("a", a), ("b", b)):
         if not (np.isfinite(v) & (v > 0.0)).all():
             raise ValidationError(f"{name} must be finite and > 0")
@@ -326,10 +308,9 @@ def analytic_inequality_suite(
     Slack is bound minus quantity it must dominate (nonnegative when the
     lemma holds); a violation is slack < -tolerance.
     """
-    if int(trials) != trials or trials < 1:
-        raise ValidationError("trials must be a positive integer")
-    _check_nonneg("tolerance", tolerance)
-    rng = np.random.default_rng(seed)
+    trials = _integer(trials, "trials", 1)
+    tolerance = _real(tolerance, "tolerance", 0.0, math.inf)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
 
     beta = rng.uniform(-1.0, 1.0, trials)
     x = rng.uniform(-1.0, 1.0, trials)
@@ -359,4 +340,4 @@ def analytic_inequality_suite(
             worst_slack=float(slack.min()),
             violations=int((slack < -tolerance).sum()),
         )
-    return InequalityReport(trials=int(trials), tolerance=tolerance, results=results)
+    return InequalityReport(trials=trials, tolerance=tolerance, results=results)

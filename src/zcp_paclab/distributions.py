@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _as_floats, _integer, _real
 
 __all__ = [
     "DiscreteDistribution",
@@ -34,14 +34,6 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _as_floats(values, name: str, *, scalar: bool = False):
-    """A float array (a float if ``scalar``); ValidationError if not numeric."""
-    try:
-        return float(values) if scalar else np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be numeric") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +119,8 @@ def bernoulli_instance(p: float, ln_a: float) -> tuple[DiscreteDistribution, Dis
     will.  ln(a) is taken (and stored) in log form because interesting
     settings like ln(a) = 1/p**2 make a itself unrepresentable.
     """
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise ValidationError("p must lie strictly inside (0, 1)")
-    if not math.isfinite(ln_a) or ln_a < 0.0:
-        raise ValidationError("ln_a must be finite and >= 0 (a >= 1)")
+    p = _real(p, "p", 0.0, 1.0, open_low=True, open_high=True)
+    ln_a = _real(ln_a, "ln_a", 0.0, math.inf, open_high=True)
     dist_p = from_log_weights([math.log(p), math.log1p(-p)])
     lq0 = math.log(p) - ln_a
     lq1 = math.log1p(-math.exp(lq0))
@@ -148,13 +138,12 @@ def multivariate_instance(
     like d**(-u/4).  ``ln_a_override`` forces a different ln(a) (0 gives
     P = Q) for testing.
     """
-    if not isinstance(d, (int, np.integer)) or d < 2 or d % 2 != 0:
+    d = _integer(d, "d", 2)
+    if d % 2 != 0:
         raise ValidationError("d must be an even integer >= 2")
-    if not math.isfinite(u) or u <= 0.0:
-        raise ValidationError("u must be finite and > 0")
-    ln_a = float(d) ** (1.5 * u) if ln_a_override is None else float(ln_a_override)
-    if not math.isfinite(ln_a) or ln_a < 0.0:
-        raise ValidationError("ln_a_override must be finite and >= 0")
+    u = _real(u, "u", 0.0, math.inf, open_low=True, open_high=True)
+    ln_a = float(d) ** (1.5 * u) if ln_a_override is None else ln_a_override
+    ln_a = _real(ln_a, "ln_a_override", 0.0, math.inf, open_high=True)
     half = d // 2
     log_p = (-1.0 - u) * math.log(d)
     log_half_mass = math.log(half) + log_p  # ln(p * d/2) < 0
@@ -189,13 +178,9 @@ class GaussianMixturePair:
     p: float
 
     def __post_init__(self) -> None:
-        for name in ("mu", "sigma1", "sigma2", "p"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
-            raise ValidationError("sigma1 and sigma2 must be > 0")
-        if not (0.0 <= self.p <= 1.0):
-            raise ValidationError("p must lie in [0, 1]")
+        for name, low in (("mu", -math.inf), ("sigma1", 0.0), ("sigma2", 0.0)):
+            _real(getattr(self, name), name, low, math.inf, open_low=True, open_high=True)
+        _real(self.p, "p", 0.0, 1.0)
 
     def log_pdf_p(self, x):
         """Log-density of the mixture P at x (a number or an array)."""
@@ -218,10 +203,8 @@ def gaussian_instance(p: float, sigma1: float, exponent: float) -> GaussianMixtu
     exponent 1 realizes TV*KL <= 1/2 with KL >= 1/(2p) - 1.3; exponent 0.75
     realizes KL*sqrt(TV) <= 1/2 with KL >= 1/(2 sqrt(p)) - 1.22.
     """
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise ValidationError("p must lie strictly inside (0, 1)")
-    if not math.isfinite(sigma1) or sigma1 <= 0.0:
-        raise ValidationError("sigma1 must be finite and > 0")
+    p = _real(p, "p", 0.0, 1.0, open_low=True, open_high=True)
+    sigma1 = _real(sigma1, "sigma1", 0.0, math.inf, open_low=True, open_high=True)
     if exponent not in (1.0, 0.75):
         raise ValidationError("exponent must be 1 or 0.75")
     return GaussianMixturePair(mu=0.0, sigma1=sigma1, sigma2=sigma1 * p**exponent, p=p)
@@ -239,7 +222,7 @@ def density_ratio_log(pair: GaussianMixturePair, x):
     ln(p) + ln(sigma2/sigma1) + x^2 (1/(2 sigma2^2) - 1/(2 sigma1^2)) without
     ever forming the overflowing raw ratio.  ``x`` may be a number or an array.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_floats(x, "x")
     if not np.isfinite(x).all():
         raise ValidationError("x must be finite")
     return pair.log_pdf_p(x) - pair.log_pdf_q(x)
@@ -294,10 +277,7 @@ def from_json(text: str) -> DiscreteDistribution | GaussianMixturePair:
     if kind == "gaussian_mixture":
         try:
             return GaussianMixturePair(
-                mu=float(payload["mu"]),
-                sigma1=float(payload["sigma1"]),
-                sigma2=float(payload["sigma2"]),
-                p=float(payload["p"]),
+                **{name: _real(payload[name], name) for name in ("mu", "sigma1", "sigma2", "p")}
             )
         except KeyError as exc:
             raise ValidationError(f"gaussian_mixture JSON missing field {exc}") from exc

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import logsumexp, rel_entr
 
 from .distributions import DiscreteDistribution, GaussianMixturePair
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _integer, _real
 
 __all__ = [
     "DivergenceKind",
@@ -85,12 +85,9 @@ class QuadratureConfig:
     max_subdivisions: int = 60
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.half_width_in_sigma1) or self.half_width_in_sigma1 < 8.0:
-            raise ValidationError("half_width_in_sigma1 must be finite and >= 8")
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise ValidationError("rel_tol must lie in (0, 1e-3]")
-        if int(self.max_subdivisions) != self.max_subdivisions or self.max_subdivisions < 1:
-            raise ValidationError("max_subdivisions must be a positive integer")
+        _real(self.half_width_in_sigma1, "half_width_in_sigma1", 8.0, math.inf, open_high=True)
+        _real(self.rel_tol, "rel_tol", 0.0, 1e-3, open_low=True)
+        _integer(self.max_subdivisions, "max_subdivisions", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,8 @@ def kl_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     support = lp > -np.inf
     if np.any(support & np.isneginf(lq)):
         return math.inf
-    return float(np.sum(_kl_terms(lp[support], lq[support])))
+    # KL >= 0, but rounding can put a value near 0 below it
+    return max(0.0, float(np.sum(_kl_terms(lp[support], lq[support]))))
 
 
 def tv_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -191,15 +189,16 @@ def renyi_discrete(p: DiscreteDistribution, q: DiscreteDistribution, alpha: floa
     +inf when alpha > 1 and P is not dominated by Q; decreases to KL(P, Q)
     as alpha decreases to 1.
     """
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise ValidationError("alpha must be finite and > 0")
+    alpha = _real(alpha, "alpha", 0.0, math.inf, open_low=True, open_high=True)
     if alpha == 1.0:
         raise ValidationError("alpha = 1 is the KL limit; call kl_discrete")
     lp, lq = _pair_logs(p, q)
     if alpha > 1.0 and np.any((lp > -np.inf) & np.isneginf(lq)):
         return math.inf
     active = ~(np.isneginf(lp) & np.isneginf(lq))
-    return float(logsumexp(_renyi_log_terms(lp[active], lq[active], alpha)) / (alpha - 1.0))
+    log_sum = float(logsumexp(_renyi_log_terms(lp[active], lq[active], alpha)))
+    # D_alpha >= 0, but rounding can put a value near 0 below it
+    return max(0.0, log_sum / (alpha - 1.0))
 
 
 def zcp_discrete(p: DiscreteDistribution, q: DiscreteDistribution, c: float) -> float:
@@ -207,8 +206,7 @@ def zcp_discrete(p: DiscreteDistribution, q: DiscreteDistribution, c: float) -> 
 
     +inf when some q_i = 0 < p_i and c > 0; identically 0 at c = 0.
     """
-    if not math.isfinite(c) or c < 0.0:
-        raise ValidationError("c must be finite and >= 0")
+    c = _real(c, "c", 0.0, math.inf, open_high=True)
     lp, lq = _pair_logs(p, q)
     if c == 0.0:
         return 0.0
@@ -227,9 +225,11 @@ def little_kl(p_hat: float, q: float) -> float:
 
     Conventions: 0 ln 0 = 0; +inf when p_hat > 0 = q or p_hat < 1 = q.
     """
-    for name, v in (("p_hat", p_hat), ("q", q)):
-        if math.isnan(v) or not (0.0 <= v <= 1.0):
-            raise ValidationError(f"{name} must lie in [0, 1]")
+    return _little_kl(_real(p_hat, "p_hat", 0.0, 1.0), _real(q, "q", 0.0, 1.0))
+
+
+def _little_kl(p_hat: float, q: float) -> float:
+    """kl for arguments already checked, as inside the inverse's bisection."""
     return float(rel_entr(p_hat, q) + rel_entr(1.0 - p_hat, 1.0 - q))
 
 
@@ -240,10 +240,8 @@ def little_kl_inverse_upper(p_hat: float, budget: float) -> float:
     gives 1); otherwise bisection, run past the 1e-12 bracket width down to
     adjacent floats so the returned q also inverts kl to full precision.
     """
-    if math.isnan(p_hat) or not (0.0 <= p_hat <= 1.0):
-        raise ValidationError("p_hat must lie in [0, 1]")
-    if math.isnan(budget) or budget < 0.0:
-        raise ValidationError("budget must be >= 0")
+    p_hat = _real(p_hat, "p_hat", 0.0, 1.0)
+    budget = _real(budget, "budget", 0.0, math.inf)
     if budget == 0.0:
         return p_hat
     if p_hat == 1.0 or budget == math.inf:
@@ -255,7 +253,7 @@ def little_kl_inverse_upper(p_hat: float, budget: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return lo
-        if little_kl(p_hat, mid) <= budget:
+        if _little_kl(p_hat, mid) <= budget:
             lo = mid
         else:
             hi = mid
@@ -275,7 +273,7 @@ def zcp_upper_bound_kl_tv(kl: float, tv: float, c: float) -> float:
     two-atom counterexample at c = 1e3.  ``zcp_kl_tv_upper_bound`` is the
     bound that holds for every c.
     """
-    _check_chain_args(kl, tv, c)
+    kl, tv, c = _check_chain_args(kl, tv, c)
     return 2.0 * math.sqrt(2.0 * tv * kl) + math.sqrt(2.0 * math.log1p(c)) * tv
 
 
@@ -287,9 +285,8 @@ def zcp_c_shift_bound(zcp_at_1: float, tv: float, c: float) -> float:
     ``zcp_c_shift_upper_bound`` replaces the log constant by ln(1 + c^2) and
     holds for every c.
     """
-    if math.isnan(zcp_at_1) or zcp_at_1 < 0.0:
-        raise ValidationError("zcp_at_1 must be >= 0")
-    _check_chain_args(0.0, tv, c)
+    zcp_at_1 = _real(zcp_at_1, "zcp_at_1", 0.0, math.inf)
+    _, tv, c = _check_chain_args(0.0, tv, c)
     return zcp_at_1 + 2.0 * math.sqrt(math.log(2.0 + 2.0 * c)) * tv
 
 
@@ -305,9 +302,8 @@ def zcp_c_shift_upper_bound(zcp_at_1: float, tv: float, c: float) -> float:
     this bound tends to 1 as c grows.  ln(1 + c^2) is taken in log space,
     so the value is finite for every finite c.
     """
-    if math.isnan(zcp_at_1) or zcp_at_1 < 0.0:
-        raise ValidationError("zcp_at_1 must be >= 0")
-    _check_chain_args(0.0, tv, c)
+    zcp_at_1 = _real(zcp_at_1, "zcp_at_1", 0.0, math.inf)
+    _, tv, c = _check_chain_args(0.0, tv, c)
     return zcp_at_1 + 2.0 * math.sqrt(_log1p_sq(0.0, c)) * tv
 
 
@@ -322,20 +318,16 @@ def zcp_kl_tv_upper_bound(kl: float, tv: float, c: float) -> float:
 
 def zcp1_upper_bound_kl_tv(kl: float, tv: float) -> float:
     """ZCP(P, Q; 1) <= sqrt(8 TV KL)."""
-    _check_chain_args(kl, tv, 0.0)
+    kl, tv, _ = _check_chain_args(kl, tv, 0.0)
     return math.sqrt(8.0 * tv * kl)
 
 
-def _check_chain_args(kl: float, tv: float, c: float) -> None:
-    if math.isnan(kl) or kl < 0.0:
-        raise ValidationError("kl must be >= 0")
-    if math.isnan(tv) or not (0.0 <= tv <= 1.0):
-        raise ValidationError("tv must lie in [0, 1]")
+def _check_chain_args(kl: float, tv: float, c: float) -> tuple[float, float, float]:
+    kl, tv = _real(kl, "kl", 0.0, math.inf), _real(tv, "tv", 0.0, 1.0)
     if tv == 0.0 and kl == math.inf:
         # tv = 0 means P = Q, so kl = 0; sqrt(tv * kl) would be NaN
         raise ValidationError("kl = inf with tv = 0 is inconsistent: tv = 0 forces kl = 0")
-    if math.isnan(c) or c < 0.0 or c == math.inf:
-        raise ValidationError("c must be finite and >= 0")
+    return kl, tv, _real(c, "c", 0.0, math.inf, open_high=True)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +446,13 @@ def divergence_gaussian(
     if kind is DivergenceKind.LITTLE_KL:
         raise ValidationError("little_kl is a scalar divergence; call little_kl directly")
     if kind is DivergenceKind.RENYI:
-        if alpha is None or not math.isfinite(alpha) or alpha <= 0.0 or alpha == 1.0:
-            raise ValidationError("RENYI requires finite alpha > 0, alpha != 1")
+        alpha = _real(alpha, "alpha", 0.0, math.inf, open_low=True, open_high=True)
+        if alpha == 1.0:
+            raise ValidationError("RENYI requires alpha != 1 (the KL limit)")
     elif alpha is not None:
         raise ValidationError(f"alpha is only meaningful for RENYI, not {kind.value}")
     if kind is DivergenceKind.ZCP:
-        if c is None or not math.isfinite(c) or c < 0.0:
-            raise ValidationError("ZCP requires finite c >= 0")
+        c = _real(c, "c", 0.0, math.inf, open_high=True)
     elif c is not None:
         raise ValidationError(f"c is only meaningful for ZCP, not {kind.value}")
 

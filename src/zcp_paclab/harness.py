@@ -35,7 +35,6 @@ from .bounds import (
 )
 from .distributions import (
     DiscreteDistribution,
-    _as_floats,
     from_log_weights,
     gaussian_instance,
     make_discrete,
@@ -50,7 +49,7 @@ from .divergences import (
     tv_discrete,
     zcp_discrete,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _as_floats, _integer, _real
 
 __all__ = [
     "LossKind",
@@ -97,8 +96,7 @@ class GibbsPosterior:
     eta: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.eta) or self.eta < 0.0:
-            raise ValidationError("eta must be finite and >= 0")
+        _real(self.eta, "eta", 0.0, math.inf, open_high=True)
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,7 @@ class LearningInstance:
     bernoulli_means: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        m = self.theta_count
-        if int(m) != m or not (1 <= m <= _MAX_ATOMS):
-            raise ValidationError(f"theta_count must be an integer in [1, {_MAX_ATOMS}]")
+        m = _integer(self.theta_count, "theta_count", 1, _MAX_ATOMS)
         if self.prior.support_size != m:
             raise ValidationError("prior support must equal theta_count")
         if isinstance(self.posterior_rule, FixedPosterior):
@@ -157,8 +153,7 @@ class LearningInstance:
         Coverage trials use ``loss_sums`` instead; this matrix is the
         reference its sums are tested against.
         """
-        if int(n) != n or n < 1:
-            raise ValidationError("n must be a positive integer")
+        n = _integer(n, "n", 1)
         if self.loss_kind is LossKind.ABS_DISTANCE:
             x = rng.random(n)
             return np.abs(self.atom_positions[None, :] - x[:, None])
@@ -179,9 +174,7 @@ class LearningInstance:
         clipped to [0, n] and S2 to [0, S1], so rounding never pushes a
         mean out of [0, 1].
         """
-        if int(n) != n or n < 1:
-            raise ValidationError("n must be a positive integer")
-        n = int(n)
+        n = _integer(n, "n", 1)
         if self.loss_kind is LossKind.BERNOULLI:
             counts = rng.binomial(n, self.bernoulli_means).astype(float)
             return counts, counts
@@ -200,9 +193,10 @@ class LearningInstance:
             return self.posterior_rule.distribution
         if self.posterior_rule.eta == 0.0:
             return self.prior
-        mu_hat = np.asarray(empirical_means, dtype=float)
+        mu_hat = _as_floats(empirical_means, "empirical_means")
         if mu_hat.shape != (self.theta_count,):
             raise ValidationError("empirical_means must have one entry per atom")
+        n = _integer(n, "n", 1)
         return from_log_weights(self.prior.log_weights - self.posterior_rule.eta * n * mu_hat)
 
 
@@ -215,10 +209,9 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     """
     if not isinstance(payload, dict):
         raise ValidationError("instance config must be a JSON object")
-    try:
-        m = int(payload["m"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("instance config requires an integer 'm'") from None
+    if "m" not in payload:
+        raise ValidationError("instance config requires an integer 'm'")
+    m = _integer(payload["m"], "m", 1, _MAX_ATOMS)
     loss_name = payload.get("loss", "abs")
     try:
         loss = LossKind(loss_name)
@@ -227,8 +220,7 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     prior = make_discrete(payload["prior"]) if "prior" in payload else make_discrete(np.ones(m))
     rule_name = payload.get("posterior", "gibbs")
     if rule_name == "gibbs":
-        eta = _as_floats(payload.get("eta", 1.0), "eta", scalar=True)
-        rule: FixedPosterior | GibbsPosterior = GibbsPosterior(eta)
+        rule: FixedPosterior | GibbsPosterior = GibbsPosterior(payload.get("eta", 1.0))
     elif rule_name == "fixed":
         weights = payload.get("fixed_weights")
         rule = FixedPosterior(make_discrete(weights) if weights is not None else prior)
@@ -250,11 +242,9 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
 
 def wilson_upper(failures: int, trials: int, confidence: float = 0.99) -> float:
     """One-sided Wilson score upper bound on a binomial proportion."""
-    if trials < 1 or failures < 0 or failures > trials:
-        raise ValidationError("need 0 <= failures <= trials with trials >= 1")
-    if not (0.5 <= confidence < 1.0):
-        raise ValidationError("confidence must lie in [0.5, 1)")
-    z = float(ndtri(confidence))
+    trials = _integer(trials, "trials", 1)
+    failures = _integer(failures, "failures", 0, trials)
+    z = float(ndtri(_real(confidence, "confidence", 0.5, 1.0, open_high=True)))
     p_hat = failures / trials
     z2n = z * z / trials
     center = p_hat + 0.5 * z2n
@@ -311,9 +301,8 @@ def coverage_reports(
     Trial t draws from default_rng((seed, t)), so any subset of trials can
     be reproduced independently.
     """
-    if int(trials) != trials or trials < 1:
-        raise ValidationError("trials must be a positive integer")
-    for trial in range(int(trials)):
+    seed = _integer(seed, "seed", 0)
+    for trial in range(_integer(trials, "trials", 1)):
         yield _trial_report(instance, config, np.random.default_rng((seed, trial)))
 
 
@@ -349,8 +338,7 @@ def run_coverage(
     failure rate is at most 2*delta (both theorems spend at most 2*delta
     of failure probability).
     """
-    if int(trials) != trials or trials < 100:
-        raise ValidationError("trials must be an integer >= 100")
+    trials = _integer(trials, "trials", 100)
     counts = dict.fromkeys(BOUND_NAMES, 0)
     events = []
     for trial, report in enumerate(coverage_reports(instance, config, trials, seed)):
@@ -360,11 +348,11 @@ def run_coverage(
                 events.append((trial, name, report))
                 logger.warning("coverage failure: bound=%s trial=%d report=%r", name, trial, report)
     return CoverageReport(
-        trials=int(trials),
+        trials=trials,
         delta_budget=2.0 * config.delta,
         failures_per_bound=counts,
         empirical_failure_rate={k: v / trials for k, v in counts.items()},
-        wilson_upper_99={k: wilson_upper(v, int(trials)) for k, v in counts.items()},
+        wilson_upper_99={k: wilson_upper(v, trials) for k, v in counts.items()},
         failure_events=tuple(events),
     )
 
@@ -407,11 +395,9 @@ def divergence_scaling_table(
     u: float, d_values, *, ln_a_override: float | None = None
 ) -> ScalingTable:
     """Exact KL / TV / ZCP(1) for the two-block instance along d_values."""
-    ds = [int(d) for d in d_values]
-    if len(ds) < 2 or any(d < 4 or d % 2 for d in ds) or any(b <= a for a, b in zip(ds, ds[1:])):
+    ds = [_integer(d, "d_values", 4) for d in d_values]
+    if len(ds) < 2 or any(d % 2 for d in ds) or any(b <= a for a, b in zip(ds, ds[1:])):
         raise ValidationError("d_values must be >= 4, even, strictly increasing, length >= 2")
-    if not math.isfinite(u) or u <= 0.0:
-        raise ValidationError("u must be finite and > 0")
     rows = []
     for d in ds:
         p, q = multivariate_instance(d, u, ln_a_override=ln_a_override)
@@ -469,8 +455,8 @@ def gaussian_instance_check(
     """
     if exponent not in (1.0, 0.75):
         raise ValidationError("exponent must be 1 or 0.75")
-    ps = [float(p) for p in p_values]
-    if not ps or any(not (0.005 < p < 0.5) for p in ps):
+    ps = [_real(p, "p values", 0.005, 0.5, open_low=True, open_high=True) for p in p_values]
+    if not ps:
         raise ValidationError("p values must lie in (0.005, 0.5)")
     config = config or QuadratureConfig()
     rows = []
@@ -522,26 +508,25 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
     caps P(max_t W_t >= 1/delta) at delta.  PASS per delta: Wilson-99
     upper bound on the crossing rate <= delta.
     """
-    if int(n) != n or n < 1:
-        raise ValidationError("n must be a positive integer")
-    if int(paths) != paths or paths < 1000:
-        raise ValidationError("paths must be an integer >= 1000")
-    deltas = [float(d) for d in delta_values]
-    if not deltas or any(math.isnan(d) or not (0.0 < d < 1.0) for d in deltas):
+    n, paths = _integer(n, "n", 1), _integer(paths, "paths", 1000)
+    deltas = [
+        _real(d, "delta values", 0.0, 1.0, open_low=True, open_high=True) for d in delta_values
+    ]
+    if not deltas:
         raise ValidationError("delta values must lie in (0, 1)")
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
-    for path in range(int(paths)):
-        peak = float(kt_log_wealth(mean_zero_coins(int(n), seed, path))[1:].max())
+    for path in range(paths):
+        peak = float(kt_log_wealth(mean_zero_coins(n, seed, path))[1:].max())
         crossings += peak >= thresholds
     rows = []
     for delta, crossed in zip(deltas, crossings):
-        upper = wilson_upper(int(crossed), int(paths))
+        upper = wilson_upper(int(crossed), paths)
         rows.append(
             VilleRow(
                 delta=delta,
                 crossings=int(crossed),
-                paths=int(paths),
+                paths=paths,
                 rate=crossed / paths,
                 wilson_upper_99=upper,
                 passed=upper <= delta,
@@ -570,8 +555,8 @@ def tightness_comparison(
     two-block instance: the ratio decays as d grows because ZCP scales like
     d**(-u/4) while KL grows like d**(u/2).  With ln_a_override=0 the pair
     is identical and the rows isolate the bounds' additive constants."""
-    ds = [int(d) for d in d_values]
-    if not ds or any(d < 2 or d % 2 for d in ds):
+    ds = [_integer(d, "d_values", 2) for d in d_values]
+    if not ds or any(d % 2 for d in ds):
         raise ValidationError("d_values must be even integers >= 2")
     rows = []
     for d in ds:

@@ -35,7 +35,7 @@ class TestLogWealthFixed:
         assert log_wealth_fixed(1.0, [0.5, -1.0]) == -math.inf
         assert log_wealth_fixed(-1.0, [1.0]) == -math.inf
 
-    @pytest.mark.parametrize("beta", [1.5, -1.01, math.nan])
+    @pytest.mark.parametrize("beta", [1.5, -1.01, math.nan, "x", math.inf, -math.inf])
     def test_invalid_beta(self, beta):
         with pytest.raises(ValidationError):
             log_wealth_fixed(beta, [0.5])
@@ -252,7 +252,7 @@ class TestVilleFirstCrossing:
         trace = kt_bettor(np.zeros(10))
         assert ville_first_crossing(trace, 0.99) is None
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, math.nan])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, math.nan, "x", math.inf, -math.inf])
     def test_delta_validation(self, delta):
         trace = kt_bettor([0.5])
         with pytest.raises(ValidationError):

@@ -17,6 +17,7 @@ from zcp_paclab import (
     empirical_bernstein_bound,
     expected_sample_variance,
     fenchel_dual_bound,
+    from_log_weights,
     hoeffding_zcp_bound,
     little_kl_mean_bound,
     make_discrete,
@@ -44,6 +45,13 @@ class TestBoundConfig:
             {"n": 10, "delta": math.nan},
             {"n": 10, "delta": 0.1, "alpha": 1.0},
             {"n": 10, "delta": 0.1, "alpha": math.nan},
+            {"n": 10, "delta": "x"},
+            {"n": math.inf, "delta": 0.05},
+            {"n": 20, "delta": 0.05, "alpha": math.inf},
+            {"n": "x", "delta": 0.05},
+            {"n": math.nan, "delta": 0.05},
+            {"n": 10, "delta": math.inf},
+            {"n": 10, "delta": 0.1, "alpha": "x"},
         ],
     )
     def test_validation(self, kwargs):
@@ -290,6 +298,18 @@ class TestAsymptoticsCheck:
         p = make_discrete([0.5, 0.5])
         with pytest.raises(ValidationError):
             asymptotics_inequality_check(p, p, 24)
+
+    def test_near_identical_pairs_hold(self):
+        # Renyi of P against P or a 1e-9 log-space perturbation rounds near 0;
+        # unclamped, about one call in six was refused for a negative d_alpha
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            size = int(rng.integers(2, 65))
+            p = make_discrete(rng.random(size) + 1e-3)
+            q = from_log_weights(p.log_weights + 1e-9 * rng.standard_normal(size))
+            for a, b in ((p, p), (p, q), (q, p)):
+                for n in (25, 100, 10_000):
+                    assert asymptotics_inequality_check(a, b, n).holds
 
     def test_holds_on_fuzzed_pairs(self):
         rng = np.random.default_rng(41)

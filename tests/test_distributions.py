@@ -116,7 +116,11 @@ class TestBernoulliInstance:
         assert 0.0 < q_dist.weights[0] < 1e-170
         np.testing.assert_allclose(q_dist.log_weights[0], math.log(0.05) - 400.0)
 
-    @pytest.mark.parametrize("p,ln_a", [(0.0, 1.0), (1.0, 1.0), (0.5, -0.1), (0.5, math.inf)])
+    @pytest.mark.parametrize(
+        "p,ln_a",
+        [(0.0, 1.0), (1.0, 1.0), (0.5, -0.1), (0.5, math.inf), ("x", 1.0), (math.nan, 1.0),
+         (math.inf, 1.0), (0.5, "x"), (0.5, math.nan)],
+    )
     def test_invalid_arguments(self, p, ln_a):
         with pytest.raises(ValidationError):
             bernoulli_instance(p, ln_a)
@@ -144,7 +148,11 @@ class TestMultivariateInstance:
             p_dist.log_weights[0] - q_dist.log_weights[0], 262144.0, rtol=1e-12
         )
 
-    @pytest.mark.parametrize("d,u", [(7, 1.0), (0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan)])
+    @pytest.mark.parametrize(
+        "d,u",
+        [(7, 1.0), (0, 1.0), (8, 0.0), (8, -1.0), (8, math.nan), (4.5, 1.0), (math.inf, 1.0),
+         (math.nan, 1.0), ("x", 1.0), (8, math.inf), (8, "x")],
+    )
     def test_invalid_arguments(self, d, u):
         with pytest.raises(ValidationError):
             multivariate_instance(d, u)
@@ -209,13 +217,24 @@ class TestGaussianMixturePair:
             {"mu": 0.0, "sigma1": 1.0, "sigma2": -1.0, "p": 0.5},
             {"mu": math.inf, "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
             {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": 1.5},
+            {"mu": "x", "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
+            {"mu": math.nan, "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
+            {"mu": 0.0, "sigma1": math.inf, "sigma2": 1.0, "p": 0.5},
+            {"mu": 0.0, "sigma1": 1.0, "sigma2": math.nan, "p": 0.5},
+            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": math.nan},
+            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": "x"},
         ],
     )
     def test_invalid_pairs(self, kwargs):
         with pytest.raises(ValidationError):
             GaussianMixturePair(**kwargs)
 
-    @pytest.mark.parametrize("p,sigma1,exponent", [(0.5, 1.0, 0.5), (0.0, 1.0, 1.0), (0.5, 0.0, 1.0)])
+    @pytest.mark.parametrize(
+        "p,sigma1,exponent",
+        [(0.5, 1.0, 0.5), (0.0, 1.0, 1.0), (0.5, 0.0, 1.0), ("x", 1.0, 1.0), (math.nan, 1.0, 1.0),
+         (math.inf, 1.0, 1.0), (0.5, "x", 1.0), (0.5, math.inf, 1.0), (0.5, math.nan, 1.0),
+         (0.5, 1.0, math.nan)],
+    )
     def test_invalid_instance_parameters(self, p, sigma1, exponent):
         with pytest.raises(ValidationError):
             gaussian_instance(p, sigma1, exponent)

@@ -14,6 +14,7 @@ from zcp_paclab import (
     QuadratureConfig,
     ValidationError,
     divergence_gaussian,
+    from_log_weights,
     gaussian_instance,
     kl_discrete,
     little_kl,
@@ -62,6 +63,19 @@ class TestDiscreteKnownValues:
 
 
 class TestDiscreteEdgeCases:
+    def test_kl_and_renyi_of_near_identical_pairs_are_never_negative(self):
+        p = make_discrete([1, 2, 3])
+        q = from_log_weights(np.log([1, 2, 3]) + [1e-12, 0, 0])
+        assert kl_discrete(p, q) >= 0.0
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            size = int(rng.integers(2, 65))
+            p = make_discrete(rng.random(size) + 1e-3)
+            q = from_log_weights(p.log_weights + 1e-9 * rng.standard_normal(size))
+            for a, b in ((p, q), (q, p)):
+                assert math.copysign(1.0, kl_discrete(a, b)) == 1.0  # never -0.0 either
+                assert math.copysign(1.0, renyi_discrete(a, b, 2.0)) == 1.0
+
     def test_non_domination_gives_infinity(self):
         p = make_discrete([0.5, 0.5, 0.0])
         q = make_discrete([0.5, 0.0, 0.5])

@@ -246,6 +246,12 @@ class TestInstanceFromDict:
             {"m": "many"},
             {"m": 4, "loss": "zero_one"},
             {"m": 4, "posterior": "map"},
+            {"m": 2.5},
+            {"m": 1e400},
+            {"m": math.nan},
+            {"m": -1},
+            {"m": 4, "eta": math.inf},
+            {"m": 4, "eta": math.nan},
         ],
     )
     def test_rejects_malformed_payloads(self, payload):
@@ -376,6 +382,13 @@ class TestScalingTable:
             (1.0, [16, 31]),
             (0.0, [16, 32]),
             (-1.0, [16, 32]),
+            (1.0, [4, 8.5]),
+            (1.0, [16, math.inf]),
+            (1.0, [16, math.nan]),
+            (1.0, ["x", 16]),
+            (math.nan, [16, 32]),
+            (math.inf, [16, 32]),
+            ("x", [16, 32]),
         ],
     )
     def test_validation(self, u, d_values):
@@ -400,7 +413,8 @@ class TestGaussianInstanceCheck:
 
     @pytest.mark.parametrize(
         "p_values, exponent",
-        [([], 1.0), ([0.6], 1.0), ([0.001], 1.0), ([0.1], 0.5)],
+        [([], 1.0), ([0.6], 1.0), ([0.001], 1.0), ([0.1], 0.5), (["x"], 1.0), ([math.nan], 1.0),
+         ([math.inf], 1.0), ([0.1], math.nan)],
     )
     def test_validation(self, p_values, exponent):
         with pytest.raises(ValidationError):
@@ -427,6 +441,14 @@ class TestVilleExperiment:
             {"n": 10, "delta_values": [0.1], "paths": 999},
             {"n": 10, "delta_values": [], "paths": 1000},
             {"n": 10, "delta_values": [1.0], "paths": 1000},
+            {"n": math.inf, "delta_values": [0.1], "paths": 1000},
+            {"n": 2.5, "delta_values": [0.1], "paths": 1000},
+            {"n": "x", "delta_values": [0.1], "paths": 1000},
+            {"n": 10, "delta_values": [0.1], "paths": math.inf},
+            {"n": 10, "delta_values": [0.1], "paths": 1000.5},
+            {"n": 10, "delta_values": [math.nan], "paths": 1000},
+            {"n": 10, "delta_values": [math.inf], "paths": 1000},
+            {"n": 10, "delta_values": ["x"], "paths": 1000},
         ],
     )
     def test_validation(self, kwargs):
