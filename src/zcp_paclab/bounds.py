@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import lambertw
 
 from .distributions import DiscreteDistribution
 from .divergences import (
@@ -262,8 +261,18 @@ def fenchel_dual_bound(a, b, y):
 
 def _gaussian_potential_conjugate(a, b, y):
     """Exact sup_x (x y - b exp(x^2/(2a))) via the Lambert W stationary point."""
-    u = np.real(lambertw(np.asarray(a) * np.square(y) / np.square(b)))
+    u = _lambert_w(np.asarray(a) * np.square(y) / np.square(b))
     return np.abs(y) * np.sqrt(np.asarray(a) * u) - np.asarray(b) * np.exp(0.5 * u)
+
+
+def _lambert_w(z):
+    """W(z), the w >= 0 with w e^w = z >= 0: 8 Halley steps from log1p(z) (Corless et al. 1996)."""
+    w = np.log1p(z)
+    for _ in range(8):
+        ew = np.exp(w)
+        f = w * ew - z
+        w = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
 
 
 def _max_linear_log_barrier(a, b):

@@ -98,12 +98,22 @@ def from_log_weights(log_weights) -> DiscreteDistribution:
         raise ValidationError("log_weights must be a nonempty 1-d vector")
     if np.isnan(lw).any() or (lw == np.inf).any():
         raise ValidationError("log_weights must be < +inf and not NaN")
-    finite = lw[lw > -np.inf]
-    if finite.size == 0:
+    log_total = _logsumexp(lw)
+    if log_total == -math.inf:
         raise ValidationError("log_weights must have at least one finite entry")
-    shift = float(finite.max())
-    log_total = shift + math.log(float(np.exp(lw - shift).sum()))
     return DiscreteDistribution(lw - log_total)
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    """ln(sum(exp(x))) of a nonempty 1-d vector as hi + ln(k) + log1p(rest / k), the k entries
+    equal to the maximum hi split off from the rest (Blanchard, Higham & Higham 2021)."""
+    hi = x.max()
+    if hi == -np.inf:
+        return -math.inf
+    top = x == hi
+    k = np.count_nonzero(top)
+    rest = np.exp(np.where(top, -np.inf, x - hi)).sum()
+    return float(np.log1p(rest / k) + np.log(k) + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +152,10 @@ def multivariate_instance(
     if d % 2 != 0:
         raise ValidationError("d must be an even integer >= 2")
     u = _real(u, "u", 0.0, math.inf, open_low=True, open_high=True)
-    ln_a = float(d) ** (1.5 * u) if ln_a_override is None else ln_a_override
+    try:
+        ln_a = float(d) ** (1.5 * u) if ln_a_override is None else ln_a_override
+    except OverflowError:
+        raise ValidationError(f"ln(a) = d**(1.5*u) overflows at d = {d}, u = {u!r}") from None
     ln_a = _real(ln_a, "ln_a_override", 0.0, math.inf, open_high=True)
     half = d // 2
     log_p = (-1.0 - u) * math.log(d)
@@ -205,6 +218,7 @@ def gaussian_instance(p: float, sigma1: float, exponent: float) -> GaussianMixtu
     """
     p = _real(p, "p", 0.0, 1.0, open_low=True, open_high=True)
     sigma1 = _real(sigma1, "sigma1", 0.0, math.inf, open_low=True, open_high=True)
+    exponent = _real(exponent, "exponent")
     if exponent not in (1.0, 0.75):
         raise ValidationError("exponent must be 1 or 0.75")
     return GaussianMixturePair(mu=0.0, sigma1=sigma1, sigma2=sigma1 * p**exponent, p=p)

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
 
-from .distributions import DiscreteDistribution, GaussianMixturePair
+from .distributions import DiscreteDistribution, GaussianMixturePair, _logsumexp
 from .errors import NumericalError, ValidationError, _integer, _real
 
 __all__ = [
@@ -196,7 +196,7 @@ def renyi_discrete(p: DiscreteDistribution, q: DiscreteDistribution, alpha: floa
     if alpha > 1.0 and np.any((lp > -np.inf) & np.isneginf(lq)):
         return math.inf
     active = ~(np.isneginf(lp) & np.isneginf(lq))
-    log_sum = float(logsumexp(_renyi_log_terms(lp[active], lq[active], alpha)))
+    log_sum = _logsumexp(_renyi_log_terms(lp[active], lq[active], alpha))
     # D_alpha >= 0, but rounding can put a value near 0 below it
     return max(0.0, log_sum / (alpha - 1.0))
 
@@ -230,7 +230,22 @@ def little_kl(p_hat: float, q: float) -> float:
 
 def _little_kl(p_hat: float, q: float) -> float:
     """kl for arguments already checked, as inside the inverse's bisection."""
-    return float(rel_entr(p_hat, q) + rel_entr(1.0 - p_hat, 1.0 - q))
+    return _rel_entr(p_hat, q) + _rel_entr(1.0 - p_hat, 1.0 - q)
+
+
+def _rel_entr(x: float, y: float) -> float:
+    """x ln(x/y) for x, y >= 0, with 0 ln(0/y) = 0 and x ln(x/0) = +inf; log1p keeps a small
+    result accurate near x = y, and the logs are split once x/y leaves the normal range."""
+    if x == 0.0:
+        return 0.0
+    if y == 0.0:
+        return math.inf
+    ratio = x / y
+    if 0.5 < ratio < 2.0:
+        return x * math.log1p((x - y) / y)
+    if sys.float_info.min < ratio < math.inf:
+        return x * math.log(ratio)
+    return x * (math.log(x) - math.log(y))
 
 
 def little_kl_inverse_upper(p_hat: float, budget: float) -> float:

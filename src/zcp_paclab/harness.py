@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.special import ndtri
 
 from .betting import kt_log_wealth, mean_zero_coins
 from .bounds import (
@@ -244,7 +244,7 @@ def wilson_upper(failures: int, trials: int, confidence: float = 0.99) -> float:
     """One-sided Wilson score upper bound on a binomial proportion."""
     trials = _integer(trials, "trials", 1)
     failures = _integer(failures, "failures", 0, trials)
-    z = float(ndtri(_real(confidence, "confidence", 0.5, 1.0, open_high=True)))
+    z = statistics.NormalDist().inv_cdf(_real(confidence, "confidence", 0.5, 1.0, open_high=True))
     p_hat = failures / trials
     z2n = z * z / trials
     center = p_hat + 0.5 * z2n
@@ -453,6 +453,7 @@ def gaussian_instance_check(
     exponent 1: KL >= 1/(2p) - 1.3 and TV*KL <= 1/2.
     exponent 0.75: KL >= 1/(2 sqrt(p)) - 1.22 and KL*sqrt(TV) <= 1/2.
     """
+    exponent = _real(exponent, "exponent")
     if exponent not in (1.0, 0.75):
         raise ValidationError("exponent must be 1 or 0.75")
     ps = [_real(p, "p values", 0.005, 0.5, open_low=True, open_high=True) for p in p_values]

@@ -23,7 +23,7 @@ from zcp_paclab import (
     make_discrete,
     mcallester_baseline,
 )
-from zcp_paclab.bounds import _gaussian_potential_conjugate, _max_linear_log_barrier
+from zcp_paclab.bounds import _gaussian_potential_conjugate, _lambert_w, _max_linear_log_barrier
 
 
 class TestBoundConfig:
@@ -352,6 +352,18 @@ class TestPrivateHelpers:
             grid_sup = float((xs * y - b * np.exp(xs * xs / (2.0 * a))).max())
             exact = float(_gaussian_potential_conjugate(a, b, y))
             assert grid_sup - 1e-9 <= exact <= grid_sup + 1e-6
+
+    def test_lambert_w_is_within_4_ulps_of_the_root(self):
+        rng = np.random.default_rng(31)
+        z = np.concatenate([[0.0], 10.0 ** rng.uniform(-300.0, 6.0, 100_000)])
+        w = _lambert_w(z)
+        # w e^w - z changes sign across [w - 4 ulp, w + 4 ulp]; the residual at w
+        # itself is no test, as rounding w e^w costs about (1 + w) ulps of z
+        below, above = w - 4 * np.spacing(w), w + 4 * np.spacing(w)
+        assert (below * np.exp(below) <= z).all()
+        assert (above * np.exp(above) >= z).all()
+        assert _lambert_w(0.0) == 0.0
+        assert _lambert_w(math.e) == 1.0
 
     def test_barrier_max_matches_grid(self):
         betas = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 2_000_001)

@@ -53,6 +53,19 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["instance", "--kind", "multivariate", "--d", "4096", "--u", "100"],
+            ["scaling", "--u", "100"],
+        ],
+    )
+    def test_overflowing_instance_is_one_error_line(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "error: ln(a) = d**(1.5*u) overflows" in err
+
     def test_unknown_divergence_kind(self, capsys):
         code, out, err = _run(capsys, ["divergence", "--kind", "bogus", "--p", "1", "--q", "1"])
         assert code == 1
@@ -436,3 +449,44 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["summary"]["beta_star"] == 1.0
+
+
+# One small run of each subcommand
+_SMALL_RUNS = [
+    ["divergence", "--kind", "renyi", "--alpha", "2", "--p", "0.5,0.5", "--q", "0.25,0.75"],
+    ["instance", "--kind", "multivariate", "--d", "16", "--u", "1"],
+    ["betting", "--coins", "1,-0.5,0.25"],
+    ["bound", "--n", "200", "--m", "8"],
+    ["coverage", "--n", "100", "--m", "8", "--trials", "100"],
+    ["scaling", "--d", "8,16,32"],
+    ["gaussian-check", "--p", "0.2"],
+    ["ville", "--n", "50", "--paths", "1000"],
+    ["inequalities", "--trials", "1000"],
+    ["self-check", "--trials", "1000"],
+]
+
+_WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+from zcp_paclab import cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None  # every later import of scipy raises ImportError
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_every_subcommand_runs_without_scipy():
+    assert {argv[0] for argv in _SMALL_RUNS} == set(cli._COMMANDS)
+    src = str(Path(zcp_paclab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(_SMALL_RUNS)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [], "codes": [0] * len(_SMALL_RUNS)}

@@ -23,6 +23,7 @@ from zcp_paclab import (
     to_json,
     zcp_discrete,
 )
+from zcp_paclab.distributions import _logsumexp
 
 
 class TestMakeDiscrete:
@@ -156,6 +157,11 @@ class TestMultivariateInstance:
     def test_invalid_arguments(self, d, u):
         with pytest.raises(ValidationError):
             multivariate_instance(d, u)
+
+    def test_overflowing_ln_a_names_d_and_u(self):
+        # 4096**150 is 2**1800, beyond the float range
+        with pytest.raises(ValidationError, match=r"d = 4096, u = 100\.0"):
+            multivariate_instance(4096, 100.0)
 
 
 class TestGaussianMixturePair:
@@ -323,3 +329,22 @@ class TestLogWeightsProperties:
         assert weights.tobytes() == np.exp(dist.log_weights).tobytes()
         assert not weights.flags.writeable
         assert dist.weights is weights
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(_LOG_WEIGHTS)
+    @example([0.0, -800.0, -math.inf])
+    @example([-0.5, -0.5, -0.5])
+    def test_matches_the_shifted_sum(self, raw):
+        x = np.array(raw)
+        hi = float(x.max())
+        reference = hi + math.log(float(np.exp(x - hi).sum()))
+        scale = max(abs(hi), math.log(x.size), 1.0)
+        assert abs(_logsumexp(x) - reference) <= 4 * math.ulp(scale)
+
+    def test_exact_cases(self):
+        assert _logsumexp(np.array([0.0, 0.0])) == math.log(2.0)
+        assert _logsumexp(np.array([-3.25])) == -3.25
+        assert _logsumexp(np.array([-math.inf, 7.5, -math.inf])) == 7.5
+        assert _logsumexp(np.array([-math.inf, -math.inf])) == -math.inf

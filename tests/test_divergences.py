@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zcp_paclab.divergences as divergences
 from conftest import random_dominated_pair, random_pair
@@ -186,6 +188,26 @@ class TestLittleKl:
             little_kl_inverse_upper(0.5, -1.0)
         with pytest.raises(ValidationError):
             little_kl_inverse_upper(1.5, 0.1)
+
+    def test_equal_arguments_give_zero(self):
+        for p in (5e-324, 1e-300, 1e-9, 0.3, 0.5, 0.7, 1.0 - 1e-16):
+            assert little_kl(p, p) == 0.0
+
+    def test_finite_when_the_ratio_overflows(self):
+        # 0.5 / 5e-324 is inf, so the two logs are taken apart
+        expected = 0.5 * (math.log(0.5) - math.log(5e-324)) + 0.5 * math.log(0.5)
+        np.testing.assert_allclose(little_kl(0.5, 5e-324), expected, rtol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1e6, exclude_min=True),
+    )
+    def test_inverse_stops_at_adjacent_floats(self, p_hat, budget):
+        q = little_kl_inverse_upper(p_hat, budget)
+        assert little_kl(p_hat, q) <= budget
+        if q < 1.0:
+            assert budget < little_kl(p_hat, math.nextafter(q, 1.0))
 
 
 class TestChainBounds:

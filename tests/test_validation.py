@@ -31,6 +31,7 @@ from zcp_paclab import (
     fenchel_dual_bound,
     from_json,
     gaussian_instance,
+    gaussian_instance_check,
     hoeffding_zcp_bound,
     little_kl,
     little_kl_inverse_upper,
@@ -197,6 +198,12 @@ _TABLE = {
     ),
     "tightness_comparison.d_values": (
         lambda v: tightness_comparison(1.0, [v], _CONFIG), (*_NOT_INT, 4.5)
+    ),
+    "gaussian_instance.exponent": (
+        lambda v: gaussian_instance(0.1, 1.0, v), (np.array([1.0, 0.75]),)
+    ),
+    "gaussian_instance_check.exponent": (
+        lambda v: gaussian_instance_check([0.1], v), (np.array([1.0, 0.75]),)
     ),
 }
 

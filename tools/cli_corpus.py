@@ -127,6 +127,8 @@ _OUT_OF_RANGE = (
     ("coverage", "--n", "100", "--m", "8", "--trials", "100", "--seed", "-1"),
     ("self-check", "--trials", "10", "--seed", "-1"),
     ("betting", "--n", "5", "--seed", "-1"),
+    ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
+    ("scaling", "--u", "100"),
 )
 
 
