@@ -78,20 +78,12 @@ def hoeffding_zcp_bound(d_zcp: float, config: BoundConfig) -> float:
     probability at least 1 - 2 delta when d_zcp is the posterior/prior
     ZCP divergence at scale sqrt(2n)/delta.  Capped at the vacuous 1.
     """
-    d_zcp = _real(d_zcp, "d_zcp", 0.0, math.inf)
-    n, delta = config.n, config.delta
-    raw = (
-        math.sqrt(2.0) * d_zcp + 2.0 + math.sqrt(math.log(2.0 * math.sqrt(n) / delta))
-    ) / math.sqrt(n)
-    return min(raw, 1.0)
+    return float(_hoeffding_zcp(_real(d_zcp, "d_zcp", 0.0, math.inf), config))
 
 
 def mcallester_baseline(d_kl: float, config: BoundConfig) -> float:
     """Classical baseline sqrt((KL + ln(2 sqrt(n)/delta)) / (2n)), capped at 1."""
-    d_kl = _real(d_kl, "d_kl", 0.0, math.inf)
-    n, delta = config.n, config.delta
-    raw = math.sqrt((d_kl + math.log(2.0 * math.sqrt(n) / delta)) / (2.0 * n))
-    return min(raw, 1.0)
+    return float(_mcallester(_real(d_kl, "d_kl", 0.0, math.inf), config))
 
 
 def complexity_term(d_alpha: float, d_zcp: float, config: BoundConfig) -> float:
@@ -103,14 +95,8 @@ def complexity_term(d_alpha: float, d_zcp: float, config: BoundConfig) -> float:
     """
     d_alpha = _real(d_alpha, "d_alpha", 0.0, math.inf)
     d_zcp = _real(d_zcp, "d_zcp", 0.0, math.inf)
-    n, delta, alpha = _integer(config.n, "n", 2), config.delta, config.alpha
-    if d_zcp == 0.0:
-        main = 0.0
-    else:
-        log_sum = math.log(4.0 * n * n / delta) + alpha / (alpha - 1.0) * math.log(n) + d_alpha
-        main = math.sqrt(0.5) * math.sqrt(log_sum) * d_zcp
-    constant = math.log(2.0 * math.e**2 * math.sqrt(n) * (1.0 + 4.0 * n * n / delta))
-    return main + constant + delta / (n * (n + 1.0))
+    _integer(config.n, "n", 2)
+    return float(_complexity(d_alpha, d_zcp, config))
 
 
 def empirical_bernstein_bound(comp: float, v_hat: float, n: int) -> float:
@@ -122,12 +108,38 @@ def empirical_bernstein_bound(comp: float, v_hat: float, n: int) -> float:
     comp = _real(comp, "comp", 0.0, math.inf)
     v_hat = _real(v_hat, "v_hat", 0.0, math.inf)
     n = _integer(n, "n", 2)
-    slack = n - 2.0 * comp
-    if slack <= 0.0:
-        return 1.0
-    root_n = math.sqrt(n)
-    value = math.sqrt(2.0 * comp * v_hat) / (slack / root_n) + 2.0 * comp / slack
-    return min(value, 1.0)
+    return float(_empirical_bernstein(comp, v_hat, n))
+
+
+# Array kernels of the four formulas above, elementwise over checked arguments; their scalar
+# constants come from ``math``, so each entry has the bits of the scalar call.
+
+
+def _hoeffding_zcp(d_zcp, config: BoundConfig):
+    n, delta = config.n, config.delta
+    root_log = math.sqrt(math.log(2.0 * math.sqrt(n) / delta))
+    return np.minimum((math.sqrt(2.0) * d_zcp + 2.0 + root_log) / math.sqrt(n), 1.0)
+
+
+def _mcallester(d_kl, config: BoundConfig):
+    n, delta = config.n, config.delta
+    return np.minimum(np.sqrt((d_kl + math.log(2.0 * math.sqrt(n) / delta)) / (2.0 * n)), 1.0)
+
+
+def _complexity(d_alpha, d_zcp, config: BoundConfig):
+    n, delta, alpha = config.n, config.delta, config.alpha
+    log_sum = math.log(4.0 * n * n / delta) + alpha / (alpha - 1.0) * math.log(n) + d_alpha
+    # log_sum may be +inf where d_zcp = 0, and main is 0 there
+    main = math.sqrt(0.5) * np.sqrt(np.where(d_zcp == 0.0, 0.0, log_sum)) * d_zcp
+    constant = math.log(2.0 * math.e**2 * math.sqrt(n) * (1.0 + 4.0 * n * n / delta))
+    return main + constant + delta / (n * (n + 1.0))
+
+
+def _empirical_bernstein(comp, v_hat, n: int):
+    slack = n - 2.0 * np.asarray(comp)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where slack <= 0
+        value = np.sqrt(2.0 * comp * v_hat) / (slack / math.sqrt(n)) + 2.0 * comp / slack
+    return np.where(slack <= 0.0, 1.0, np.minimum(value, 1.0))
 
 
 def sample_variance_from_sums(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
@@ -194,15 +206,21 @@ class BoundReport:
 
     def failures(self) -> dict[str, bool]:
         """Which bounds the realized quantities violate."""
-        return {
-            "hoeffding_zcp": self.realized_gap > self.hoeffding_zcp,
-            "mcallester": self.realized_gap > self.mcallester,
-            "emp_bernstein": abs(self.realized_gap) > self.emp_bernstein,
-            "little_kl": self.p_mean > self.little_kl_bound,
-        }
+        return _failures(**self.as_dict())
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _failures(realized_gap, p_mean, hoeffding_zcp, mcallester, emp_bernstein, little_kl_bound,
+              **_):
+    """Bound name -> whether the realized quantities violate it; numbers or arrays, elementwise."""
+    return {
+        "hoeffding_zcp": realized_gap > hoeffding_zcp,
+        "mcallester": realized_gap > mcallester,
+        "emp_bernstein": abs(realized_gap) > emp_bernstein,
+        "little_kl": p_mean > little_kl_bound,
+    }
 
 
 # ---------------------------------------------------------------------------

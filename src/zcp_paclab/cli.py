@@ -41,6 +41,7 @@ from .divergences import (
 )
 from .errors import NumericalError, ValidationError
 from .harness import (
+    GibbsPosterior,
     coverage_reports,
     divergence_scaling_table,
     gaussian_instance_check,
@@ -260,20 +261,25 @@ def _cmd_betting(args) -> tuple[list[dict], dict, bool | None]:
 
 
 def _bound_inputs(args):
+    """The bound config, the learning instance, and summary entries that name both."""
     config = BoundConfig(n=args.n, delta=args.delta, alpha=args.alpha)
     # a config instance's m, loss and eta were read as flags, so explicit flags win
     flags = {"m": args.m, "loss": args.loss, "eta": args.eta}
-    return config, learning_instance_from_dict({**(args.instance or {}), **flags})
+    instance = learning_instance_from_dict({**(args.instance or {}), **flags})
+    rule = instance.posterior_rule
+    named = {"m": instance.theta_count, "loss": instance.loss_kind.value}
+    named.update({"eta": rule.eta} if isinstance(rule, GibbsPosterior) else {})
+    return config, instance, {**dataclasses.asdict(config), **named}
 
 
 def _cmd_bound(args) -> tuple[list[dict], dict, bool | None]:
-    config, instance = _bound_inputs(args)
+    config, instance, summary = _bound_inputs(args)
     report = next(iter(coverage_reports(instance, config, trials=1, seed=args.seed)))
-    return [report.as_dict()], {**dataclasses.asdict(config), "seed": args.seed}, None
+    return [report.as_dict()], {**summary, "seed": args.seed}, None
 
 
 def _cmd_coverage(args) -> tuple[list[dict], dict, bool | None]:
-    config, instance = _bound_inputs(args)
+    config, instance, summary = _bound_inputs(args)
     report = run_coverage(instance, config, args.trials, args.seed)
     rows = [
         {
@@ -287,7 +293,6 @@ def _cmd_coverage(args) -> tuple[list[dict], dict, bool | None]:
         }
         for name in report.failures_per_bound
     ]
-    summary = dataclasses.asdict(config)
     summary.update(trials=report.trials, seed=args.seed, all_passed=report.all_passed)
     return rows, summary, report.all_passed
 

@@ -54,9 +54,7 @@ class DiscreteDistribution:
             raise ValidationError("log_weights must be a nonempty 1-d vector")
         if np.isnan(lw).any() or (lw == np.inf).any():
             raise ValidationError("log_weights must be < +inf and not NaN")
-        total = float(np.exp(lw).sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValidationError(f"weights must sum to 1 within {_SUM_TOL}, got {total!r}")
+        _summing_to_one(np.exp(lw))
         lw.setflags(write=False)
         object.__setattr__(self, "log_weights", lw)
 
@@ -69,6 +67,16 @@ class DiscreteDistribution:
     @property
     def support_size(self) -> int:
         return int(self.log_weights.size)
+
+
+def _summing_to_one(w: np.ndarray) -> np.ndarray:
+    """Weights ``w``, each row of which must sum to 1 within _SUM_TOL."""
+    total = w.sum(axis=-1)
+    off = np.abs(total - 1.0) > _SUM_TOL
+    if off.any():
+        got = float(total[off][0])
+        raise ValidationError(f"weights must sum to 1 within {_SUM_TOL}, got {got!r}")
+    return w
 
 
 def make_discrete(weights) -> DiscreteDistribution:
@@ -96,24 +104,29 @@ def from_log_weights(log_weights) -> DiscreteDistribution:
     lw = _as_floats(log_weights, "log_weights")
     if lw.ndim != 1 or lw.size < 1:
         raise ValidationError("log_weights must be a nonempty 1-d vector")
+    return DiscreteDistribution(_normalized(lw))
+
+
+def _normalized(lw: np.ndarray) -> np.ndarray:
+    """Each row of log-weights minus its log-sum-exp, so that its weights sum to 1."""
     if np.isnan(lw).any() or (lw == np.inf).any():
         raise ValidationError("log_weights must be < +inf and not NaN")
     log_total = _logsumexp(lw)
-    if log_total == -math.inf:
+    if (log_total == -np.inf).any():
         raise ValidationError("log_weights must have at least one finite entry")
-    return DiscreteDistribution(lw - log_total)
+    return lw - log_total[..., None]
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    """ln(sum(exp(x))) of a nonempty 1-d vector as hi + ln(k) + log1p(rest / k), the k entries
-    equal to the maximum hi split off from the rest (Blanchard, Higham & Higham 2021)."""
-    hi = x.max()
-    if hi == -np.inf:
-        return -math.inf
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """ln(sum(exp(x))) along the last axis as hi + ln(k) + log1p(rest / k), the k entries equal
+    to the maximum hi split off from the rest (Blanchard, Higham & Higham 2021).  Each row gives
+    the bits of a 1-d call on it."""
+    hi = x.max(axis=-1, keepdims=True)
     top = x == hi
-    k = np.count_nonzero(top)
-    rest = np.exp(np.where(top, -np.inf, x - hi)).sum()
-    return float(np.log1p(rest / k) + np.log(k) + hi)
+    k = top.sum(axis=-1)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf, all of which is top
+        rest = np.exp(np.where(top, -np.inf, x - hi)).sum(axis=-1)
+    return np.log1p(rest / k) + np.log(k) + hi[..., 0]
 
 
 # ---------------------------------------------------------------------------

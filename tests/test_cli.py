@@ -347,8 +347,28 @@ class TestVerificationCommands:
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "bound,failures,trials,failure_rate,wilson_upper_99,budget,passed"
-        assert len(lines) == 1 + 4 + 1 + 6  # header, bounds, marker, summary keys
+        assert len(lines) == 1 + 4 + 1 + 9  # header, bounds, marker, summary keys
         assert "# all_passed=true" in out
+
+    def test_coverage_names_its_instance(self, capsys):
+        argv = ["coverage", "--n", "100", "--m", "8", "--trials", "100", "--seed", "3"]
+        _, abs_out, _ = _run(capsys, [*argv, "--loss", "abs"])
+        _, bernoulli_out, _ = _run(capsys, [*argv, "--loss", "bernoulli"])
+        assert abs_out != bernoulli_out
+        summary = abs_out.split("# summary\n")[1].splitlines()
+        assert summary[2:6] == ["# alpha=2", "# m=8", "# loss=abs", "# eta=5"]
+        assert "# loss=bernoulli" in bernoulli_out
+
+    def test_bound_summary_names_its_instance(self, tmp_path, capsys):
+        argv = ["bound", "--n", "200", "--m", "4", "--format", "json"]
+        _, out, _ = _run(capsys, argv)
+        summary = json.loads(out)["summary"]
+        assert list(summary) == ["n", "delta", "alpha", "m", "loss", "eta", "seed"]
+        assert (summary["m"], summary["loss"], summary["eta"]) == (4, "abs", 5.0)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"instance": {"m": 4, "posterior": "fixed"}}))
+        _, out, _ = _run(capsys, [*argv, "--config", str(config)])
+        assert list(json.loads(out)["summary"]) == ["n", "delta", "alpha", "m", "loss", "seed"]
 
     def test_ville_small_run_passes(self, capsys):
         code, out, _ = _run(

@@ -1,6 +1,9 @@
 """Exact discrete divergences, the scalar kl helpers, and the quadrature."""
 
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zcp_paclab.divergences as divergences
+from zcp_paclab import cli
 from conftest import random_dominated_pair, random_pair
 from zcp_paclab import (
     DivergenceKind,
@@ -65,6 +69,13 @@ class TestDiscreteKnownValues:
 
 
 class TestDiscreteEdgeCases:
+    def test_atoms_zero_on_both_sides_raise_no_warning(self):
+        p, q = make_discrete([0.5, 0.5, 0.0]), make_discrete([0.25, 0.75, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tv_discrete(p, q) == 0.25
+            kl_discrete(p, q), renyi_discrete(p, q, 2.0), zcp_discrete(p, q, 1.0)
+
     def test_kl_and_renyi_of_near_identical_pairs_are_never_negative(self):
         p = make_discrete([1, 2, 3])
         q = from_log_weights(np.log([1, 2, 3]) + [1e-12, 0, 0])
@@ -438,6 +449,30 @@ class TestQuadrature:
         config = QuadratureConfig(max_subdivisions=max_subdivisions)
         with pytest.raises(NumericalError, match=r"\(subdivision budget exhausted\)"):
             divergence_gaussian(pair, "kl", config)
+
+    def test_evaluation_budget_exhausted(self, monkeypatch):
+        # p = 1e-4 TV takes 11,947 integrand evaluations, the rough pass included
+        pair = gaussian_instance(1e-4, 1.0, 1.0)
+        default = divergence_gaussian(pair, "tv")
+        monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", 10_000)
+        with pytest.raises(NumericalError, match=r"\(evaluation budget exhausted\)$"):
+            divergence_gaussian(pair, "tv")
+        monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", 12_000)
+        assert divergence_gaussian(pair, "tv") == default
+
+    def test_default_budget_reproduces_the_benchmark_reference(self, capsys):
+        path = Path(__file__).parents[1] / "bench" / "quadrature_reference.json"
+        reference = json.loads(path.read_text())
+        assert divergences._MAX_EVALUATIONS == 2**23
+        for argv, expected_rows in reference.items():
+            assert cli.run(argv.split()) == 0, argv
+            lines = capsys.readouterr().out.splitlines()
+            header, body = lines[0].split(","), lines[1 : lines.index("# summary")]
+            rows = [dict(zip(header, line.split(","))) for line in body]
+            assert len(rows) == len(expected_rows), argv
+            for row, expected in zip(rows, expected_rows):
+                for field, value in expected.items():
+                    assert float(row[field]) == pytest.approx(value, rel=1e-8), (argv, field)
 
     def test_small_subdivision_budget_suffices(self):
         pair = gaussian_instance(0.2, 1.0, 1.0)

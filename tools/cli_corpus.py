@@ -17,6 +17,12 @@ what a reworded message now says.  An exception that escapes ``cli.run``
 ``raised:<type>``.  The corpus has two parts: GOLDEN, valid runs of every
 subcommand at the benchmark shapes, and INVALID, flags that must be refused
 (NaN and infinities for every float flag, and out-of-range integers).
+
+``--check`` also exits 1 when the corpus shows a fault on its own: a case
+that raised, a GOLDEN argv that exits nonzero, or an INVALID argv that exits
+0 or prints to stdout.  A continuous-integration job runs it that way:
+
+    python tools/cli_corpus.py --src src --check > /dev/null
 """
 
 from __future__ import annotations
@@ -40,6 +46,14 @@ def _golden() -> list[tuple[str, ...]]:
         for loss in ("abs", "bernoulli")
         for seed in ("1", "2", "3")
     ]
+    # one below, at and one above two m = 50 coverage blocks of 81 trials
+    argvs += [
+        ("coverage", *_COVERAGE, "--m", "50", "--trials", trials, "--loss", loss, "--seed", "4")
+        for trials in ("161", "162", "163")
+        for loss in ("abs", "bernoulli")
+    ]
+    argvs.append(("coverage", *_COVERAGE, "--m", "10000", "--trials", "100", "--seed", "1"))
+    argvs.append(("bound", "--n", "1000", "--m", "10000", "--seed", "1"))
     argvs += [
         ("bound", "--n", "1000", "--eta", eta, "--loss", loss, "--seed", "1")
         for eta in ("0", "5")
@@ -161,17 +175,26 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, help="directory holding the zcp_paclab package")
     parser.add_argument("--show-stderr", action="store_true", help="print stderr text, not its hash")
+    parser.add_argument("--check", action="store_true", help="exit 1 when a case shows a fault")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
     from zcp_paclab import cli
 
     warnings.simplefilter("always")  # a warning shows on every run, whatever ran before
     warnings.showwarning = _show_warning
-    for argv in [*_golden(), *_invalid()]:
-        for fmt in ((), ("--format", "json")):
-            code, out, err = _run(cli, (*argv, *fmt))
-            shown = repr(err) if args.show_stderr else _sha(err)
-            print(code, _sha(out), shown, " ".join((*argv, *fmt)))
+    faults = []
+    for golden, argvs in ((True, _golden()), (False, _invalid())):
+        for argv in argvs:
+            for fmt in ((), ("--format", "json")):
+                code, out, err = _run(cli, (*argv, *fmt))
+                shown = repr(err) if args.show_stderr else _sha(err)
+                line = f"{code} {_sha(out)} {shown} {' '.join((*argv, *fmt))}"
+                print(line)
+                if code.startswith("raised:") or (code != "0" if golden else code == "0" or out):
+                    faults.append(line)
+    if args.check and faults:
+        print(f"{len(faults)} faulty cases:", *faults, sep="\n", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":
