@@ -28,9 +28,6 @@ __all__ = [
     "mean_zero_coins",
 ]
 
-_BISECT_TOL = 1e-12
-
-
 def _validate_coins(coins) -> np.ndarray:
     arr = _as_floats(coins, "coins")
     if arr.ndim != 1 or arr.size < 1:
@@ -82,36 +79,46 @@ def _log_wealth(beta: float, arr: np.ndarray) -> float:
         return float(np.log1p(beta * arr).sum())
 
 
-def _wealth_derivative(beta: float, coins: np.ndarray) -> float:
-    with np.errstate(divide="ignore"):
-        return float(np.sum(coins / (1.0 + beta * coins)))
+def _wealth_slopes(beta: float, coins: np.ndarray) -> tuple[float, float]:
+    """(d/dbeta, -d^2/dbeta^2) of ln W_n(beta) = sum ln(1 + beta c_t)."""
+    ratio = coins / (1.0 + beta * coins)
+    return float(ratio.sum()), float(ratio @ ratio)
 
 
 def max_log_wealth(coins) -> tuple[float, float]:
     """(beta_star, ln W*_n): maximize the concave ln-wealth over [-1, 1].
 
-    Derivative bisection to a bracket of width 1e-12, then the candidate
-    is compared against both endpoints and beta = 0, which also guarantees
-    ln W*_n >= 0.
+    An interior maximizer is the root of the decreasing derivative.  Newton
+    steps from beta = 0 use the closed-form second derivative inside a
+    bracket of the root, which each evaluated derivative sign shrinks; a
+    step that would leave the bracket bisects it instead.  The search ends
+    with a Newton step of at most 1e-12, or a bracket that narrow.  The
+    candidate is then compared against both endpoints and beta = 0, which
+    also guarantees ln W*_n >= 0.
     """
     arr = _validate_coins(coins)
     if not arr.any():
         return 0.0, 0.0
-    d_lo = _wealth_derivative(-1.0, arr)
-    d_hi = _wealth_derivative(1.0, arr)
+    with np.errstate(divide="ignore"):  # a +-1 coin makes an endpoint slope infinite
+        d_lo, d_hi = _wealth_slopes(-1.0, arr)[0], _wealth_slopes(1.0, arr)[0]
     if d_lo <= 0.0:
         candidate = -1.0
     elif d_hi >= 0.0:
         candidate = 1.0
     else:
-        lo, hi = -1.0, 1.0
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if _wealth_derivative(mid, arr) > 0.0:
-                lo = mid
+        lo, hi, candidate = -1.0, 1.0, 0.0
+        while hi - lo > 1e-12:
+            slope, curvature = _wealth_slopes(candidate, arr)
+            step = slope / curvature
+            if abs(step) <= 1e-12:
+                candidate += step
+                break
+            if slope > 0.0:
+                lo = candidate
             else:
-                hi = mid
-        candidate = 0.5 * (lo + hi)
+                hi = candidate
+            newton = candidate + step
+            candidate = newton if lo < newton < hi else 0.5 * (lo + hi)
     best_beta, best_value = 0.0, 0.0
     for beta in (candidate, -1.0, 1.0):
         value = _log_wealth(beta, arr)
@@ -120,11 +127,18 @@ def max_log_wealth(coins) -> tuple[float, float]:
     return best_beta, best_value
 
 
-def _kt_path(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = arr.size
-    prefix = np.concatenate([[0.0], np.cumsum(arr)[:-1]])
+def _kt_rows(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KT bets and length n+1 log-wealth paths of each row of a (..., n) coin array.
+
+    A row's bits do not depend on the rows beside it, so a block of paths
+    gives each path what a one-row call would.
+    """
+    n = coins.shape[-1]
+    prefix = np.zeros_like(coins)
+    np.cumsum(coins[..., :-1], axis=-1, out=prefix[..., 1:])
     bets = prefix / np.arange(1, n + 1)
-    log_wealth = np.concatenate([[0.0], np.cumsum(np.log1p(bets * arr))])
+    log_wealth = np.zeros(coins.shape[:-1] + (n + 1,))
+    np.cumsum(np.log1p(bets * coins), axis=-1, out=log_wealth[..., 1:])
     return bets, log_wealth
 
 
@@ -134,7 +148,7 @@ def kt_log_wealth(coins) -> np.ndarray:
     Cheaper than kt_bettor when only the wealth path matters, e.g. for
     crossing experiments over many sample paths.
     """
-    return _kt_path(_validate_coins(coins))[1]
+    return _kt_rows(_validate_coins(coins))[1]
 
 
 def kt_bettor(coins) -> WealthTrace:
@@ -144,7 +158,7 @@ def kt_bettor(coins) -> WealthTrace:
     returned trace also carries the hindsight-optimal (beta*, ln W*).
     """
     arr = _validate_coins(coins)
-    bets, log_wealth = _kt_path(arr)
+    bets, log_wealth = _kt_rows(arr)
     beta_star, log_wealth_star = max_log_wealth(arr)
     return WealthTrace(
         coins=arr.copy(),
@@ -178,7 +192,10 @@ def ville_first_crossing(trace: WealthTrace, delta: float) -> int | None:
 
 def mean_zero_coins(n: int, seed: int, path: int = 0) -> np.ndarray:
     """n coins from ``default_rng((seed, path))``: a fair sign times a Uniform[0, 1) magnitude."""
-    n = _integer(n, "n", 1)
-    rng = np.random.default_rng((_integer(seed, "seed", 0), _integer(path, "path", 0)))
+    return _coin_row(_integer(n, "n", 1), _integer(seed, "seed", 0), _integer(path, "path", 0))
+
+
+def _coin_row(n: int, seed: int, path: int) -> np.ndarray:
+    rng = np.random.default_rng((seed, path))
     signs = rng.integers(0, 2, n) * 2 - 1
     return signs * rng.random(n)

@@ -112,19 +112,48 @@ def _json_value(value):
     return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def _render_csv(rows: list[dict], summary: dict) -> str:
-    lines = [",".join(rows[0].keys())] if rows else []
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row.values()))
+def _cells(values):
+    """A table column as a sequence of plain Python values (an array becomes a list)."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _column_csv(values) -> tuple[str, object]:
+    """(%-format, values) of one column: each value formats to the text ``_fmt`` gives it.
+
+    A float64 array, or a column of Python floats only or of Python ints only,
+    is formatted as it is; any other column is formatted by ``_fmt`` first.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return "%.17g", values
+    values = _cells(values)
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return "%.17g", values
+    if kinds == {int}:
+        return "%d", values
+    return "%s", [_fmt(value) for value in values]
+
+
+def _table(rows) -> dict[str, list]:
+    """Column name -> values, from row dicts or dataclass rows sharing one set of fields."""
+    rows = [row if isinstance(row, dict) else dataclasses.asdict(row) for row in rows]
+    return {key: [row[key] for row in rows] for key in rows[0]}
+
+
+def _render_csv(table: dict, summary: dict) -> str:
+    formats, columns = zip(*map(_column_csv, table.values()))
+    lines = [",".join(table)]
+    lines += map(",".join(formats).__mod__, zip(*columns))  # one % per row
     lines.append("# summary")
     for key, value in summary.items():
         lines.append(f"# {key}={_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
-def _render_json(rows: list[dict], summary: dict) -> str:
+def _render_json(table: dict, summary: dict) -> str:
+    columns = ([_json_value(v) for v in _cells(values)] for values in table.values())
     payload = {
-        "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
+        "rows": [dict(zip(table, row)) for row in zip(*columns)],
         "summary": {k: _json_value(v) for k, v in summary.items()},
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -147,12 +176,13 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (rows, summary, passed).  ``passed`` is
+# Subcommand handlers: each returns (table, summary, passed), where the table
+# maps each column name to its values, a list or a 1-d array.  ``passed`` is
 # None for purely computational commands and drives exit code 2 otherwise.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_divergence(args) -> tuple[list[dict], dict, bool | None]:
+def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
     try:
         kind = DivergenceKind(args.kind)
     except ValueError:
@@ -189,10 +219,10 @@ def _cmd_divergence(args) -> tuple[list[dict], dict, bool | None]:
     row = dict(
         kind=kind.value, alpha=args.alpha, c=args.c, value=value, abs_error_estimate=abs_error
     )
-    return [row], {"seed": args.seed}, None
+    return _table([row]), {"seed": args.seed}, None
 
 
-def _cmd_instance(args) -> tuple[list[dict], dict, bool | None]:
+def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
     if args.kind == "bernoulli":
         _require_flags(args, "p")
         p, ln_a = args.p, args.lna if args.lna is not None else 1.0 / (args.p * args.p)
@@ -233,10 +263,10 @@ def _cmd_instance(args) -> tuple[list[dict], dict, bool | None]:
             "tv": divergence_gaussian(pair, DivergenceKind.TV).value,
             "zcp1": divergence_gaussian(pair, DivergenceKind.ZCP, c=1.0).value,
         }
-    return [row], {"seed": args.seed}, None
+    return _table([row]), {"seed": args.seed}, None
 
 
-def _cmd_betting(args) -> tuple[list[dict], dict, bool | None]:
+def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
     if args.coins is not None:
         coins = np.asarray(args.coins)
     elif args.n is not None:
@@ -244,11 +274,12 @@ def _cmd_betting(args) -> tuple[list[dict], dict, bool | None]:
     else:
         raise ValidationError("betting needs --coins or --n (sampled mean-zero coins)")
     trace = kt_bettor(coins)
-    columns = zip(trace.coins, trace.bets, trace.log_wealth[1:])
-    rows = [
-        {"t": t, "c_t": float(c_t), "beta_t": float(beta_t), "ln_w_t": float(ln_w_t)}
-        for t, (c_t, beta_t, ln_w_t) in enumerate(columns, start=1)
-    ]
+    table = {
+        "t": range(1, trace.n + 1),
+        "c_t": trace.coins,
+        "beta_t": trace.bets,
+        "ln_w_t": trace.log_wealth[1:],
+    }
     summary = {
         "beta_star": trace.beta_star,
         "ln_w_star": trace.log_wealth_star,
@@ -257,7 +288,7 @@ def _cmd_betting(args) -> tuple[list[dict], dict, bool | None]:
         "quadratic_lower": wealth_quadratic_lower(coins),
         "seed": args.seed,
     }
-    return rows, summary, None
+    return table, summary, None
 
 
 def _bound_inputs(args):
@@ -272,13 +303,13 @@ def _bound_inputs(args):
     return config, instance, {**dataclasses.asdict(config), **named}
 
 
-def _cmd_bound(args) -> tuple[list[dict], dict, bool | None]:
+def _cmd_bound(args) -> tuple[dict, dict, bool | None]:
     config, instance, summary = _bound_inputs(args)
     report = next(iter(coverage_reports(instance, config, trials=1, seed=args.seed)))
-    return [report.as_dict()], {**summary, "seed": args.seed}, None
+    return _table([report.as_dict()]), {**summary, "seed": args.seed}, None
 
 
-def _cmd_coverage(args) -> tuple[list[dict], dict, bool | None]:
+def _cmd_coverage(args) -> tuple[dict, dict, bool | None]:
     config, instance, summary = _bound_inputs(args)
     report = run_coverage(instance, config, args.trials, args.seed)
     rows = [
@@ -294,43 +325,45 @@ def _cmd_coverage(args) -> tuple[list[dict], dict, bool | None]:
         for name in report.failures_per_bound
     ]
     summary.update(trials=report.trials, seed=args.seed, all_passed=report.all_passed)
-    return rows, summary, report.all_passed
+    return _table(rows), summary, report.all_passed
 
 
-def _cmd_scaling(args) -> tuple[list[dict], dict, bool | None]:
+def _cmd_scaling(args) -> tuple[dict, dict, bool | None]:
     table = divergence_scaling_table(args.u, args.d)
-    rows = [dataclasses.asdict(row) for row in table.rows]
     summary = {"u": args.u}
     for name in ("kl", "tv", "zcp1"):
         summary[f"slope_{name}"] = table.slopes[name]
         summary[f"expected_slope_{name}"] = table.expected_slopes[name]
-    return rows, summary, None
+    return _table(table.rows), summary, None
 
 
-def _cmd_gaussian_check(args) -> tuple[list[dict], dict, bool | None]:
+def _cmd_gaussian_check(args) -> tuple[dict, dict, bool | None]:
     checks = gaussian_instance_check(args.p, args.exponent)
-    rows = [dataclasses.asdict(row) for row in checks]
     all_ok = all(r.kl_ok and r.product_ok for r in checks)
-    return rows, {"exponent": args.exponent, "all_passed": all_ok}, all_ok
+    return _table(checks), {"exponent": args.exponent, "all_passed": all_ok}, all_ok
 
 
-def _cmd_ville(args) -> tuple[list[dict], dict, bool | None]:
-    rows_data = ville_experiment(args.n, args.delta, args.paths, args.seed)
-    rows = [dataclasses.asdict(row) for row in rows_data]
-    all_ok = all(r.passed for r in rows_data)
+def _cmd_ville(args) -> tuple[dict, dict, bool | None]:
+    rows = ville_experiment(args.n, args.delta, args.paths, args.seed)
+    all_ok = all(r.passed for r in rows)
     summary = {"n": args.n, "paths": args.paths, "seed": args.seed, "all_passed": all_ok}
-    return rows, summary, all_ok
+    return _table(rows), summary, all_ok
 
 
 def _check_row(check: str, worst_slack: float, violations: int) -> dict:
     return dict(check=check, worst_slack=worst_slack, violations=violations, passed=violations == 0)
 
 
-def _cmd_inequalities(args) -> tuple[list[dict], dict, bool | None]:
+def _inequality_rows(args) -> tuple[list[dict], dict, bool]:
     report = analytic_inequality_suite(trials=args.trials, seed=args.seed, tolerance=1e-9)
     rows = [_check_row(name, r.worst_slack, r.violations) for name, r in report.results.items()]
     summary = {"trials": report.trials, "tolerance": report.tolerance, "all_passed": report.ok}
     return rows, summary, report.ok
+
+
+def _cmd_inequalities(args) -> tuple[dict, dict, bool | None]:
+    rows, summary, passed = _inequality_rows(args)
+    return _table(rows), summary, passed
 
 
 def _asymptotics_fuzz(rng: np.random.Generator):
@@ -369,8 +402,8 @@ def _fuzz_row(check: str, results) -> dict:
     return _check_row(check, worst_slack, violations)
 
 
-def _cmd_self_check(args) -> tuple[list[dict], dict, bool | None]:
-    rows = _cmd_inequalities(args)[0]
+def _cmd_self_check(args) -> tuple[dict, dict, bool | None]:
+    rows = _inequality_rows(args)[0]
     rng = np.random.default_rng((args.seed, 1))
     rows.append(_fuzz_row("asymptotics_surrogate", _asymptotics_fuzz(rng)))
     rng = np.random.default_rng((args.seed, 2))
@@ -381,7 +414,7 @@ def _cmd_self_check(args) -> tuple[list[dict], dict, bool | None]:
             message = f"self-check failure: {row['check']} worst_slack={_fmt(row['worst_slack'])}"
             print(message, file=sys.stderr)
     summary = {"trials": args.trials, "seed": args.seed, "all_passed": all_ok}
-    return rows, summary, all_ok
+    return _table(rows), summary, all_ok
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +579,9 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args([command, *flags, *argv[1:]], namespace)
         if args.config != config:
             raise ValidationError("write --config in full; it cannot be abbreviated")
-        rows, summary, passed = _COMMANDS[command][0](args)
-        text = _render_json(rows, summary) if args.format == "json" else _render_csv(rows, summary)
+        table, summary, passed = _COMMANDS[command][0](args)
+        render = _render_json if args.format == "json" else _render_csv
+        text = render(table, summary)
         _write_output(text, args.out)
     except SystemExit as exc:
         return int(exc.code or 0)

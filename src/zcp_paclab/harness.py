@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .betting import kt_log_wealth, mean_zero_coins
+from .betting import _coin_row, _kt_rows
 from .bounds import (
     BOUND_NAMES,
     BoundConfig,
@@ -262,9 +262,11 @@ def wilson_upper(failures: int, trials: int, confidence: float = 0.99) -> float:
     return min(1.0, (center + radius) / (1.0 + z2n))
 
 
-# Entries in one (trials, m) array of a coverage block.  8,192 ran m = 2000
-# coverage about 10% faster, but its peak RSS at m = 50 was 1.0 MB above that
-# of one trial at a time; 4,096 keeps that rise near 0.5 MB.
+# Entries in one (trials, m) array of a coverage block, or in one (paths, n)
+# coin array of a Ville block.  8,192 ran m = 2000 coverage about 10% faster,
+# but its peak RSS at m = 50 was 1.0 MB above that of one trial at a time;
+# 4,096 keeps that rise near 0.5 MB.  Ville ran no faster with 65,536 entries:
+# its per-path generators and draws cost the same at any block size.
 _BLOCK_ENTRIES = 4096
 
 
@@ -548,12 +550,14 @@ class VilleRow:
 def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleRow]:
     """Crossing frequency of KT wealth over mean-zero coins vs 1/delta.
 
-    Coins are Rademacher sign times Uniform[0, 1] magnitude, so the KT
+    Coins are Rademacher sign times Uniform[0, 1) magnitude, so the KT
     wealth is a nonnegative martingale started at 1 and Ville's inequality
     caps P(max_t W_t >= 1/delta) at delta.  PASS per delta: Wilson-99
-    upper bound on the crossing rate <= delta.
+    upper bound on the crossing rate <= delta.  Path p draws the coins of
+    ``mean_zero_coins(n, seed, p)`` into one row of a block of paths, and
+    the KT wealth of the whole block is computed at once.
     """
-    n, paths = _integer(n, "n", 1), _integer(paths, "paths", 1000)
+    n, paths, seed = _integer(n, "n", 1), _integer(paths, "paths", 1000), _integer(seed, "seed", 0)
     deltas = [
         _real(d, "delta values", 0.0, 1.0, open_low=True, open_high=True) for d in delta_values
     ]
@@ -561,9 +565,12 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
         raise ValidationError("delta values must lie in (0, 1)")
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
-    for path in range(paths):
-        peak = float(kt_log_wealth(mean_zero_coins(n, seed, path))[1:].max())
-        crossings += peak >= thresholds
+    per_block = max(1, _BLOCK_ENTRIES // n)
+    for first in range(0, paths, per_block):
+        block_paths = range(first, min(first + per_block, paths))
+        block = np.array([_coin_row(n, seed, path) for path in block_paths])
+        peaks = _kt_rows(block)[1][:, 1:].max(axis=1)
+        crossings += (peaks[:, None] >= thresholds).sum(axis=0)
     rows = []
     for delta, crossed in zip(deltas, crossings):
         upper = wilson_upper(int(crossed), paths)

@@ -56,3 +56,40 @@ def grid_max_log_wealth(coins, stages=3, points=513):
         step = betas[1] - betas[0]
         lo, hi = max(-1.0, betas[k] - step), min(1.0, betas[k] + step)
     return best_beta, best_value
+
+
+def bisect_max_log_wealth(coins):
+    """Derivative-bisection oracle for the best fixed bet, (beta*, ln W*).
+
+    Bisects the sign change of the decreasing derivative to a bracket of
+    width 1e-12, then keeps the best of its midpoint, both endpoints and
+    beta = 0 (ties keep the earlier one).
+    """
+    coins = np.asarray(coins, dtype=float)
+
+    def slope(beta):
+        with np.errstate(divide="ignore"):
+            return float(np.sum(coins / (1.0 + beta * coins)))
+
+    if not coins.any():
+        return 0.0, 0.0
+    if slope(-1.0) <= 0.0:
+        candidate = -1.0
+    elif slope(1.0) >= 0.0:
+        candidate = 1.0
+    else:
+        lo, hi = -1.0, 1.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        candidate = 0.5 * (lo + hi)
+    best_beta, best_value = 0.0, 0.0
+    for beta in (candidate, -1.0, 1.0):
+        with np.errstate(divide="ignore"):
+            value = float(np.log1p(beta * coins).sum())
+        if value > best_value:
+            best_beta, best_value = beta, value
+    return best_beta, best_value

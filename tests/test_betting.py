@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import grid_max_log_wealth, random_coins
+from conftest import bisect_max_log_wealth, grid_max_log_wealth, random_coins
 from zcp_paclab import (
     ValidationError,
     WealthTrace,
@@ -88,6 +90,60 @@ class TestMaxLogWealth:
             assert value >= grid_value - 1e-9
 
 
+def _slope(beta, coins):
+    return float(np.sum(coins / (1.0 + beta * coins)))
+
+
+def _assert_matches_bisection(coins):
+    coins = np.asarray(coins, dtype=float)
+    beta, value = max_log_wealth(coins)
+    oracle_beta, oracle_value = bisect_max_log_wealth(coins)
+    assert abs(beta - oracle_beta) <= 2e-12
+    assert value >= oracle_value - 1e-13
+    assert value == log_wealth_fixed(beta, coins)
+    if -1.0 < beta < 1.0 and beta != 0.0:  # an interior root of the derivative
+        assert _slope(beta - 2e-12, coins) > 0.0 > _slope(beta + 2e-12, coins)
+
+
+class TestNewtonOptimum:
+    """Safeguarded Newton against the derivative bisection it replaced."""
+
+    # sum |c| >= 1 keeps the root well conditioned: the derivative's rounding
+    # error, over its curvature, stays far below the 2e-12 tolerance
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=200))
+    @example([0.5] * 10 + [-1.0])  # Newton's first step leaves [-1, 1] and bisects
+    @example([0.8, -0.5])
+    def test_matches_bisection(self, coins):
+        assume(np.abs(coins).sum() >= 1.0)
+        _assert_matches_bisection(coins)
+
+    def test_all_zero_coins(self):
+        assert max_log_wealth(np.zeros(7)) == bisect_max_log_wealth(np.zeros(7)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("coin", [1.0, -1.0, 0.3, -0.3, 1e-300, 0.0])
+    def test_single_coin(self, coin):
+        assert max_log_wealth([coin]) == bisect_max_log_wealth([coin])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_sided_sequences_bet_an_endpoint(self, sign):
+        coins = sign * np.random.default_rng(36).random(50)
+        beta, value = max_log_wealth(coins)
+        assert beta == sign
+        assert (beta, value) == bisect_max_log_wealth(coins)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_binary_coins_with_infinite_endpoint_slopes(self, n):
+        # on +-1 coins with h heads the optimum is beta* = (2h - n) / n
+        for heads in range(1, n):
+            coins = np.array([1.0] * heads + [-1.0] * (n - heads))
+            _assert_matches_bisection(coins)
+            assert abs(max_log_wealth(coins)[0] - (2 * heads - n) / n) <= 1e-12
+
+    def test_one_hundred_thousand_coins(self):
+        _assert_matches_bisection(mean_zero_coins(100_000, 1))
+
+
 class TestQuadraticLower:
     def test_formula(self):
         coins = [0.5, 0.5, -0.25, 1.0]
@@ -120,6 +176,17 @@ class TestKtBettor:
         rng = np.random.default_rng(33)
         coins = random_coins(rng, max_n=64)
         np.testing.assert_array_equal(kt_log_wealth(coins), kt_bettor(coins).log_wealth)
+
+    def test_path_is_the_prefix_mean_recursion_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            coins = random_coins(rng, max_n=256)
+            prefix = np.concatenate([[0.0], np.cumsum(coins)[:-1]])
+            bets = prefix / np.arange(1, coins.size + 1)
+            log_wealth = np.concatenate([[0.0], np.cumsum(np.log1p(bets * coins))])
+            trace = kt_bettor(coins)
+            assert trace.bets.tobytes() == bets.tobytes()
+            assert trace.log_wealth.tobytes() == log_wealth.tobytes()
 
     def test_never_ruins_on_boundary_coins(self):
         trace = kt_bettor([1.0, -1.0, 1.0, -1.0, -1.0, -1.0])

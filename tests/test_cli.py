@@ -185,6 +185,70 @@ class TestOutputContract:
         assert row["value"] == "inf" == csv_text.splitlines()[1].split(",")[3]
 
 
+_MIXED_CELLS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.1, np.float64(-2.5),
+    True, False, np.bool_(True), None, 3, -(10**30), np.int64(-7), "text",
+]
+
+
+def _row_by_row_json(table, summary):
+    """The JSON document built from one dict per row."""
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
+    payload = {
+        "rows": [{k: cli._json_value(v) for k, v in row.items()} for row in rows],
+        "summary": {k: cli._json_value(v) for k, v in summary.items()},
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+class TestColumnRenderer:
+    @staticmethod
+    def _csv_cells(table):
+        lines = cli._render_csv(table, {}).splitlines()
+        assert lines[0] == ",".join(table) and lines[-1] == "# summary"
+        return [line.split(",") for line in lines[1:-1]]
+
+    def test_mixed_column_renders_each_cell_as_fmt(self):
+        assert self._csv_cells({"x": _MIXED_CELLS}) == [[cli._fmt(v)] for v in _MIXED_CELLS]
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.1, 1.0 / 3.0],
+            np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e300, 2.0**-1074]),
+            [np.float64(0.1), 0.1, np.float64(math.nan)],
+            [1, -2, 10**30, 0],
+            np.arange(-3, 4),
+            np.array([0.1, -1e-40, 3e38], dtype=np.float32),
+            np.array([True, False]),
+            range(1, 6),
+            [True, False],
+        ],
+    )
+    def test_typed_columns_render_as_fmt(self, column):
+        assert self._csv_cells({"x": column}) == [[cli._fmt(v)] for v in column]
+
+    def test_float_column_over_random_bit_patterns(self):
+        bits = np.random.default_rng(38).integers(0, 2**64, 20_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert self._csv_cells({"x": values}) == [[cli._fmt(v)] for v in values]
+
+    def test_json_payload_matches_row_by_row(self):
+        table = {
+            "mixed": _MIXED_CELLS,
+            "floats": np.linspace(-1.0, 1.0, len(_MIXED_CELLS)),
+            "ints": range(len(_MIXED_CELLS)),
+        }
+        summary = {"seed": 1, "value": math.inf, "flag": np.bool_(False)}
+        assert cli._render_json(table, summary) == _row_by_row_json(table, summary)
+
+    def test_rows_line_up_across_columns(self):
+        table = {"t": range(1, 4), "c": np.array([0.5, -0.25, 1.0]), "ok": [True, None, False]}
+        assert self._csv_cells(table) == [
+            ["1", "0.5", "true"], ["2", "-0.25", ""], ["3", "1", "false"]
+        ]
+
+
 class TestAtomicOutput:
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         argv = ["scaling", "--d", "16,32,64", "--u", "1"]

@@ -21,11 +21,14 @@ from zcp_paclab import (
     make_discrete,
     run_coverage,
     sample_variance_from_sums,
+    kt_log_wealth,
+    mean_zero_coins,
     tightness_comparison,
     ville_experiment,
     wilson_upper,
     zcp1_upper_bound_kl_tv,
 )
+from zcp_paclab import betting, harness
 
 
 def _instance(m=8, loss=LossKind.ABS_DISTANCE, rule=None, **kwargs):
@@ -454,6 +457,46 @@ class TestVilleExperiment:
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
             ville_experiment(seed=0, **kwargs)
+
+
+def _path_by_path_crossings(n, deltas, paths, seed):
+    """Crossing counts from one public KT wealth path per sample path."""
+    peaks = [kt_log_wealth(mean_zero_coins(n, seed, path))[1:].max() for path in range(paths)]
+    return [sum(peak >= -math.log(delta) for peak in peaks) for delta in deltas]
+
+
+class TestVilleEngine:
+    DELTAS = (0.5, 0.2, 0.1, 0.05)
+
+    @pytest.mark.parametrize("paths", [1003, 1004, 1005])  # 4 paths per block at n = 1000
+    def test_block_boundary_matches_path_by_path(self, paths):
+        rows = ville_experiment(1000, self.DELTAS, paths, seed=1)
+        assert [row.crossings for row in rows] == _path_by_path_crossings(
+            1000, self.DELTAS, paths, 1
+        )
+
+    def test_one_path_per_block(self, monkeypatch):
+        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 1)
+        rows = ville_experiment(50, self.DELTAS, 1000, seed=2)
+        assert [row.crossings for row in rows] == _path_by_path_crossings(50, self.DELTAS, 1000, 2)
+
+    def test_paths_longer_than_a_block(self):
+        n = harness._BLOCK_ENTRIES + 904  # each block holds one path
+        rows = ville_experiment(n, self.DELTAS, 1000, seed=3)
+        assert [row.crossings for row in rows] == _path_by_path_crossings(n, self.DELTAS, 1000, 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_block_kt_rows_are_the_public_path_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        block = np.array(
+            [mean_zero_coins(n, 4, path) for path in range(5)]
+            + [rng.choice([-1.0, 1.0], n), np.zeros(n), np.ones(n), rng.uniform(-1.0, 1.0, n)]
+        )
+        bets, log_wealth = betting._kt_rows(block)
+        for row, row_bets, row_log_wealth in zip(block, bets, log_wealth):
+            trace = betting.kt_bettor(row)
+            assert row_log_wealth.tobytes() == kt_log_wealth(row).tobytes()
+            assert row_bets.tobytes() == trace.bets.tobytes()
 
 
 class TestTightnessComparison:

@@ -88,7 +88,15 @@ def _golden() -> list[tuple[str, ...]]:
         ("divergence", "--kind", "kl", "--mixture-p", "0.05", "--exponent", "0.75"),
         ("betting", "--coins", "0.5,-0.25,1,0.75,-1,0.1"),
         ("betting", "--n", "200", "--seed", "3"),
+        # the benchmark's betting shapes
+        ("betting", "--n", "100000", "--seed", "1"),
+        ("ville", "--n", "1000", "--paths", "10000", "--delta", "0.1,0.05", "--seed", "1"),
     ]
+    # a Ville block holds 4 paths at n = 1000: one below, at and one above a boundary
+    argvs += [
+        ("ville", "--n", "1000", "--paths", paths, "--seed", "1") for paths in ("1003", "1004", "1005")
+    ]
+    argvs.append(("ville", "--n", "5000", "--paths", "1000", "--seed", "1"))  # one path per block
     return argvs
 
 
