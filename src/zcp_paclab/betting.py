@@ -10,21 +10,17 @@ log-space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _as_floats, _integer, _real
+from .errors import ValidationError, _as_floats, _integer
 
 __all__ = [
     "WealthTrace",
-    "log_wealth_fixed",
     "max_log_wealth",
-    "kt_log_wealth",
     "kt_bettor",
     "wealth_quadratic_lower",
-    "ville_first_crossing",
     "mean_zero_coins",
 ]
 
@@ -67,11 +63,6 @@ class WealthTrace:
     def log_regret(self) -> float:
         """ln(W*_n / W_n) of the recorded bettor."""
         return self.log_wealth_star - float(self.log_wealth[-1])
-
-
-def log_wealth_fixed(beta: float, coins) -> float:
-    """ln W_n(beta) = sum ln(1 + beta c_t); -inf on exact ruin."""
-    return _log_wealth(_real(beta, "beta", -1.0, 1.0), _validate_coins(coins))
 
 
 def _log_wealth(beta: float, arr: np.ndarray) -> float:
@@ -142,15 +133,6 @@ def _kt_rows(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bets, log_wealth
 
 
-def kt_log_wealth(coins) -> np.ndarray:
-    """Length n+1 log-wealth path of the KT bettor (no hindsight optimum).
-
-    Cheaper than kt_bettor when only the wealth path matters, e.g. for
-    crossing experiments over many sample paths.
-    """
-    return _kt_rows(_validate_coins(coins))[1]
-
-
 def kt_bettor(coins) -> WealthTrace:
     """Run the Krichevsky-Trofimov bettor beta_t = (sum_{s<t} c_s) / t.
 
@@ -174,20 +156,6 @@ def wealth_quadratic_lower(coins) -> float:
     arr = _validate_coins(coins)
     total = float(arr.sum())
     return total * total / (4.0 * arr.size)
-
-
-def ville_first_crossing(trace: WealthTrace, delta: float) -> int | None:
-    """Smallest t with W_t >= 1/delta, or None if the path never crosses.
-
-    For any nonnegative martingale started at 1 the crossing probability
-    is at most delta, which is what the harness verifies empirically.
-    """
-    delta = _real(delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
-    threshold = -math.log(delta)
-    crossed = np.nonzero(trace.log_wealth[1:] >= threshold)[0]
-    if crossed.size == 0:
-        return None
-    return int(crossed[0]) + 1
 
 
 def mean_zero_coins(n: int, seed: int, path: int = 0) -> np.ndarray:

@@ -10,7 +10,7 @@ bounds are reported as exactly 1 since all losses live in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -206,10 +206,7 @@ class BoundReport:
 
     def failures(self) -> dict[str, bool]:
         """Which bounds the realized quantities violate."""
-        return _failures(**self.as_dict())
-
-    def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return _failures(**asdict(self))
 
 
 def _failures(realized_gap, p_mean, hoeffding_zcp, mcallester, emp_bernstein, little_kl_bound,

@@ -28,7 +28,7 @@ import numpy as np
 from .betting import kt_bettor, max_log_wealth, mean_zero_coins, wealth_quadratic_lower
 from .bounds import BoundConfig, analytic_inequality_suite, asymptotics_inequality_check
 from .distributions import (
-    bernoulli_instance, gaussian_instance, make_discrete, multivariate_instance
+    _multivariate_ln_a, bernoulli_instance, gaussian_instance, make_discrete, multivariate_instance
 )
 from .divergences import (
     DivergenceKind,
@@ -225,7 +225,11 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
 def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
     if args.kind == "bernoulli":
         _require_flags(args, "p")
-        p, ln_a = args.p, args.lna if args.lna is not None else 1.0 / (args.p * args.p)
+        p = args.p
+        # p = 0, p*p underflows, or 1/p**2 overflows
+        if args.lna is None and (p * p == 0.0 or 1.0 / (p * p) == math.inf):
+            raise ValidationError(f"--lna defaults to 1/p**2, which is not finite at p = {p!r}")
+        ln_a = args.lna if args.lna is not None else 1.0 / (p * p)
         dist_p, dist_q = bernoulli_instance(p, ln_a)
         row = {
             "kind": args.kind,
@@ -245,7 +249,7 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
             "kind": args.kind,
             "d": args.d,
             "u": args.u,
-            "ln_a": float(args.d) ** (1.5 * args.u),
+            "ln_a": _multivariate_ln_a(args.d, args.u),
             "kl": kl_discrete(dist_p, dist_q),
             "tv": tv_discrete(dist_p, dist_q),
             "zcp1": zcp_discrete(dist_p, dist_q, 1.0),
@@ -306,7 +310,7 @@ def _bound_inputs(args):
 def _cmd_bound(args) -> tuple[dict, dict, bool | None]:
     config, instance, summary = _bound_inputs(args)
     report = next(iter(coverage_reports(instance, config, trials=1, seed=args.seed)))
-    return _table([report.as_dict()]), {**summary, "seed": args.seed}, None
+    return _table([report]), {**summary, "seed": args.seed}, None
 
 
 def _cmd_coverage(args) -> tuple[dict, dict, bool | None]:

@@ -11,7 +11,6 @@ stays large while total variation shrinks.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -27,9 +26,6 @@ __all__ = [
     "bernoulli_instance",
     "multivariate_instance",
     "gaussian_instance",
-    "density_ratio_log",
-    "to_json",
-    "from_json",
 ]
 
 _SUM_TOL = 1e-12
@@ -150,26 +146,19 @@ def bernoulli_instance(p: float, ln_a: float) -> tuple[DiscreteDistribution, Dis
     return dist_p, DiscreteDistribution(np.array([lq0, lq1]))
 
 
-def multivariate_instance(
-    d: int, u: float, *, ln_a_override: float | None = None
-) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+def multivariate_instance(d: int, u: float) -> tuple[DiscreteDistribution, DiscreteDistribution]:
     """Two-block pair on d atoms with p = d**(-1-u) and ln(a) = d**(1.5*u).
 
     The first d/2 atoms carry weight p under P and p/a under Q; the last
     d/2 atoms share the leftover mass uniformly.  As d grows, KL scales
     like d**(u/2), total variation like d**(-u), and the c=1 ZCP divergence
-    like d**(-u/4).  ``ln_a_override`` forces a different ln(a) (0 gives
-    P = Q) for testing.
+    like d**(-u/4).
     """
     d = _integer(d, "d", 2)
     if d % 2 != 0:
         raise ValidationError("d must be an even integer >= 2")
     u = _real(u, "u", 0.0, math.inf, open_low=True, open_high=True)
-    try:
-        ln_a = float(d) ** (1.5 * u) if ln_a_override is None else ln_a_override
-    except OverflowError:
-        raise ValidationError(f"ln(a) = d**(1.5*u) overflows at d = {d}, u = {u!r}") from None
-    ln_a = _real(ln_a, "ln_a_override", 0.0, math.inf, open_high=True)
+    ln_a = _multivariate_ln_a(d, u)
     half = d // 2
     log_p = (-1.0 - u) * math.log(d)
     log_half_mass = math.log(half) + log_p  # ln(p * d/2) < 0
@@ -183,6 +172,14 @@ def multivariate_instance(
     lw_p = np.concatenate([np.full(half, log_p), np.full(half, lp_last)])
     lw_q = np.concatenate([np.full(half, lq_first), np.full(half, lq_last)])
     return DiscreteDistribution(lw_p), DiscreteDistribution(lw_q)
+
+
+def _multivariate_ln_a(d: int, u: float) -> float:
+    """ln(a) = d**(1.5*u) of the two-block pair, at least 1 for d >= 2 and u > 0."""
+    try:
+        return float(d) ** (1.5 * u)
+    except OverflowError:
+        raise ValidationError(f"ln(a) = d**(1.5*u) overflows at d = {d}, u = {u!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -240,72 +237,3 @@ def gaussian_instance(p: float, sigma1: float, exponent: float) -> GaussianMixtu
 def _log_normal_pdf(x, mu: float, sigma: float):
     z = (np.asarray(x, dtype=float) - mu) / sigma
     return -0.5 * z * z - math.log(sigma) - 0.5 * _LOG_2PI
-
-
-def density_ratio_log(pair: GaussianMixturePair, x):
-    """ln(dP/dQ)(x) for a GaussianMixturePair, stable over the whole real line.
-
-    The difference of the two log-densities: in the far tail it grows like
-    ln(p) + ln(sigma2/sigma1) + x^2 (1/(2 sigma2^2) - 1/(2 sigma1^2)) without
-    ever forming the overflowing raw ratio.  ``x`` may be a number or an array.
-    """
-    x = _as_floats(x, "x")
-    if not np.isfinite(x).all():
-        raise ValidationError("x must be finite")
-    return pair.log_pdf_p(x) - pair.log_pdf_q(x)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def to_json(dist: DiscreteDistribution | GaussianMixturePair) -> str:
-    """Serialize a distribution to its interchange JSON form."""
-    if isinstance(dist, DiscreteDistribution):
-        payload = {
-            "type": "discrete",
-            "weights": [float(w) for w in dist.weights],
-            # a zero-mass atom's -inf is written "-inf", as RFC 8259 has no infinity
-            "log_weights": [float(lw) if lw > -math.inf else "-inf" for lw in dist.log_weights],
-        }
-    elif isinstance(dist, GaussianMixturePair):
-        payload = {
-            "type": "gaussian_mixture",
-            "mu": dist.mu,
-            "sigma1": dist.sigma1,
-            "sigma2": dist.sigma2,
-            "p": dist.p,
-        }
-    else:
-        raise ValidationError(f"unsupported distribution type: {type(dist).__name__}")
-    return json.dumps(payload)
-
-
-def from_json(text: str) -> DiscreteDistribution | GaussianMixturePair:
-    """Inverse of :func:`to_json`; raises ValidationError on malformed input."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed distribution JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "type" not in payload:
-        raise ValidationError("distribution JSON must be an object with a 'type' field")
-    kind = payload["type"]
-    if kind == "discrete":
-        if "weights" not in payload:
-            raise ValidationError("discrete distribution JSON requires 'weights'")
-        if "log_weights" not in payload:
-            return make_discrete(payload["weights"])
-        dist = DiscreteDistribution(payload["log_weights"])
-        w = _as_floats(payload["weights"], "weights")
-        if w.shape != dist.log_weights.shape or not (np.abs(w - dist.weights) <= _SUM_TOL).all():
-            raise ValidationError("weights must equal exp(log_weights) atom by atom")
-        return dist
-    if kind == "gaussian_mixture":
-        try:
-            return GaussianMixturePair(
-                **{name: _real(payload[name], name) for name in ("mu", "sigma1", "sigma2", "p")}
-            )
-        except KeyError as exc:
-            raise ValidationError(f"gaussian_mixture JSON missing field {exc}") from exc
-    raise ValidationError(f"unknown distribution type {kind!r}")

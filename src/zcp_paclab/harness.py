@@ -250,11 +250,11 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
 # ---------------------------------------------------------------------------
 
 
-def wilson_upper(failures: int, trials: int, confidence: float = 0.99) -> float:
-    """One-sided Wilson score upper bound on a binomial proportion."""
+def wilson_upper(failures: int, trials: int) -> float:
+    """One-sided 99% Wilson score upper bound on a binomial proportion."""
     trials = _integer(trials, "trials", 1)
     failures = _integer(failures, "failures", 0, trials)
-    z = statistics.NormalDist().inv_cdf(_real(confidence, "confidence", 0.5, 1.0, open_high=True))
+    z = statistics.NormalDist().inv_cdf(0.99)
     p_hat = failures / trials
     z2n = z * z / trials
     center = p_hat + 0.5 * z2n
@@ -433,20 +433,15 @@ class ScalingTable:
     slopes: dict[str, float]
     expected_slopes: dict[str, float]
 
-    def max_slope_error(self) -> float:
-        return max(abs(self.slopes[k] - self.expected_slopes[k]) for k in self.slopes)
 
-
-def divergence_scaling_table(
-    u: float, d_values, *, ln_a_override: float | None = None
-) -> ScalingTable:
+def divergence_scaling_table(u: float, d_values) -> ScalingTable:
     """Exact KL / TV / ZCP(1) for the two-block instance along d_values."""
     ds = [_integer(d, "d_values", 4) for d in d_values]
     if len(ds) < 2 or any(d % 2 for d in ds) or any(b <= a for a, b in zip(ds, ds[1:])):
         raise ValidationError("d_values must be >= 4, even, strictly increasing, length >= 2")
     rows = []
     for d in ds:
-        p, q = multivariate_instance(d, u, ln_a_override=ln_a_override)
+        p, q = multivariate_instance(d, u)
         kl = kl_discrete(p, q)
         tv = tv_discrete(p, q)
         zcp1 = zcp_discrete(p, q, 1.0)
@@ -466,10 +461,7 @@ def divergence_scaling_table(
     slopes = {}
     for name in ("kl", "tv", "zcp1"):
         values = np.array([getattr(r, name) for r in top])
-        if (values <= 0).any():
-            slopes[name] = math.nan
-        else:
-            slopes[name] = float(np.polyfit(log_d, np.log(values), 1)[0])
+        slopes[name] = float(np.polyfit(log_d, np.log(values), 1)[0])
     expected = {"kl": 0.5 * u, "tv": -u, "zcp1": -0.25 * u}
     return ScalingTable(u=u, rows=tuple(rows), slopes=slopes, expected_slopes=expected)
 
@@ -600,19 +592,16 @@ class TightnessRow:
     ratio: float
 
 
-def tightness_comparison(
-    u: float, d_values, config: BoundConfig, *, ln_a_override: float | None = None
-) -> list[TightnessRow]:
+def tightness_comparison(u: float, d_values, config: BoundConfig) -> list[TightnessRow]:
     """Hoeffding-ZCP vs McAllester when the posterior/prior pair is the
     two-block instance: the ratio decays as d grows because ZCP scales like
-    d**(-u/4) while KL grows like d**(u/2).  With ln_a_override=0 the pair
-    is identical and the rows isolate the bounds' additive constants."""
+    d**(-u/4) while KL grows like d**(u/2)."""
     ds = [_integer(d, "d_values", 2) for d in d_values]
     if not ds or any(d % 2 for d in ds):
         raise ValidationError("d_values must be even integers >= 2")
     rows = []
     for d in ds:
-        p, q = multivariate_instance(d, u, ln_a_override=ln_a_override)
+        p, q = multivariate_instance(d, u)
         zcp = zcp_discrete(p, q, config.thm1_c)
         kl = kl_discrete(p, q)
         h = hoeffding_zcp_bound(zcp, config)

@@ -1,7 +1,7 @@
-"""Coin-betting wealth: fixed fractions, the hindsight optimum, and KT."""
+"""Coin-betting wealth: coin checks, the hindsight optimum, and KT."""
 
-import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,47 +13,45 @@ from zcp_paclab import (
     ValidationError,
     WealthTrace,
     kt_bettor,
-    kt_log_wealth,
-    log_wealth_fixed,
     max_log_wealth,
     mean_zero_coins,
-    ville_first_crossing,
     wealth_quadratic_lower,
 )
+from zcp_paclab import betting
 
 
-class TestLogWealthFixed:
+class TestCoinValidation:
+    @pytest.mark.parametrize("call", [max_log_wealth, kt_bettor, wealth_quadratic_lower])
+    @pytest.mark.parametrize("coins", [[], [[0.5]], [1.2], [math.nan]])
+    def test_invalid_coins(self, call, coins):
+        with pytest.raises(ValidationError):
+            call(coins)
+
+    @pytest.mark.parametrize("call", [max_log_wealth, kt_bettor, wealth_quadratic_lower])
+    @pytest.mark.parametrize("coins", [["a"], "ab", [{"x": 1}], [[0.5], [0.1, 0.2]]])
+    def test_non_numeric_coins_are_validation_errors(self, call, coins):
+        with pytest.raises(ValidationError, match="must be numeric"):
+            call(coins)
+
+
+class TestFixedBetLogWealth:
+    """The private ln W_n(beta) that max_log_wealth scores its candidates with."""
+
     def test_known_value(self):
         np.testing.assert_allclose(
-            log_wealth_fixed(0.5, [1.0, -1.0]),
+            betting._log_wealth(0.5, np.array([1.0, -1.0])),
             math.log(1.5) + math.log(0.5),
             rtol=1e-15,
         )
 
     def test_zero_bet_never_moves(self):
-        assert log_wealth_fixed(0.0, [1.0, -1.0, 0.3]) == 0.0
+        assert betting._log_wealth(0.0, np.array([1.0, -1.0, 0.3])) == 0.0
 
-    def test_exact_ruin_is_minus_inf(self):
-        assert log_wealth_fixed(1.0, [0.5, -1.0]) == -math.inf
-        assert log_wealth_fixed(-1.0, [1.0]) == -math.inf
-
-    @pytest.mark.parametrize("beta", [1.5, -1.01, math.nan, "x", math.inf, -math.inf])
-    def test_invalid_beta(self, beta):
-        with pytest.raises(ValidationError):
-            log_wealth_fixed(beta, [0.5])
-
-    @pytest.mark.parametrize("coins", [[], [[0.5]], [1.2], [math.nan]])
-    def test_invalid_coins(self, coins):
-        with pytest.raises(ValidationError):
-            log_wealth_fixed(0.5, coins)
-
-    @pytest.mark.parametrize(
-        "call", [functools.partial(log_wealth_fixed, 0.5), max_log_wealth, kt_log_wealth, kt_bettor]
-    )
-    @pytest.mark.parametrize("coins", [["a"], "ab", [{"x": 1}], [[0.5], [0.1, 0.2]]])
-    def test_non_numeric_coins_are_validation_errors(self, call, coins):
-        with pytest.raises(ValidationError, match="must be numeric"):
-            call(coins)
+    def test_exact_ruin_is_minus_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert betting._log_wealth(1.0, np.array([0.5, -1.0])) == -math.inf
+            assert betting._log_wealth(-1.0, np.array([1.0])) == -math.inf
 
 
 class TestMaxLogWealth:
@@ -100,7 +98,7 @@ def _assert_matches_bisection(coins):
     oracle_beta, oracle_value = bisect_max_log_wealth(coins)
     assert abs(beta - oracle_beta) <= 2e-12
     assert value >= oracle_value - 1e-13
-    assert value == log_wealth_fixed(beta, coins)
+    assert value == np.log1p(beta * coins).sum()
     if -1.0 < beta < 1.0 and beta != 0.0:  # an interior root of the derivative
         assert _slope(beta - 2e-12, coins) > 0.0 > _slope(beta + 2e-12, coins)
 
@@ -171,11 +169,6 @@ class TestKtBettor:
             trace = kt_bettor(random_coins(rng, max_n=16))
             assert trace.bets[0] == 0.0
             assert trace.log_wealth[0] == 0.0
-
-    def test_kt_log_wealth_matches_bettor(self):
-        rng = np.random.default_rng(33)
-        coins = random_coins(rng, max_n=64)
-        np.testing.assert_array_equal(kt_log_wealth(coins), kt_bettor(coins).log_wealth)
 
     def test_path_is_the_prefix_mean_recursion_bit_for_bit(self):
         rng = np.random.default_rng(37)
@@ -252,13 +245,13 @@ class TestMartingaleProperty:
         total = 0.0
         for heads in range(n + 1):
             coins = np.array([1.0] * heads + [-1.0] * (n - heads))
-            total += math.comb(n, heads) * 0.5**n * math.exp(kt_log_wealth(coins)[-1])
+            total += math.comb(n, heads) * 0.5**n * math.exp(kt_bettor(coins).log_wealth[-1])
         np.testing.assert_allclose(total, 1.0, rtol=1e-13)
 
     def test_wealth_order_independent_on_binary_coins(self):
         rng = np.random.default_rng(35)
         coins = np.array([1.0] * 5 + [-1.0] * 11)
-        values = {kt_log_wealth(rng.permutation(coins))[-1] for _ in range(25)}
+        values = {kt_bettor(rng.permutation(coins)).log_wealth[-1] for _ in range(25)}
         assert max(values) - min(values) < 1e-12
 
     def test_monte_carlo_mean_one_for_uniform_coins(self):
@@ -294,33 +287,3 @@ class TestMeanZeroCoins:
     def test_rejects_nonpositive_n(self, n):
         with pytest.raises(ValidationError):
             mean_zero_coins(n, 0)
-
-
-class TestVilleFirstCrossing:
-    @staticmethod
-    def _trace(log_wealth):
-        log_wealth = np.asarray(log_wealth, dtype=float)
-        n = log_wealth.size - 1
-        return WealthTrace(
-            coins=np.zeros(n),
-            bets=np.zeros(n),
-            log_wealth=log_wealth,
-            beta_star=0.0,
-            log_wealth_star=float(log_wealth.max()),
-        )
-
-    def test_first_crossing_is_one_based(self):
-        trace = self._trace([0.0, math.log(2.0), math.log(4.0)])
-        assert ville_first_crossing(trace, 0.5) == 1
-        assert ville_first_crossing(trace, 0.3) == 2
-        assert ville_first_crossing(trace, 0.2) is None
-
-    def test_flat_wealth_never_crosses(self):
-        trace = kt_bettor(np.zeros(10))
-        assert ville_first_crossing(trace, 0.99) is None
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, math.nan, "x", math.inf, -math.inf])
-    def test_delta_validation(self, delta):
-        trace = kt_bettor([0.5])
-        with pytest.raises(ValidationError):
-            ville_first_crossing(trace, delta)

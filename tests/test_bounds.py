@@ -262,12 +262,6 @@ class TestBoundReport:
         }
         assert self._report(p_mean=0.7).failures()["little_kl"] is True
 
-    def test_as_dict_round_trip(self):
-        report = self._report()
-        payload = report.as_dict()
-        assert payload["comp_n"] == 20.0
-        assert BoundReport(**payload) == report
-
 
 class TestAsymptoticsCheck:
     def test_identical_pair_reduces_to_constant(self):

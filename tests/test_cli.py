@@ -66,6 +66,24 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "error: ln(a) = d**(1.5*u) overflows" in err
 
+    @pytest.mark.parametrize("p", ["0", "-0.0", "1e-200", "1e-320"])
+    def test_bernoulli_p_whose_square_is_zero_is_one_error_line(self, capsys, p):
+        # the default ln_a = 1/p**2 has no finite value where p*p == 0
+        code, out, err = _run(capsys, ["instance", "--kind", "bernoulli", "--p", p])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.count("error:") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["1.6e-162", "1e-160", "7.4e-155", "-1e-160"])
+    def test_bernoulli_p_whose_inverse_square_overflows_names_the_default(self, capsys, p):
+        # p*p is nonzero here, but 1/p**2 overflows to inf
+        code, out, err = _run(capsys, ["instance", "--kind", "bernoulli", f"--p={p}"])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"error: --lna defaults to 1/p**2, which is not finite at p = {float(p)!r}" in err
+
     def test_unknown_divergence_kind(self, capsys):
         code, out, err = _run(capsys, ["divergence", "--kind", "bogus", "--p", "1", "--q", "1"])
         assert code == 1

@@ -5,6 +5,7 @@ only, the way trials were computed one by one; every engine report must
 equal it bit for bit.
 """
 
+import dataclasses
 import logging
 import math
 
@@ -75,7 +76,7 @@ def _oracle(instance, config, seed, trial):
 
 def _bits(report):
     """Every field's exact bits; also fails unless each field is a Python float."""
-    return [value.hex() for value in report.as_dict().values()]
+    return [value.hex() for value in dataclasses.asdict(report).values()]
 
 
 def _assert_engine_matches_oracle(instance, config, trials, seed):

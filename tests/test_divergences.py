@@ -39,6 +39,11 @@ from zcp_paclab import (
 P_HALF = make_discrete([0.5, 0.5])
 Q_QUARTER = make_discrete([0.25, 0.75])
 
+# P and Q weights in [1e-3, 1] on 2 to 16 shared atoms, as random_pair(max_support=16) draws
+_PAIRS = st.lists(st.tuples(*[st.floats(1e-3, 1.0)] * 2), min_size=2, max_size=16).map(
+    lambda atoms: tuple(map(make_discrete, zip(*atoms)))
+)
+
 
 class TestDiscreteKnownValues:
     def test_kl_two_atoms(self):
@@ -114,22 +119,20 @@ class TestDiscreteEdgeCases:
         near = renyi_discrete(P_HALF, Q_QUARTER, 1.0 + 1e-6)
         np.testing.assert_allclose(near, kl, rtol=1e-5)
 
-    def test_renyi_monotone_in_alpha(self):
-        rng = np.random.default_rng(20)
-        for _ in range(50):
-            p, q = random_pair(rng, max_support=16)
-            values = [renyi_discrete(p, q, a) for a in (0.5, 1.5, 2.0, 4.0)]
-            assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
+    @settings(max_examples=50, deadline=None)
+    @given(_PAIRS)
+    def test_renyi_monotone_in_alpha(self, pair):
+        values = [renyi_discrete(*pair, a) for a in (0.5, 1.5, 2.0, 4.0)]
+        assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
 
     def test_zcp_zero_c_is_zero(self):
         assert zcp_discrete(P_HALF, Q_QUARTER, 0.0) == 0.0
 
-    def test_zcp_monotone_in_c(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            p, q = random_pair(rng, max_support=16)
-            values = [zcp_discrete(p, q, c) for c in (0.0, 1.0, 10.0, 1e3, 1e6, 1e12)]
-            assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
+    @settings(max_examples=50, deadline=None)
+    @given(_PAIRS)
+    def test_zcp_monotone_in_c(self, pair):
+        values = [zcp_discrete(*pair, c) for c in (0.0, 1.0, 10.0, 1e3, 1e6, 1e12)]
+        assert all(b - a >= -1e-12 for a, b in zip(values, values[1:]))
 
     def test_zcp_negative_c_rejected(self):
         with pytest.raises(ValidationError):
@@ -185,14 +188,12 @@ class TestLittleKl:
         values = [little_kl_inverse_upper(0.2, b) for b in budgets]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(23)
-        for _ in range(2000):
-            p_hat = rng.uniform(0.0, 0.8)
-            budget = rng.uniform(1e-6, 2.0)
-            q = little_kl_inverse_upper(p_hat, budget)
-            if q < 1.0:
-                np.testing.assert_allclose(little_kl(p_hat, q), budget, rtol=0, atol=1e-10)
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(0.0, 0.8), st.floats(1e-6, 2.0))
+    def test_round_trip(self, p_hat, budget):
+        q = little_kl_inverse_upper(p_hat, budget)
+        if q < 1.0:
+            np.testing.assert_allclose(little_kl(p_hat, q), budget, rtol=0, atol=1e-10)
 
     def test_validation_inverse(self):
         with pytest.raises(ValidationError):

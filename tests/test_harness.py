@@ -16,12 +16,14 @@ from zcp_paclab import (
     coverage_reports,
     divergence_scaling_table,
     gaussian_instance_check,
+    hoeffding_zcp_bound,
     learning_instance_from_dict,
     expected_sample_variance,
+    kt_bettor,
     make_discrete,
+    mcallester_baseline,
     run_coverage,
     sample_variance_from_sums,
-    kt_log_wealth,
     mean_zero_coins,
     tightness_comparison,
     ville_experiment,
@@ -255,6 +257,9 @@ class TestInstanceFromDict:
             {"m": -1},
             {"m": 4, "eta": math.inf},
             {"m": 4, "eta": math.nan},
+            {"m": None},
+            {"m": 4, "eta": None},
+            {"m": 4, "prior": None},
         ],
     )
     def test_rejects_malformed_payloads(self, payload):
@@ -300,8 +305,6 @@ class TestWilsonUpper:
             wilson_upper(5, 4)
         with pytest.raises(ValidationError):
             wilson_upper(0, 0)
-        with pytest.raises(ValidationError):
-            wilson_upper(0, 10, confidence=1.0)
 
 
 class TestCoverage:
@@ -356,7 +359,7 @@ class TestScalingTable:
     def test_slopes_match_theory(self):
         table = divergence_scaling_table(1.0, [16, 32, 64, 128, 256])
         assert table.expected_slopes == {"kl": 0.5, "tv": -1.0, "zcp1": -0.25}
-        assert table.max_slope_error() < 0.01
+        assert max(abs(table.slopes[k] - table.expected_slopes[k]) for k in table.slopes) < 0.01
 
     def test_ratio_columns_converge_to_constants(self):
         table = divergence_scaling_table(1.0, [64, 128, 256])
@@ -369,11 +372,12 @@ class TestScalingTable:
         for row in table.rows:
             assert row.zcp1 <= zcp1_upper_bound_kl_tv(row.kl, row.tv) + 1e-9
 
-    def test_override_zero_collapses_to_identical_pairs(self):
-        table = divergence_scaling_table(1.0, [16, 32], ln_a_override=0.0)
-        for row in table.rows:
-            assert row.kl == row.tv == row.zcp1 == 0.0
-        assert all(math.isnan(s) for s in table.slopes.values())
+    @pytest.mark.parametrize("u", [1e-3, 0.25, 1.0, 2.0, 4.0])
+    def test_every_divergence_is_positive_so_every_slope_is_finite(self, u):
+        # ln a = d**(1.5u) >= 1 keeps KL, TV and ZCP(1) above 0 at every d
+        table = divergence_scaling_table(u, [4, 16, 64, 256, 1024])
+        assert all(min(row.kl, row.tv, row.zcp1) > 0.0 for row in table.rows)
+        assert all(math.isfinite(slope) for slope in table.slopes.values())
 
     @pytest.mark.parametrize(
         "u, d_values",
@@ -444,6 +448,9 @@ class TestVilleExperiment:
             {"n": 10, "delta_values": [0.1], "paths": 999},
             {"n": 10, "delta_values": [], "paths": 1000},
             {"n": 10, "delta_values": [1.0], "paths": 1000},
+            {"n": 10, "delta_values": [0.0], "paths": 1000},
+            {"n": 10, "delta_values": [-0.1], "paths": 1000},
+            {"n": 10, "delta_values": [-math.inf], "paths": 1000},
             {"n": math.inf, "delta_values": [0.1], "paths": 1000},
             {"n": 2.5, "delta_values": [0.1], "paths": 1000},
             {"n": "x", "delta_values": [0.1], "paths": 1000},
@@ -461,7 +468,8 @@ class TestVilleExperiment:
 
 def _path_by_path_crossings(n, deltas, paths, seed):
     """Crossing counts from one public KT wealth path per sample path."""
-    peaks = [kt_log_wealth(mean_zero_coins(n, seed, path))[1:].max() for path in range(paths)]
+    rows = (mean_zero_coins(n, seed, path) for path in range(paths))
+    peaks = [kt_bettor(row).log_wealth[1:].max() for row in rows]
     return [sum(peak >= -math.log(delta) for peak in peaks) for delta in deltas]
 
 
@@ -495,7 +503,7 @@ class TestVilleEngine:
         bets, log_wealth = betting._kt_rows(block)
         for row, row_bets, row_log_wealth in zip(block, bets, log_wealth):
             trace = betting.kt_bettor(row)
-            assert row_log_wealth.tobytes() == kt_log_wealth(row).tobytes()
+            assert row_log_wealth.tobytes() == trace.log_wealth.tobytes()
             assert row_bets.tobytes() == trace.bets.tobytes()
 
 
@@ -509,9 +517,9 @@ class TestTightnessComparison:
 
     def test_identical_pair_isolates_the_constants(self):
         config = BoundConfig(n=10**6, delta=0.05)
-        (row,) = tightness_comparison(1.0, [64], config, ln_a_override=0.0)
-        assert row.mcallester < row.hoeffding_zcp < 0.01
-        assert row.ratio > 1.0
+        hoeffding, mcallester = hoeffding_zcp_bound(0.0, config), mcallester_baseline(0.0, config)
+        assert mcallester < hoeffding < 0.01
+        assert hoeffding / mcallester > 1.0
 
     def test_tiny_sample_is_vacuous_on_both_sides(self):
         (row,) = tightness_comparison(1.0, [64], BoundConfig(n=4, delta=0.05))

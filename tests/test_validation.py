@@ -7,7 +7,6 @@ in their module's tests; this file holds the rest as one table.
 """
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -25,11 +24,9 @@ from zcp_paclab import (
     asymptotics_inequality_check,
     complexity_term,
     coverage_reports,
-    density_ratio_log,
     divergence_gaussian,
     empirical_bernstein_bound,
     fenchel_dual_bound,
-    from_json,
     gaussian_instance,
     gaussian_instance_check,
     hoeffding_zcp_bound,
@@ -67,15 +64,11 @@ def _instance(m=2):
     return LearningInstance(m, make_discrete([1.0, 1.0]), LossKind.ABS_DISTANCE, GibbsPosterior(1.0))
 
 
-def _mixture_json(**fields):
-    return json.dumps({"type": "gaussian_mixture", "mu": 0.0, "sigma1": 1.0, "sigma2": 0.1,
-                       "p": 0.5, **fields})
-
-
-# Values every real argument refuses, whatever its interval
-_NOT_REAL = ("x", NAN)
+# Values every real argument refuses, whatever its interval; None is never
+# read as "use the default"
+_NOT_REAL = ("x", NAN, None)
 # An integer argument also refuses infinities and 2.5
-_NOT_INT = ("x", NAN, INF, -INF, 2.5)
+_NOT_INT = ("x", NAN, None, INF, -INF, 2.5)
 
 # name -> (call taking the value under test, values it must refuse)
 _TABLE = {
@@ -95,13 +88,6 @@ _TABLE = {
     "QuadratureConfig.max_subdivisions": (
         lambda v: QuadratureConfig(max_subdivisions=v), _NOT_INT
     ),
-    "multivariate_instance.ln_a_override": (
-        lambda v: multivariate_instance(8, 1.0, ln_a_override=v), (*_NOT_REAL, INF, -INF)
-    ),
-    "density_ratio_log.x": (lambda v: density_ratio_log(_PAIR, v), (*_NOT_REAL, INF, -INF)),
-    "from_json.mu": (lambda v: from_json(_mixture_json(mu=v)), (*_NOT_REAL, [1], None)),
-    "from_json.sigma1": (lambda v: from_json(_mixture_json(sigma1=v)), (*_NOT_REAL, [1], None)),
-    "from_json.p": (lambda v: from_json(_mixture_json(p=v)), (*_NOT_REAL, [1], None)),
     "renyi_discrete.alpha": (lambda v: renyi_discrete(_P, _Q, v), (*_NOT_REAL, INF, -INF)),
     "zcp_discrete.c": (lambda v: zcp_discrete(_P, _Q, v), (*_NOT_REAL, INF, -INF)),
     "little_kl.p_hat": (lambda v: little_kl(v, 0.5), (*_NOT_REAL, INF, -INF)),
@@ -183,7 +169,6 @@ _TABLE = {
     ),
     "wilson_upper.failures": (lambda v: wilson_upper(v, 10), (*_NOT_INT, 1.5)),
     "wilson_upper.trials": (lambda v: wilson_upper(0, v), _NOT_INT),
-    "wilson_upper.confidence": (lambda v: wilson_upper(0, 10, v), (*_NOT_REAL, INF, -INF)),
     "coverage_reports.trials": (
         lambda v: next(coverage_reports(_instance(), _CONFIG, v, 0)), _NOT_INT
     ),

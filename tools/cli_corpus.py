@@ -151,6 +151,7 @@ _OUT_OF_RANGE = (
     ("betting", "--n", "5", "--seed", "-1"),
     ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
     ("scaling", "--u", "100"),
+    *(("instance", "--kind", "bernoulli", "--p", p) for p in ("0", "-0.0", "1e-200", "1e-320", "1e-160")),
 )
 
 
