@@ -39,8 +39,7 @@ __all__ = [
     "AsymptoticsCheck",
     "asymptotics_inequality_check",
     "fenchel_dual_bound",
-    "InequalityResult",
-    "InequalityReport",
+    "CheckRow",
     "analytic_inequality_suite",
 ]
 
@@ -300,27 +299,18 @@ def _max_linear_log_barrier(a, b):
 
 
 @dataclass(frozen=True)
-class InequalityResult:
+class CheckRow:
+    """One fuzzed inequality: its smallest slack and how many draws violate it."""
+
+    check: str
     worst_slack: float
     violations: int
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    """Fuzz results for the three analytic lemmas behind the bounds."""
-
-    trials: int
-    tolerance: float
-    results: dict[str, InequalityResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.violations == 0 for r in self.results.values())
+    passed: bool
 
 
 def analytic_inequality_suite(
     trials: int = 100_000, seed: int = 0, tolerance: float = 1e-9
-) -> InequalityReport:
+) -> list[CheckRow]:
     """Fuzz the three analytic lemmas the bound proofs lean on.
 
     1. ln(1 + beta x) >= beta x + (ln(1 - |beta|) + |beta|) x^2 on
@@ -330,7 +320,8 @@ def analytic_inequality_suite(
        |y| sqrt(a ln(1 + a y^2 / b^2)) - b.
 
     Slack is bound minus quantity it must dominate (nonnegative when the
-    lemma holds); a violation is slack < -tolerance.
+    lemma holds); a violation is slack < -tolerance.  One CheckRow per
+    lemma, passed when it has no violation.
     """
     trials = _integer(trials, "trials", 1)
     tolerance = _real(tolerance, "tolerance", 0.0, math.inf)
@@ -354,14 +345,12 @@ def analytic_inequality_suite(
     fy[:: max(trials // 100, 1)] = 0.0
     fenchel_slack = fenchel_dual_bound(fa, fb, fy) - _gaussian_potential_conjugate(fa, fb, fy)
 
-    results = {}
+    rows = []
     for name, slack in (
         ("fan_log_quadratic", fan_slack),
         ("max_linear_log_barrier", barrier_slack),
         ("fenchel_dual", fenchel_slack),
     ):
-        results[name] = InequalityResult(
-            worst_slack=float(slack.min()),
-            violations=int((slack < -tolerance).sum()),
-        )
-    return InequalityReport(trials=trials, tolerance=tolerance, results=results)
+        violations = int((slack < -tolerance).sum())
+        rows.append(CheckRow(name, float(slack.min()), violations, violations == 0))
+    return rows

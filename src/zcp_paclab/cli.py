@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .betting import kt_bettor, max_log_wealth, mean_zero_coins, wealth_quadratic_lower
-from .bounds import BoundConfig, analytic_inequality_suite, asymptotics_inequality_check
+from .bounds import BoundConfig, CheckRow, analytic_inequality_suite, asymptotics_inequality_check
 from .distributions import (
     _multivariate_ln_a, bernoulli_instance, gaussian_instance, make_discrete, multivariate_instance
 )
@@ -85,18 +85,8 @@ def _require_flags(args: argparse.Namespace, *flags: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _plain(value):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _fmt(value) -> str:
-    value = _plain(value)
+    """The text of one plain cell: None, a bool, an int, a float or a str."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -108,7 +98,6 @@ def _fmt(value) -> str:
 
 def _json_value(value):
     """A plain value; a non-finite float becomes the text the CSV prints."""
-    value = _plain(value)
     return _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
@@ -316,20 +305,8 @@ def _cmd_bound(args) -> tuple[dict, dict, bool | None]:
 def _cmd_coverage(args) -> tuple[dict, dict, bool | None]:
     config, instance, summary = _bound_inputs(args)
     report = run_coverage(instance, config, args.trials, args.seed)
-    rows = [
-        {
-            "bound": name,
-            "failures": report.failures_per_bound[name],
-            "trials": report.trials,
-            "failure_rate": report.empirical_failure_rate[name],
-            "wilson_upper_99": report.wilson_upper_99[name],
-            "budget": report.delta_budget,
-            "passed": report.passed(name),
-        }
-        for name in report.failures_per_bound
-    ]
-    summary.update(trials=report.trials, seed=args.seed, all_passed=report.all_passed)
-    return _table(rows), summary, report.all_passed
+    summary.update(trials=args.trials, seed=args.seed, all_passed=report.all_passed)
+    return _table(report.rows), summary, report.all_passed
 
 
 def _cmd_scaling(args) -> tuple[dict, dict, bool | None]:
@@ -354,20 +331,10 @@ def _cmd_ville(args) -> tuple[dict, dict, bool | None]:
     return _table(rows), summary, all_ok
 
 
-def _check_row(check: str, worst_slack: float, violations: int) -> dict:
-    return dict(check=check, worst_slack=worst_slack, violations=violations, passed=violations == 0)
-
-
-def _inequality_rows(args) -> tuple[list[dict], dict, bool]:
-    report = analytic_inequality_suite(trials=args.trials, seed=args.seed, tolerance=1e-9)
-    rows = [_check_row(name, r.worst_slack, r.violations) for name, r in report.results.items()]
-    summary = {"trials": report.trials, "tolerance": report.tolerance, "all_passed": report.ok}
-    return rows, summary, report.ok
-
-
 def _cmd_inequalities(args) -> tuple[dict, dict, bool | None]:
-    rows, summary, passed = _inequality_rows(args)
-    return _table(rows), summary, passed
+    rows = analytic_inequality_suite(trials=args.trials, seed=args.seed, tolerance=1e-9)
+    passed = all(row.passed for row in rows)
+    return _table(rows), {"trials": args.trials, "tolerance": 1e-9, "all_passed": passed}, passed
 
 
 def _asymptotics_fuzz(rng: np.random.Generator):
@@ -394,7 +361,7 @@ def _betting_fuzz(rng: np.random.Generator):
         yield slack, f"sequence={index},n={trace.n}", slack < -1e-12
 
 
-def _fuzz_row(check: str, results) -> dict:
+def _fuzz_row(check: str, results) -> CheckRow:
     """The check row of (slack, where, violated) fuzz results; stderr names the worst one."""
     worst_slack, worst_at, violations = math.inf, "", 0
     for slack, where, violated in results:
@@ -403,19 +370,19 @@ def _fuzz_row(check: str, results) -> dict:
         violations += violated
     if violations:
         print(f"self-check: {check} violated at {worst_at}", file=sys.stderr)
-    return _check_row(check, worst_slack, violations)
+    return CheckRow(check, worst_slack, violations, violations == 0)
 
 
 def _cmd_self_check(args) -> tuple[dict, dict, bool | None]:
-    rows = _inequality_rows(args)[0]
+    rows = analytic_inequality_suite(trials=args.trials, seed=args.seed, tolerance=1e-9)
     rng = np.random.default_rng((args.seed, 1))
     rows.append(_fuzz_row("asymptotics_surrogate", _asymptotics_fuzz(rng)))
     rng = np.random.default_rng((args.seed, 2))
     rows.append(_fuzz_row("betting_invariants", _betting_fuzz(rng)))
-    all_ok = all(row["passed"] for row in rows)
+    all_ok = all(row.passed for row in rows)
     for row in rows:
-        if not row["passed"]:
-            message = f"self-check failure: {row['check']} worst_slack={_fmt(row['worst_slack'])}"
+        if not row.passed:
+            message = f"self-check failure: {row.check} worst_slack={_fmt(row.worst_slack)}"
             print(message, file=sys.stderr)
     summary = {"trials": args.trials, "seed": args.seed, "all_passed": all_ok}
     return _table(rows), summary, all_ok

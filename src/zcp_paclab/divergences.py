@@ -160,7 +160,12 @@ def _zcp_terms(lp: np.ndarray, lq: np.ndarray, c: float) -> np.ndarray:
     """q |r - 1| sqrt(ln(1 + c^2 (r - 1)^2)) per atom, r = p/q; no atom may have q = 0 < p."""
     both_zero = (lp == -np.inf) & (lq == -np.inf)
     ln_t = _log_abs_expm1(np.where(both_zero, 0.0, lp - lq))
-    return _abs_diff_of_exps(lp, lq) * np.sqrt(_log1p_sq(ln_t, c))
+    with np.errstate(over="ignore"):  # 2 ln(ct) overflows once ln(ct) > 8.9e307
+        root = np.sqrt(_log1p_sq(ln_t, c))
+    wide = np.isinf(root) & np.isfinite(ln_t)  # there sqrt(ln(1 + (ct)^2)) = sqrt(2) sqrt(ln(ct))
+    if wide.any():
+        root[wide] = math.sqrt(2.0) * np.sqrt(math.log(c) + ln_t[wide])
+    return _abs_diff_of_exps(lp, lq) * root
 
 
 # ---------------------------------------------------------------------------

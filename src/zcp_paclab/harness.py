@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import logging
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -64,6 +63,7 @@ __all__ = [
     "GibbsPosterior",
     "LearningInstance",
     "learning_instance_from_dict",
+    "CoverageRow",
     "CoverageReport",
     "coverage_reports",
     "run_coverage",
@@ -250,15 +250,18 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
 # ---------------------------------------------------------------------------
 
 
+# the 0.99 quantile of the standard normal, statistics.NormalDist().inv_cdf(0.99)
+_Z99 = 2.3263478740408408
+
+
 def wilson_upper(failures: int, trials: int) -> float:
     """One-sided 99% Wilson score upper bound on a binomial proportion."""
     trials = _integer(trials, "trials", 1)
     failures = _integer(failures, "failures", 0, trials)
-    z = statistics.NormalDist().inv_cdf(0.99)
     p_hat = failures / trials
-    z2n = z * z / trials
+    z2n = _Z99 * _Z99 / trials
     center = p_hat + 0.5 * z2n
-    radius = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + 0.25 * z2n / trials)
+    radius = _Z99 * math.sqrt(p_hat * (1.0 - p_hat) / trials + 0.25 * z2n / trials)
     return min(1.0, (center + radius) / (1.0 + z2n))
 
 
@@ -348,26 +351,32 @@ def coverage_reports(
 
 
 @dataclass(frozen=True)
+class CoverageRow:
+    """One bound's failure count and its Wilson-upper PASS verdict."""
+
+    bound: str
+    failures: int
+    trials: int
+    failure_rate: float
+    wilson_upper_99: float
+    budget: float
+    passed: bool
+
+
+@dataclass(frozen=True)
 class CoverageReport:
-    """Failure counts per bound plus the Wilson-upper PASS verdicts.
+    """One CoverageRow per bound, in BOUND_NAMES order.
 
     ``failure_events`` retains every (trial index, bound name, full
     BoundReport) triple for post-mortem inspection; counting is exact.
     """
 
-    trials: int
-    delta_budget: float
-    failures_per_bound: dict[str, int]
-    empirical_failure_rate: dict[str, float]
-    wilson_upper_99: dict[str, float]
+    rows: tuple[CoverageRow, ...]
     failure_events: tuple[tuple[int, str, BoundReport], ...]
-
-    def passed(self, bound: str) -> bool:
-        return self.wilson_upper_99[bound] <= self.delta_budget
 
     @property
     def all_passed(self) -> bool:
-        return all(self.passed(name) for name in self.failures_per_bound)
+        return all(row.passed for row in self.rows)
 
 
 def run_coverage(
@@ -383,24 +392,24 @@ def run_coverage(
     counts = dict.fromkeys(BOUND_NAMES, 0)
     events = []
     for first, block in _blocks(instance, config, trials, _integer(seed, "seed", 0)):
+        failed = _failures(**block)
         # a BoundReport only for a trial that some bound fails
-        for row in np.flatnonzero(np.logical_or.reduce(list(_failures(**block).values()))):
+        for row in np.flatnonzero(np.logical_or.reduce(list(failed.values()))):
             report = BoundReport(**{name: float(values[row]) for name, values in block.items()})
             trial = first + int(row)
-            for name, failed in report.failures().items():
-                if failed:
+            for name, mask in failed.items():
+                if mask[row]:
                     counts[name] += 1
                     events.append((trial, name, report))
                     logger.warning(
                         "coverage failure: bound=%s trial=%d report=%r", name, trial, report)
-    return CoverageReport(
-        trials=trials,
-        delta_budget=2.0 * config.delta,
-        failures_per_bound=counts,
-        empirical_failure_rate={k: v / trials for k, v in counts.items()},
-        wilson_upper_99={k: wilson_upper(v, trials) for k, v in counts.items()},
-        failure_events=tuple(events),
-    )
+    budget = 2.0 * config.delta
+    rows = []
+    for name, count in counts.items():
+        upper = wilson_upper(count, trials)
+        rows.append(
+            CoverageRow(name, count, trials, count / trials, upper, budget, upper <= budget))
+    return CoverageReport(tuple(rows), tuple(events))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +580,7 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
                 delta=delta,
                 crossings=int(crossed),
                 paths=paths,
-                rate=crossed / paths,
+                rate=int(crossed) / paths,
                 wilson_upper_99=upper,
                 passed=upper <= delta,
             )

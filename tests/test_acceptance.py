@@ -256,17 +256,17 @@ def test_criterion_08_coverage(capsys):
             {"m": 50, "loss": "abs", "posterior": "gibbs", "eta": 5.0}
         )
         abs_report = run_coverage(abs_instance, config, trials=2000, seed=3)
+        abs_rows = {row.bound: row for row in abs_report.rows}
         for name in ("hoeffding_zcp", "mcallester", "emp_bernstein"):
-            assert abs_report.passed(name), (name, abs_report.wilson_upper_99[name])
+            assert abs_rows[name].passed, (name, abs_rows[name].wilson_upper_99)
         bern_instance = learning_instance_from_dict(
             {"m": 50, "loss": "bernoulli", "posterior": "gibbs", "eta": 5.0}
         )
         bern_report = run_coverage(bern_instance, config, trials=2000, seed=3)
-        assert bern_report.passed("little_kl"), bern_report.wilson_upper_99["little_kl"]
+        bern_kl = {row.bound: row for row in bern_report.rows}["little_kl"]
+        assert bern_kl.passed, bern_kl.wilson_upper_99
         elapsed = time.perf_counter() - start
-        failures = sum(abs_report.failures_per_bound.values()) + sum(
-            bern_report.failures_per_bound.values()
-        )
+        failures = sum(row.failures for row in (*abs_report.rows, *bern_report.rows))
         note = f"2x2000 trials, {failures} bound failures total; {elapsed:.0f}s"
         assert elapsed < 600.0
         ok = True
@@ -293,11 +293,11 @@ def test_criterion_10_analytic_lemmas(capsys):
     ok, note = False, ""
     start = time.perf_counter()
     try:
-        report = analytic_inequality_suite(trials=100_000, seed=0, tolerance=1e-6)
-        for name, result in report.results.items():
-            assert result.violations == 0, (name, result)
+        rows = analytic_inequality_suite(trials=100_000, seed=0, tolerance=1e-6)
+        for row in rows:
+            assert row.violations == 0, row
         elapsed = time.perf_counter() - start
-        worst = min(result.worst_slack for result in report.results.values())
+        worst = min(row.worst_slack for row in rows)
         note = f"100000 draws, worst slack {worst:+.2e}; {elapsed:.1f}s"
         assert elapsed < 60.0
         ok = True

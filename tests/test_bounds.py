@@ -372,16 +372,16 @@ class TestPrivateHelpers:
 
 class TestAnalyticInequalitySuite:
     def test_no_violations_and_tight_slacks(self):
-        report = analytic_inequality_suite(trials=20_000, seed=7)
-        assert report.ok
-        assert set(report.results) == {
+        rows = analytic_inequality_suite(trials=20_000, seed=7)
+        assert all(row.passed for row in rows)
+        assert [row.check for row in rows] == [
             "fan_log_quadratic",
             "max_linear_log_barrier",
             "fenchel_dual",
-        }
-        for result in report.results.values():
-            assert result.violations == 0
-            assert result.worst_slack >= -1e-9
+        ]
+        for row in rows:
+            assert row.violations == 0
+            assert row.worst_slack >= -1e-9
 
     def test_deterministic_for_fixed_seed(self):
         first = analytic_inequality_suite(trials=5000, seed=11)

@@ -15,7 +15,7 @@ import pytest
 
 import zcp_paclab
 from zcp_paclab import cli
-from zcp_paclab.bounds import InequalityReport, InequalityResult
+from zcp_paclab.bounds import CheckRow
 
 
 def _run(capsys, argv):
@@ -205,7 +205,7 @@ class TestOutputContract:
 
 _MIXED_CELLS = [
     0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.1, np.float64(-2.5),
-    True, False, np.bool_(True), None, 3, -(10**30), np.int64(-7), "text",
+    True, False, None, 3, -(10**30), -7, "text",
 ]
 
 
@@ -244,7 +244,9 @@ class TestColumnRenderer:
         ],
     )
     def test_typed_columns_render_as_fmt(self, column):
-        assert self._csv_cells({"x": column}) == [[cli._fmt(v)] for v in column]
+        # an array column is read as the Python values of its tolist()
+        cells = column.tolist() if isinstance(column, np.ndarray) else column
+        assert self._csv_cells({"x": column}) == [[cli._fmt(v)] for v in cells]
 
     def test_float_column_over_random_bit_patterns(self):
         bits = np.random.default_rng(38).integers(0, 2**64, 20_000, dtype=np.uint64)
@@ -257,7 +259,7 @@ class TestColumnRenderer:
             "floats": np.linspace(-1.0, 1.0, len(_MIXED_CELLS)),
             "ints": range(len(_MIXED_CELLS)),
         }
-        summary = {"seed": 1, "value": math.inf, "flag": np.bool_(False)}
+        summary = {"seed": 1, "value": math.inf, "flag": False}
         assert cli._render_json(table, summary) == _row_by_row_json(table, summary)
 
     def test_rows_line_up_across_columns(self):
@@ -480,11 +482,7 @@ class TestVerificationCommands:
         assert "betting_invariants" in checks
 
     def test_self_check_fault_exits_two(self, capsys, monkeypatch):
-        broken = InequalityReport(
-            trials=10,
-            tolerance=1e-9,
-            results={"fan_log_quadratic": InequalityResult(worst_slack=-1.0, violations=3)},
-        )
+        broken = [CheckRow("fan_log_quadratic", worst_slack=-1.0, violations=3, passed=False)]
         monkeypatch.setattr(cli, "analytic_inequality_suite", lambda **kwargs: broken)
         code, out, err = _run(capsys, ["self-check", "--trials", "10"])
         assert code == 2

@@ -149,8 +149,9 @@ class TestBlocks:
         with caplog.at_level(logging.WARNING, logger="zcp_paclab.harness"):
             result = run_coverage(instance, _CONFIG, 200, 3)
         assert result.failure_events == expected
-        assert 0 < result.failures_per_bound["hoeffding_zcp"] < 200
-        assert sum(result.failures_per_bound.values()) == len(expected) == len(caplog.records)
+        failures = {row.bound: row.failures for row in result.rows}
+        assert 0 < failures["hoeffding_zcp"] < 200
+        assert sum(failures.values()) == len(expected) == len(caplog.records)
         assert all(type(trial) is int for trial, _, _ in result.failure_events)
 
 

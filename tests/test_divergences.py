@@ -152,6 +152,17 @@ class TestDiscreteEdgeCases:
         )
         np.testing.assert_allclose(zcp_discrete(p, q, 1e6), expected_big, rtol=1e-13)
 
+    @pytest.mark.parametrize("p", [0.1, 1e-154])
+    def test_zcp_finite_where_twice_the_log_ratio_overflows(self, p):
+        # ln a = 1e308: 2 ln(r - 1) overflows, while its root sqrt(2) sqrt(ln(r - 1)) does not
+        from zcp_paclab import bernoulli_instance
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = zcp_discrete(*bernoulli_instance(p, 1e308), 1.0)
+        expected = p * math.sqrt(2.0) * math.sqrt(1e308)  # p sqrt(2 ln a)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestLittleKl:
     def test_known_values(self):

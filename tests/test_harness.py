@@ -1,6 +1,8 @@
 """Learning instances, Monte Carlo coverage, and the verification tables."""
 
+import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ import pytest
 from zcp_paclab import (
     BoundConfig,
     CoverageReport,
+    CoverageRow,
     FixedPosterior,
     GibbsPosterior,
     LearningInstance,
     LossKind,
     ValidationError,
+    analytic_inequality_suite,
     coverage_reports,
     divergence_scaling_table,
     gaussian_instance_check,
@@ -296,6 +300,9 @@ class TestWilsonUpper:
         expected = (0.5 * z2n + z * math.sqrt(0.25 * z2n / 100.0)) / (1.0 + z2n)
         np.testing.assert_allclose(wilson_upper(0, 100), expected, rtol=1e-12)
 
+    def test_z99_is_the_normal_quantile(self):
+        assert harness._Z99 == statistics.NormalDist().inv_cdf(0.99)
+
     def test_monotone_in_failures(self):
         values = [wilson_upper(k, 200) for k in range(0, 201, 20)]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -325,34 +332,53 @@ class TestCoverage:
     def test_report_accounting(self):
         inst = _instance(loss=LossKind.BERNOULLI)
         report = run_coverage(inst, BoundConfig(n=50, delta=0.05), 100, 3)
-        assert report.trials == 100
-        assert report.delta_budget == 0.1
-        assert set(report.failures_per_bound) == {
+        assert all(row.trials == 100 for row in report.rows)
+        assert all(row.budget == 0.1 for row in report.rows)
+        assert [row.bound for row in report.rows] == [
             "hoeffding_zcp",
             "mcallester",
             "emp_bernstein",
             "little_kl",
-        }
-        assert len(report.failure_events) == sum(report.failures_per_bound.values())
-        for name, count in report.failures_per_bound.items():
-            assert report.empirical_failure_rate[name] == count / 100
-            assert report.wilson_upper_99[name] == wilson_upper(count, 100)
+        ]
+        assert len(report.failure_events) == sum(row.failures for row in report.rows)
+        for row in report.rows:
+            assert row.failure_rate == row.failures / 100
+            assert row.wilson_upper_99 == wilson_upper(row.failures, 100)
 
-    def test_pass_verdicts_follow_wilson(self):
-        report = CoverageReport(
-            trials=1000,
-            delta_budget=0.1,
-            failures_per_bound={"a": 0, "b": 500},
-            empirical_failure_rate={"a": 0.0, "b": 0.5},
-            wilson_upper_99={"a": 0.005, "b": 0.54},
-            failure_events=(),
-        )
-        assert report.passed("a") and not report.passed("b")
+    def test_pass_verdicts_follow_wilson(self, monkeypatch):
+        # a zero Hoeffding bound fails every trial with a positive gap, far beyond 2 delta
+        monkeypatch.setattr(harness, "_hoeffding_zcp", lambda d_zcp, config: np.zeros_like(d_zcp))
+        report = run_coverage(_instance(), BoundConfig(n=50, delta=0.05), 100, 3)
+        verdicts = {row.bound: row.passed for row in report.rows}
+        assert verdicts["mcallester"] and not verdicts["hoeffding_zcp"]
+        for row in report.rows:
+            assert row.passed == (row.wilson_upper_99 <= row.budget)
         assert not report.all_passed
+        rows = (
+            CoverageRow("a", 0, 1000, 0.0, 0.005, 0.1, True),
+            CoverageRow("b", 500, 1000, 0.5, 0.54, 0.1, False),
+        )
+        assert CoverageReport(rows[:1], ()).all_passed
+        assert not CoverageReport(rows, ()).all_passed
 
     def test_trials_floor(self):
         with pytest.raises(ValidationError):
             run_coverage(_instance(), BoundConfig(n=50, delta=0.05), 99, 0)
+
+
+class TestPlainRows:
+    def test_row_fields_are_python_scalars(self):
+        # the CLI renders these rows as they are, so no numpy scalar may sit in one
+        rows = [
+            *run_coverage(_instance(), BoundConfig(n=50, delta=0.05), 100, 3).rows,
+            *ville_experiment(50, [0.1, 0.05], 1000, 0),
+            *gaussian_instance_check([0.1], 0.75),
+            *divergence_scaling_table(1.0, [16, 32, 64, 128]).rows,
+            *analytic_inequality_suite(trials=1000, seed=0),
+        ]
+        for row in rows:
+            for name, value in dataclasses.asdict(row).items():
+                assert type(value) in (bool, int, float, str), (type(row).__name__, name, value)
 
 
 class TestScalingTable:

@@ -17,6 +17,8 @@ what a reworded message now says.  An exception that escapes ``cli.run``
 ``raised:<type>``.  The corpus has two parts: GOLDEN, valid runs of every
 subcommand at the benchmark shapes, and INVALID, flags that must be refused
 (NaN and infinities for every float flag, and out-of-range integers).
+``--config`` cases read the files of CONFIGS, written to a temporary
+directory; their argvs print that directory as ``<config-dir>``.
 
 ``--check`` also exits 1 when the corpus shows a fault on its own: a case
 that raised, a GOLDEN argv that exits nonzero, or an INVALID argv that exits
@@ -32,11 +34,27 @@ import contextlib
 import hashlib
 import io
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 _COVERAGE = ("--n", "1000", "--eta", "5", "--delta", "0.05", "--alpha", "2")
 _P, _Q = ("--p", "0.5,0.3,0.2,0"), ("--q", "0.25,0.25,0.25,0.25")
+
+# --config file name -> its text
+CONFIGS = {
+    "flags.json": '{"n": 200, "m": 8, "loss": "bernoulli", "trials": 100, "seed": 3}',
+    "list.json": '{"n": 50, "delta": [0.1, 0.05], "paths": 1000}',
+    "instance.json": '{"n": 200, "instance": {"m": 3, "prior": [1, 2, 3], "posterior": "fixed"}}',
+    "unknown.json": '{"n": 200, "bogus": 1}',
+    "null.json": '{"n": 200, "delta": null}',
+    "malformed.json": '{"n": 200,',
+}
+_CONFIG_DIR = "<config-dir>"
+
+
+def _config(name: str) -> tuple[str, str]:
+    return "--config", f"{_CONFIG_DIR}/{name}"
 
 
 def _golden() -> list[tuple[str, ...]]:
@@ -72,6 +90,7 @@ def _golden() -> list[tuple[str, ...]]:
         ("gaussian-check", "--exponent", "0.75", "--p", "0.3,0.1"),
         ("instance", "--kind", "bernoulli", "--p", "0.1"),
         ("instance", "--kind", "bernoulli", "--p", "0.2", "--lna", "3"),
+        ("instance", "--kind", "bernoulli", "--p", "1e-154"),  # 2 ln(1/p**2) overflows
         ("instance", "--kind", "multivariate", "--d", "16", "--u", "1"),
         ("instance", "--kind", "gaussian", "--mixture-p", "0.1"),
         ("divergence", "--kind", "kl", *_P, *_Q),
@@ -97,6 +116,12 @@ def _golden() -> list[tuple[str, ...]]:
         ("ville", "--n", "1000", "--paths", paths, "--seed", "1") for paths in ("1003", "1004", "1005")
     ]
     argvs.append(("ville", "--n", "5000", "--paths", "1000", "--seed", "1"))  # one path per block
+    argvs += [
+        ("coverage", *_config("flags.json")),
+        ("coverage", *_config("flags.json"), "--loss", "abs"),  # an explicit flag wins
+        ("ville", *_config("list.json")),
+        ("bound", *_config("instance.json")),
+    ]
     return argvs
 
 
@@ -149,6 +174,9 @@ _OUT_OF_RANGE = (
     ("coverage", "--n", "100", "--m", "8", "--trials", "100", "--seed", "-1"),
     ("self-check", "--trials", "10", "--seed", "-1"),
     ("betting", "--n", "5", "--seed", "-1"),
+    ("bound", *_config("unknown.json")),
+    ("bound", *_config("null.json")),
+    ("bound", *_config("malformed.json")),
     ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
     ("scaling", "--u", "100"),
     *(("instance", "--kind", "bernoulli", "--p", p) for p in ("0", "-0.0", "1e-200", "1e-320", "1e-160")),
@@ -169,7 +197,8 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"{category.__name__}: {message}", file=sys.stderr)
 
 
-def _run(cli, argv: tuple[str, ...]) -> tuple[str, str, str]:
+def _run(cli, argv: tuple[str, ...], config_dir: str) -> tuple[str, str, str]:
+    argv = tuple(arg.replace(_CONFIG_DIR, config_dir) for arg in argv)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -192,15 +221,19 @@ def main() -> None:
     warnings.simplefilter("always")  # a warning shows on every run, whatever ran before
     warnings.showwarning = _show_warning
     faults = []
-    for golden, argvs in ((True, _golden()), (False, _invalid())):
-        for argv in argvs:
-            for fmt in ((), ("--format", "json")):
-                code, out, err = _run(cli, (*argv, *fmt))
-                shown = repr(err) if args.show_stderr else _sha(err)
-                line = f"{code} {_sha(out)} {shown} {' '.join((*argv, *fmt))}"
-                print(line)
-                if code.startswith("raised:") or (code != "0" if golden else code == "0" or out):
-                    faults.append(line)
+    with tempfile.TemporaryDirectory(prefix="cli-corpus-") as config_dir:
+        for name, text in CONFIGS.items():
+            Path(config_dir, name).write_text(text, encoding="utf-8")
+        for golden, argvs in ((True, _golden()), (False, _invalid())):
+            for argv in argvs:
+                for fmt in ((), ("--format", "json")):
+                    code, out, err = _run(cli, (*argv, *fmt), config_dir)
+                    shown = repr(err) if args.show_stderr else _sha(err)
+                    line = f"{code} {_sha(out)} {shown} {' '.join((*argv, *fmt))}"
+                    print(line)
+                    wrong_exit = code != "0" if golden else code == "0" or out
+                    if code.startswith("raised:") or wrong_exit:
+                        faults.append(line)
     if args.check and faults:
         print(f"{len(faults)} faulty cases:", *faults, sep="\n", file=sys.stderr)
         sys.exit(1)
