@@ -109,16 +109,13 @@ def _cells(values):
 def _column_csv(values) -> tuple[str, object]:
     """(%-format, values) of one column: each value formats to the text ``_fmt`` gives it.
 
-    A float64 array, or a column of Python floats only or of Python ints only,
-    is formatted as it is; any other column is formatted by ``_fmt`` first.
+    A float64 array, or a column of Python ints only, is formatted as it is;
+    any other column is formatted by ``_fmt`` first.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         return "%.17g", values
     values = _cells(values)
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return "%.17g", values
-    if kinds == {int}:
+    if set(map(type, values)) == {int}:
         return "%d", values
     return "%s", [_fmt(value) for value in values]
 
@@ -152,16 +149,17 @@ def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".zcp-paclab-", suffix=".tmp")
+    directory, tmp_path = os.path.dirname(out_path) or ".", None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".zcp-paclab-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp_path, out_path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file: {exc.strerror}: {out_path!r}") from None
+    finally:
+        if tmp_path is not None and os.path.exists(tmp_path):  # not renamed
             os.unlink(tmp_path)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -172,28 +170,27 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
-    try:
-        kind = DivergenceKind(args.kind)
-    except ValueError:
-        valid = ", ".join(k.value for k in DivergenceKind)
-        raise ValidationError(f"--kind must be one of {valid}, got {args.kind!r}") from None
-    if kind is DivergenceKind.RENYI:
+    kind = args.kind
+    kinds = [k.value for k in DivergenceKind] + ["little_kl"]  # little_kl takes two numbers
+    if kind not in kinds:
+        raise ValidationError(f"--kind must be one of {', '.join(kinds)}, got {kind!r}")
+    if kind == "renyi":
         _require_flags(args, "alpha")
-    if kind is DivergenceKind.ZCP:
+    if kind == "zcp":
         _require_flags(args, "c")
 
-    if kind is DivergenceKind.LITTLE_KL:
+    if kind == "little_kl":
         if args.p is None or args.q is None or len(args.p) != 1 or len(args.q) != 1:
             raise ValidationError("little_kl takes one number for each of --p and --q")
         value, abs_error = little_kl(args.p[0], args.q[0]), 0.0
     elif args.p is not None or args.q is not None:
         _require_flags(args, "p", "q")
         p, q = make_discrete(args.p), make_discrete(args.q)
-        if kind is DivergenceKind.KL:
+        if kind == "kl":
             value = kl_discrete(p, q)
-        elif kind is DivergenceKind.TV:
+        elif kind == "tv":
             value = tv_discrete(p, q)
-        elif kind is DivergenceKind.RENYI:
+        elif kind == "renyi":
             value = renyi_discrete(p, q, args.alpha)
         else:
             value = zcp_discrete(p, q, args.c)
@@ -205,9 +202,7 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
     else:
         raise ValidationError("divergence needs either --p/--q weights or --mixture-p")
 
-    row = dict(
-        kind=kind.value, alpha=args.alpha, c=args.c, value=value, abs_error_estimate=abs_error
-    )
+    row = dict(kind=kind, alpha=args.alpha, c=args.c, value=value, abs_error_estimate=abs_error)
     return _table([row]), {"seed": args.seed}, None
 
 

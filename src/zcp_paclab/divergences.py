@@ -52,22 +52,14 @@ class DivergenceKind(enum.Enum):
     TV = "tv"
     RENYI = "renyi"
     ZCP = "zcp"
-    LITTLE_KL = "little_kl"
 
 
 @dataclass(frozen=True)
 class DivergenceValue:
-    """A computed divergence plus the parameters that define it.
+    """A divergence computed by quadrature and its absolute error estimate."""
 
-    ``abs_error`` is the quadrature error estimate (0 for exact discrete
-    computations).
-    """
-
-    kind: DivergenceKind
     value: float
-    alpha: float | None = None
-    c: float | None = None
-    abs_error: float = 0.0
+    abs_error: float
 
 
 @dataclass(frozen=True)
@@ -505,8 +497,6 @@ def divergence_gaussian(
             kind = DivergenceKind(kind)
         except ValueError as exc:
             raise ValidationError(f"unknown divergence kind {kind!r}") from exc
-    if kind is DivergenceKind.LITTLE_KL:
-        raise ValidationError("little_kl is a scalar divergence; call little_kl directly")
     if kind is DivergenceKind.RENYI:
         alpha = _real(alpha, "alpha", 0.0, math.inf, open_low=True, open_high=True)
         if alpha == 1.0:
@@ -522,7 +512,7 @@ def divergence_gaussian(
         # far out p^alpha q^(1 - alpha) ~ exp(tail * x^2), so tail >= 0 diverges
         tail = (alpha - 1.0) / (2.0 * pair.sigma2**2) - alpha / (2.0 * pair.sigma1**2)
         if tail >= 0.0:
-            return DivergenceValue(kind, math.inf, alpha=alpha, abs_error=0.0)
+            return DivergenceValue(math.inf, 0.0)
 
     f = _integrand(pair, kind, alpha, c)
     edges = _panel_edges(pair, config.half_width_in_sigma1)
@@ -545,5 +535,5 @@ def divergence_gaussian(
             raise NumericalError("Renyi integral underflowed to a nonpositive value")
         renyi = math.log(value) / (alpha - 1.0)
         renyi_err = err / (abs(alpha - 1.0) * value)
-        return DivergenceValue(kind, renyi, alpha=alpha, abs_error=renyi_err)
-    return DivergenceValue(kind, value, alpha=alpha, c=c, abs_error=err)
+        return DivergenceValue(renyi, renyi_err)
+    return DivergenceValue(value, err)

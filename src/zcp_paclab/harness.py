@@ -108,7 +108,7 @@ class GibbsPosterior:
 
 @dataclass(frozen=True)
 class LearningInstance:
-    """Finite-grid learning problem with losses in [0, 1].
+    """Learning problem with losses in [0, 1] on the m atoms of the prior's grid.
 
     ABS_DISTANCE: one shared uniform sample X_i in [0, 1], loss
     |j/m - X_i| with exact true mean (j/m)^2 - j/m + 1/2.  BERNOULLI: atom
@@ -116,19 +116,16 @@ class LearningInstance:
     sample vector, the loss being the observed bit.
     """
 
-    theta_count: int
     prior: DiscreteDistribution
     loss_kind: LossKind
     posterior_rule: FixedPosterior | GibbsPosterior
     bernoulli_means: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        m = _integer(self.theta_count, "theta_count", 1, _MAX_ATOMS)
-        if self.prior.support_size != m:
-            raise ValidationError("prior support must equal theta_count")
+        m = _integer(self.theta_count, "prior support size", 1, _MAX_ATOMS)
         if isinstance(self.posterior_rule, FixedPosterior):
             if self.posterior_rule.distribution.support_size != m:
-                raise ValidationError("fixed posterior support must equal theta_count")
+                raise ValidationError("fixed posterior support must equal prior support")
         elif not isinstance(self.posterior_rule, GibbsPosterior):
             raise ValidationError("posterior_rule must be FixedPosterior or GibbsPosterior")
         if self.loss_kind is LossKind.BERNOULLI:
@@ -142,6 +139,11 @@ class LearningInstance:
             object.__setattr__(self, "bernoulli_means", means)
         elif self.bernoulli_means is not None:
             raise ValidationError("bernoulli_means only applies to BERNOULLI losses")
+
+    @property
+    def theta_count(self) -> int:
+        """m, the number of atoms: the prior's support size."""
+        return self.prior.support_size
 
     @property
     def atom_positions(self) -> np.ndarray:
@@ -228,6 +230,8 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     except ValueError:
         raise ValidationError(f"unknown loss kind {loss_name!r}") from None
     prior = make_discrete(payload["prior"]) if "prior" in payload else make_discrete(np.ones(m))
+    if prior.support_size != m:
+        raise ValidationError("prior support must equal m")
     rule_name = payload.get("posterior", "gibbs")
     if rule_name == "gibbs":
         rule: FixedPosterior | GibbsPosterior = GibbsPosterior(payload.get("eta", 1.0))
@@ -237,7 +241,6 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     else:
         raise ValidationError(f"unknown posterior rule {rule_name!r}")
     return LearningInstance(
-        theta_count=m,
         prior=prior,
         loss_kind=loss,
         posterior_rule=rule,
@@ -329,11 +332,10 @@ def _trial_block(
     return fields
 
 
-def _blocks(instance: LearningInstance, config: BoundConfig, trials: int, seed: int):
-    """(first trial, ``_trial_block``) for consecutive blocks of ``trials`` trials."""
-    rows = max(1, _BLOCK_ENTRIES // instance.theta_count)
-    for first in range(0, trials, rows):
-        yield first, _trial_block(instance, config, range(first, min(first + rows, trials)), seed)
+def _blocks(count: int, width: int) -> Iterator[range]:
+    """Consecutive ranges of rows 0 .. count - 1, each of max(1, _BLOCK_ENTRIES // width) rows."""
+    rows = max(1, _BLOCK_ENTRIES // width)
+    return (range(first, min(first + rows, count)) for first in range(0, count, rows))
 
 
 def coverage_reports(
@@ -345,7 +347,8 @@ def coverage_reports(
     be reproduced independently.
     """
     seed = _integer(seed, "seed", 0)
-    for _, block in _blocks(instance, config, _integer(trials, "trials", 1), seed):
+    for trial_range in _blocks(_integer(trials, "trials", 1), instance.theta_count):
+        block = _trial_block(instance, config, trial_range, seed)
         for row in zip(*(values.tolist() for values in block.values())):
             yield BoundReport(**dict(zip(block, row)))
 
@@ -388,15 +391,16 @@ def run_coverage(
     failure rate is at most 2*delta (both theorems spend at most 2*delta
     of failure probability).
     """
-    trials = _integer(trials, "trials", 100)
+    trials, seed = _integer(trials, "trials", 100), _integer(seed, "seed", 0)
     counts = dict.fromkeys(BOUND_NAMES, 0)
     events = []
-    for first, block in _blocks(instance, config, trials, _integer(seed, "seed", 0)):
+    for trial_range in _blocks(trials, instance.theta_count):
+        block = _trial_block(instance, config, trial_range, seed)
         failed = _failures(**block)
         # a BoundReport only for a trial that some bound fails
         for row in np.flatnonzero(np.logical_or.reduce(list(failed.values()))):
             report = BoundReport(**{name: float(values[row]) for name, values in block.items()})
-            trial = first + int(row)
+            trial = trial_range[row]
             for name, mask in failed.items():
                 if mask[row]:
                     counts[name] += 1
@@ -433,11 +437,10 @@ class ScalingTable:
     """Divergences along a dimension sweep plus fitted log-log slopes.
 
     ``slopes`` are ordinary least squares fits of ln(value) against ln(d)
-    over the top half of the grid, to be compared against the expected
-    exponents (u/2, -u, -u/4).
+    over the top half of the grid, and over at least its last two points,
+    to be compared against the expected exponents (u/2, -u, -u/4).
     """
 
-    u: float
     rows: tuple[ScalingRow, ...]
     slopes: dict[str, float]
     expected_slopes: dict[str, float]
@@ -465,14 +468,14 @@ def divergence_scaling_table(u: float, d_values) -> ScalingTable:
                 zcp1_ratio=zcp1 / d ** (-0.25 * u),
             )
         )
-    top = rows[len(rows) // 2 :]
+    top = rows[min(len(rows) // 2, len(rows) - 2) :]
     log_d = np.log([r.d for r in top])
     slopes = {}
     for name in ("kl", "tv", "zcp1"):
         values = np.array([getattr(r, name) for r in top])
         slopes[name] = float(np.polyfit(log_d, np.log(values), 1)[0])
     expected = {"kl": 0.5 * u, "tv": -u, "zcp1": -0.25 * u}
-    return ScalingTable(u=u, rows=tuple(rows), slopes=slopes, expected_slopes=expected)
+    return ScalingTable(rows=tuple(rows), slopes=slopes, expected_slopes=expected)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +569,7 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
         raise ValidationError("delta values must lie in (0, 1)")
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
-    per_block = max(1, _BLOCK_ENTRIES // n)
-    for first in range(0, paths, per_block):
-        block_paths = range(first, min(first + per_block, paths))
+    for block_paths in _blocks(paths, n):
         block = np.array([_coin_row(n, seed, path) for path in block_paths])
         peaks = _kt_rows(block)[1][:, 1:].max(axis=1)
         crossings += (peaks[:, None] >= thresholds).sum(axis=0)

@@ -290,6 +290,18 @@ class TestAtomicOutput:
         assert code == 0
         assert json.loads(target.read_text())["summary"]["beta_star"] >= 0.0
 
+    @pytest.mark.parametrize("target", ["outdir", "missing/x.csv", ""])
+    def test_unwritable_out_exits_one(self, target, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the temp file of each target would sit here
+        (tmp_path / "outdir").mkdir()
+        code, out, err = _run(capsys, ["betting", "--coins", "0.5", "--out", target])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("zcp-paclab betting: error: cannot write output file: ")
+        assert err.endswith(f"{target!r}\n") and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["outdir"]  # no .zcp-paclab-*.tmp left behind
+        assert os.listdir(tmp_path / "outdir") == []
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
@@ -382,6 +394,24 @@ class TestConfigFile:
         assert out == ""
         assert "must be numeric" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            ({"m": 4, "prior": [1, 2, 3]}, "prior support must equal m"),
+            (
+                {"m": 2, "posterior": "fixed", "fixed_weights": [1, 2, 3]},
+                "fixed posterior support must equal prior support",
+            ),
+        ],
+    )
+    def test_instance_support_sizes_must_agree(self, instance, message, tmp_path, capsys):
+        config = tmp_path / "inst.json"
+        config.write_text(json.dumps({"instance": instance}))
+        code, out, err = _run(capsys, ["bound", "--n", "20", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err == f"zcp-paclab bound: error: {message}\n"
 
     def test_config_supplies_required_flag(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -105,7 +105,7 @@ class TestEngineMatchesOracle:
     def test_undominated_fixed_posterior_is_vacuous(self):
         prior = make_discrete([0.0] + [1.0] * 49)
         rule = FixedPosterior(make_discrete(np.ones(50)))
-        instance = LearningInstance(50, prior, harness.LossKind.ABS_DISTANCE, rule)
+        instance = LearningInstance(prior, harness.LossKind.ABS_DISTANCE, rule)
         reports = _assert_engine_matches_oracle(instance, _CONFIG, 4, seed=5)
         for report in reports:
             assert report.d_kl == report.d_alpha == math.inf

@@ -451,7 +451,7 @@ class TestQuadrature:
         # truncated integral is finite (732.6 at 20 sigma1) but the true one is not
         pair = gaussian_instance(0.2, 1.0, 1.0)
         result = divergence_gaussian(pair, "renyi", alpha=1.05)
-        assert result == DivergenceValue(DivergenceKind.RENYI, math.inf, alpha=1.05, abs_error=0.0)
+        assert result == DivergenceValue(math.inf, 0.0)
         # just below the threshold alpha = 1/(1 - p^2) the integral converges
         assert math.isfinite(divergence_gaussian(pair, "renyi", alpha=1.04).value)
 
@@ -523,7 +523,9 @@ class TestQuadrature:
         by_enum = divergence_gaussian(pair, DivergenceKind.TV)
         by_name = divergence_gaussian(pair, "tv")
         assert by_enum.value == by_name.value
-        with pytest.raises(ValidationError):
+        # the enum holds the pair divergences; the scalar little_kl is not one
+        assert [k.value for k in DivergenceKind] == ["kl", "tv", "renyi", "zcp"]
+        with pytest.raises(ValidationError, match="unknown divergence kind 'little_kl'"):
             divergence_gaussian(pair, "little_kl")
         with pytest.raises(ValidationError):
             divergence_gaussian(pair, "zcp")  # missing c

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from zcp_paclab import betting, harness
 
 def _instance(m=8, loss=LossKind.ABS_DISTANCE, rule=None, **kwargs):
     return LearningInstance(
-        theta_count=m,
         prior=make_discrete(np.ones(m)),
         loss_kind=loss,
         posterior_rule=rule or GibbsPosterior(5.0),
@@ -120,13 +120,11 @@ class TestLearningInstance:
             _instance(**kwargs)
 
     def test_prior_support_must_match(self):
-        with pytest.raises(ValidationError):
-            LearningInstance(
-                theta_count=4,
-                prior=make_discrete([0.5, 0.5]),
-                loss_kind=LossKind.ABS_DISTANCE,
-                posterior_rule=GibbsPosterior(1.0),
-            )
+        # a config gives m and the prior apart, so learning_instance_from_dict checks them
+        with pytest.raises(ValidationError, match="^prior support must equal m$"):
+            learning_instance_from_dict({"m": 4, "prior": [0.5, 0.5]})
+        with pytest.raises(ValidationError, match="^prior support must equal m$"):
+            learning_instance_from_dict({"m": 2, "prior": [1, 2, 3], "posterior": "fixed"})
 
     def test_draw_losses_rejects_bad_n(self):
         with pytest.raises(ValidationError):
@@ -397,6 +395,17 @@ class TestScalingTable:
         table = divergence_scaling_table(1.0, [16, 32, 64, 128])
         for row in table.rows:
             assert row.zcp1 <= zcp1_upper_bound_kl_tv(row.kl, row.tv) + 1e-9
+
+    @pytest.mark.parametrize("d_values", [[4, 6], [4, 8], [16, 256]])
+    def test_two_point_sweep_fits_the_line_through_both(self, d_values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a one-point fit warns that it is poorly conditioned
+            table = divergence_scaling_table(1.0, d_values)
+        first, last = table.rows
+        for name in ("kl", "tv", "zcp1"):
+            rise = math.log(getattr(last, name)) - math.log(getattr(first, name))
+            expected = rise / (math.log(last.d) - math.log(first.d))
+            assert abs(table.slopes[name] - expected) <= 1e-12, name
 
     @pytest.mark.parametrize("u", [1e-3, 0.25, 1.0, 2.0, 4.0])
     def test_every_divergence_is_positive_so_every_slope_is_finite(self, u):

@@ -30,6 +30,7 @@ from zcp_paclab import (
     gaussian_instance,
     gaussian_instance_check,
     hoeffding_zcp_bound,
+    learning_instance_from_dict,
     little_kl,
     little_kl_inverse_upper,
     little_kl_mean_bound,
@@ -60,8 +61,8 @@ _PAIR = gaussian_instance(0.1, 1.0, 1.0)
 _CONFIG = BoundConfig(100, 0.05)
 
 
-def _instance(m=2):
-    return LearningInstance(m, make_discrete([1.0, 1.0]), LossKind.ABS_DISTANCE, GibbsPosterior(1.0))
+def _instance():
+    return LearningInstance(make_discrete([1.0, 1.0]), LossKind.ABS_DISTANCE, GibbsPosterior(1.0))
 
 
 # Values every real argument refuses, whatever its interval; None is never
@@ -73,7 +74,7 @@ _NOT_INT = ("x", NAN, None, INF, -INF, 2.5)
 # name -> (call taking the value under test, values it must refuse)
 _TABLE = {
     "GibbsPosterior.eta": (GibbsPosterior, (*_NOT_REAL, INF, -INF)),
-    "LearningInstance.theta_count": (_instance, _NOT_INT),
+    "learning_instance_from_dict.m": (lambda v: learning_instance_from_dict({"m": v}), _NOT_INT),
     "LearningInstance.draw_losses.n": (
         lambda v: _instance().draw_losses(v, np.random.default_rng(0)), _NOT_INT
     ),

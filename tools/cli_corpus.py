@@ -18,10 +18,12 @@ what a reworded message now says.  An exception that escapes ``cli.run``
 subcommand at the benchmark shapes, and INVALID, flags that must be refused
 (NaN and infinities for every float flag, and out-of-range integers).
 ``--config`` cases read the files of CONFIGS, written to a temporary
-directory; their argvs print that directory as ``<config-dir>``.
+directory, and ``--out`` cases write under it; their argvs and stderr print
+that directory as ``<config-dir>``.
 
 ``--check`` also exits 1 when the corpus shows a fault on its own: a case
-that raised, a GOLDEN argv that exits nonzero, or an INVALID argv that exits
+that raised, a GOLDEN argv that exits nonzero or prints a Python warning
+(a ``<Category>: <message>`` line on stderr), or an INVALID argv that exits
 0 or prints to stdout.  A continuous-integration job runs it that way:
 
     python tools/cli_corpus.py --src src --check > /dev/null
@@ -46,6 +48,7 @@ CONFIGS = {
     "flags.json": '{"n": 200, "m": 8, "loss": "bernoulli", "trials": 100, "seed": 3}',
     "list.json": '{"n": 50, "delta": [0.1, 0.05], "paths": 1000}',
     "instance.json": '{"n": 200, "instance": {"m": 3, "prior": [1, 2, 3], "posterior": "fixed"}}',
+    "mismatch.json": '{"n": 200, "instance": {"m": 4, "prior": [1, 2, 3]}}',
     "unknown.json": '{"n": 200, "bogus": 1}',
     "null.json": '{"n": 200, "delta": null}',
     "malformed.json": '{"n": 200,',
@@ -85,7 +88,8 @@ def _golden() -> list[tuple[str, ...]]:
     argvs += [
         ("scaling",),
         ("scaling", "--u", "0.5", "--d", "8,16,32,64"),
-        ("scaling", "--d", "4,8"),  # one point per slope fit: numpy warns on stderr
+        ("scaling", "--d", "4,8"),  # each slope is fitted through both points
+        ("scaling", "--d", "4,6"),
         ("gaussian-check",),
         ("gaussian-check", "--exponent", "0.75", "--p", "0.3,0.1"),
         ("instance", "--kind", "bernoulli", "--p", "0.1"),
@@ -177,6 +181,9 @@ _OUT_OF_RANGE = (
     ("bound", *_config("unknown.json")),
     ("bound", *_config("null.json")),
     ("bound", *_config("malformed.json")),
+    ("bound", *_config("mismatch.json")),  # the prior has 3 atoms, m is 4
+    ("betting", "--n", "5", "--out", _CONFIG_DIR),  # a directory
+    ("betting", "--n", "5", "--out", f"{_CONFIG_DIR}/missing/x.csv"),
     ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
     ("scaling", "--u", "100"),
     *(("instance", "--kind", "bernoulli", "--p", p) for p in ("0", "-0.0", "1e-200", "1e-320", "1e-160")),
@@ -192,21 +199,29 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    # no file path or line number, so both checkouts print the same text
-    print(f"{category.__name__}: {message}", file=sys.stderr)
+def _run(cli, argv: tuple[str, ...], config_dir: str) -> tuple[str, str, str, bool]:
+    """(exit code, stdout, stderr, whether a warning was shown) of one argv.
 
-
-def _run(cli, argv: tuple[str, ...], config_dir: str) -> tuple[str, str, str]:
+    stderr names the config directory as the argvs do.
+    """
     argv = tuple(arg.replace(_CONFIG_DIR, config_dir) for arg in argv)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    shown = []
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        # no file path or line number, so both checkouts print the same text
+        print(f"{category.__name__}: {message}", file=sys.stderr)
+        shown.append(category)
+
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning shows on every run, whatever ran before
+        warnings.showwarning = show_warning
         try:
             code = str(cli.run(list(argv)))
         except Exception as exc:  # an escaped exception is what the corpus must show
             code = f"raised:{type(exc).__name__}"
             print(exc, file=sys.stderr)
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue().replace(config_dir, _CONFIG_DIR), bool(shown)
 
 
 def main() -> None:
@@ -218,8 +233,6 @@ def main() -> None:
     sys.path.insert(0, str(Path(args.src).resolve()))
     from zcp_paclab import cli
 
-    warnings.simplefilter("always")  # a warning shows on every run, whatever ran before
-    warnings.showwarning = _show_warning
     faults = []
     with tempfile.TemporaryDirectory(prefix="cli-corpus-") as config_dir:
         for name, text in CONFIGS.items():
@@ -227,12 +240,12 @@ def main() -> None:
         for golden, argvs in ((True, _golden()), (False, _invalid())):
             for argv in argvs:
                 for fmt in ((), ("--format", "json")):
-                    code, out, err = _run(cli, (*argv, *fmt), config_dir)
+                    code, out, err, warned = _run(cli, (*argv, *fmt), config_dir)
                     shown = repr(err) if args.show_stderr else _sha(err)
                     line = f"{code} {_sha(out)} {shown} {' '.join((*argv, *fmt))}"
                     print(line)
-                    wrong_exit = code != "0" if golden else code == "0" or out
-                    if code.startswith("raised:") or wrong_exit:
+                    fault = code != "0" or warned if golden else code == "0" or out
+                    if code.startswith("raised:") or fault:
                         faults.append(line)
     if args.check and faults:
         print(f"{len(faults)} faulty cases:", *faults, sep="\n", file=sys.stderr)
