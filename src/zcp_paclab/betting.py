@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _as_floats, _integer
+from .errors import ValidationError, _floats, _integer
 
 __all__ = [
     "WealthTrace",
@@ -23,14 +23,6 @@ __all__ = [
     "wealth_quadratic_lower",
     "mean_zero_coins",
 ]
-
-def _validate_coins(coins) -> np.ndarray:
-    arr = _as_floats(coins, "coins")
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValidationError("coins must be a nonempty 1-d sequence")
-    if np.isnan(arr).any() or (np.abs(arr) > 1.0).any():
-        raise ValidationError("coins must lie in [-1, 1]")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ def max_log_wealth(coins) -> tuple[float, float]:
     candidate is then compared against both endpoints and beta = 0, which
     also guarantees ln W*_n >= 0.
     """
-    arr = _validate_coins(coins)
+    arr = _floats(coins, "coins", -1.0, 1.0, ndim=1)
     if not arr.any():
         return 0.0, 0.0
     with np.errstate(divide="ignore"):  # a +-1 coin makes an endpoint slope infinite
@@ -139,7 +131,7 @@ def kt_bettor(coins) -> WealthTrace:
     beta_1 = 0 and |beta_t| < 1 always, so the wealth never ruins.  The
     returned trace also carries the hindsight-optimal (beta*, ln W*).
     """
-    arr = _validate_coins(coins)
+    arr = _floats(coins, "coins", -1.0, 1.0, ndim=1)
     bets, log_wealth = _kt_rows(arr)
     beta_star, log_wealth_star = max_log_wealth(arr)
     return WealthTrace(
@@ -153,7 +145,7 @@ def kt_bettor(coins) -> WealthTrace:
 
 def wealth_quadratic_lower(coins) -> float:
     """Lower bound ln W*_n >= (sum c_t)^2 / (4 n)."""
-    arr = _validate_coins(coins)
+    arr = _floats(coins, "coins", -1.0, 1.0, ndim=1)
     total = float(arr.sum())
     return total * total / (4.0 * arr.size)
 

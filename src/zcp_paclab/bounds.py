@@ -23,7 +23,7 @@ from .divergences import (
     tv_discrete,
     zcp_discrete,
 )
-from .errors import ValidationError, _as_floats, _integer, _real
+from .errors import ValidationError, _floats, _integer, _real
 
 __all__ = [
     "BoundConfig",
@@ -161,14 +161,10 @@ def expected_sample_variance(losses: np.ndarray, posterior: DiscreteDistribution
     their squares (``sample_variance_from_sums``) rather than the
     quadratic double sum.
     """
-    arr = np.asarray(losses, dtype=float)
-    if arr.ndim != 2:
-        raise ValidationError("losses must be an (n, m) matrix")
+    arr = _floats(losses, "losses", 0.0, 1.0, ndim=2)
     n, m = arr.shape
     if m != posterior.support_size:
         raise ValidationError("losses column count must match the posterior support")
-    if np.isnan(arr).any() or (arr < 0.0).any() or (arr > 1.0).any():
-        raise ValidationError("losses must lie in [0, 1]")
     per_atom = sample_variance_from_sums(arr.sum(axis=0), (arr * arr).sum(axis=0), n)
     return float(posterior.weights @ per_atom)
 
@@ -264,12 +260,9 @@ def asymptotics_inequality_check(
 def fenchel_dual_bound(a, b, y):
     """Upper bound |y| sqrt(a ln(1 + a y^2/b^2)) - b on the conjugate of
     F*(x) = b exp(x^2 / (2a)); numbers or arrays, elementwise."""
-    a, b, y = (_as_floats(v, name) for v, name in ((a, "a"), (b, "b"), (y, "y")))
-    for name, v in (("a", a), ("b", b)):
-        if not (np.isfinite(v) & (v > 0.0)).all():
-            raise ValidationError(f"{name} must be finite and > 0")
-    if not np.isfinite(y).all():
-        raise ValidationError("y must be finite")
+    a = _floats(a, "a", 0.0, math.inf, open_low=True, open_high=True)
+    b = _floats(b, "b", 0.0, math.inf, open_low=True, open_high=True)
+    y = _floats(y, "y", open_low=True, open_high=True)
     return np.abs(y) * np.sqrt(a * np.log1p(a * y * y / (b * b))) - b
 
 

@@ -174,10 +174,11 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
     kinds = [k.value for k in DivergenceKind] + ["little_kl"]  # little_kl takes two numbers
     if kind not in kinds:
         raise ValidationError(f"--kind must be one of {', '.join(kinds)}, got {kind!r}")
-    if kind == "renyi":
-        _require_flags(args, "alpha")
-    if kind == "zcp":
-        _require_flags(args, "c")
+    for flag, owner in (("alpha", "renyi"), ("c", "zcp")):
+        if kind == owner:
+            _require_flags(args, flag)
+        elif getattr(args, flag) is not None:
+            raise ValidationError(f"{flag} is only meaningful for {owner.upper()}, not {kind}")
 
     if kind == "little_kl":
         if args.p is None or args.q is None or len(args.p) != 1 or len(args.q) != 1:
@@ -256,7 +257,7 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
 
 def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
     if args.coins is not None:
-        coins = np.asarray(args.coins)
+        coins = args.coins
     elif args.n is not None:
         coins = mean_zero_coins(args.n, args.seed)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _as_floats, _integer, _real
+from .errors import ValidationError, _floats, _integer, _real
 
 __all__ = [
     "DiscreteDistribution",
@@ -45,11 +45,7 @@ class DiscreteDistribution:
     log_weights: np.ndarray
 
     def __post_init__(self) -> None:
-        lw = _as_floats(self.log_weights, "log_weights").copy()
-        if lw.ndim != 1 or lw.size < 1:
-            raise ValidationError("log_weights must be a nonempty 1-d vector")
-        if np.isnan(lw).any() or (lw == np.inf).any():
-            raise ValidationError("log_weights must be < +inf and not NaN")
+        lw = _floats(self.log_weights, "log_weights", high=math.inf, open_high=True, ndim=1).copy()
         _summing_to_one(np.exp(lw))
         lw.setflags(write=False)
         object.__setattr__(self, "log_weights", lw)
@@ -77,11 +73,10 @@ def _summing_to_one(w: np.ndarray) -> np.ndarray:
 
 def make_discrete(weights) -> DiscreteDistribution:
     """Normalize a nonnegative weight vector into a DiscreteDistribution."""
-    w = _as_floats(weights, "weights")
-    if w.ndim != 1 or w.size < 1:
-        raise ValidationError("weights must be a nonempty 1-d vector")
-    if np.isnan(w).any() or np.isinf(w).any() or (w < 0).any():
-        raise ValidationError("weights must be finite and nonnegative")
+    w = _floats(weights, "weights", 0.0, math.inf, open_high=True, ndim=1)
+    with np.errstate(over="ignore"):
+        if w.sum() == math.inf:  # finite weights whose sum overflows: scale by the largest
+            w = w / w.max()
     total = float(w.sum())
     if total <= 0.0:
         raise ValidationError("weights must have positive total mass")
@@ -97,9 +92,7 @@ def from_log_weights(log_weights) -> DiscreteDistribution:
     Normalization happens in log-space, so inputs may span thousands of
     orders of magnitude; ``-inf`` entries denote zero-mass atoms.
     """
-    lw = _as_floats(log_weights, "log_weights")
-    if lw.ndim != 1 or lw.size < 1:
-        raise ValidationError("log_weights must be a nonempty 1-d vector")
+    lw = _floats(log_weights, "log_weights", high=math.inf, open_high=True, ndim=1)
     return DiscreteDistribution(_normalized(lw))
 
 

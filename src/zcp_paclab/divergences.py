@@ -492,11 +492,10 @@ def divergence_gaussian(
     rel_tol * |value| + 1e-12 within the subdivision and evaluation budgets.
     """
     config = config or QuadratureConfig()
-    if isinstance(kind, str):
-        try:
-            kind = DivergenceKind(kind)
-        except ValueError as exc:
-            raise ValidationError(f"unknown divergence kind {kind!r}") from exc
+    try:
+        kind = DivergenceKind(kind)
+    except ValueError as exc:
+        raise ValidationError(f"unknown divergence kind {kind!r}") from exc
     if kind is DivergenceKind.RENYI:
         alpha = _real(alpha, "alpha", 0.0, math.inf, open_low=True, open_high=True)
         if alpha == 1.0:

@@ -15,6 +15,18 @@ class NumericalError(RuntimeError):
     """Raised when a numerical routine cannot meet its accuracy contract."""
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float, under ``_real``'s rules for what is numeric and for big ints."""
+    if isinstance(value, (str, bytes)):
+        raise ValidationError(f"{name} must be numeric")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numeric") from None
+
+
 def _real(
     value, name: str, low=-math.inf, high=math.inf, *, open_low=False, open_high=False
 ) -> float:
@@ -23,14 +35,7 @@ def _real(
     A string or anything ``float()`` rejects is not numeric; NaN lies in no
     interval; an int beyond the float range counts as +-inf.
     """
-    if isinstance(value, (str, bytes)):
-        raise ValidationError(f"{name} must be numeric")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf if value > 0 else -math.inf
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be numeric") from None
+    x = _number(value, name)
     if not ((low < x if open_low else low <= x) and (x < high if open_high else x <= high)):
         interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
         raise ValidationError(f"{name} must lie in {interval}")
@@ -44,9 +49,24 @@ def _integer(value, name: str, low, high=math.inf) -> int:
     return int(value)
 
 
-def _as_floats(values, name: str) -> np.ndarray:
-    """A float array; ValidationError if ``values`` is not numeric."""
+def _floats(
+    values, name: str, low=-math.inf, high=math.inf, *, open_low=False, open_high=False, ndim=None
+) -> np.ndarray:
+    """``values`` as a float array, each entry of which ``_real`` would take for the same
+    interval; ragged input is not numeric, and a float64 array is returned as it is.  When
+    given, ``ndim`` asks for a nonempty array with that many dimensions."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged, for one
         raise ValidationError(f"{name} must be numeric") from None
+    if arr.dtype == object:  # big ints, None, mixed types: entry by entry
+        arr = np.array([_number(v, name) for v in arr.flat]).reshape(arr.shape)
+    elif arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be numeric")
+    arr = np.asarray(arr, dtype=float)
+    if ndim is not None and (arr.ndim != ndim or arr.size == 0):
+        raise ValidationError(f"{name} must be a nonempty {ndim}-d array")
+    inside = (low < arr if open_low else low <= arr) & (arr < high if open_high else arr <= high)
+    if not inside.all():  # _real refuses the first entry outside, in its own words
+        _real(arr[~inside][0], name, low, high, open_low=open_low, open_high=open_high)
+    return arr

@@ -55,7 +55,7 @@ from .divergences import (
     tv_discrete,
     zcp_discrete,
 )
-from .errors import ValidationError, _as_floats, _integer, _real
+from .errors import ValidationError, _floats, _integer, _real
 
 __all__ = [
     "LossKind",
@@ -130,10 +130,9 @@ class LearningInstance:
             raise ValidationError("posterior_rule must be FixedPosterior or GibbsPosterior")
         if self.loss_kind is LossKind.BERNOULLI:
             means = self.bernoulli_means
-            if means is None:
-                means = np.linspace(0.1, 0.9, m)
-            means = _as_floats(means, "bernoulli_means").copy()
-            if means.shape != (m,) or np.isnan(means).any() or (means < 0).any() or (means > 1).any():
+            means = np.linspace(0.1, 0.9, m) if means is None else means
+            means = _floats(means, "bernoulli_means", 0.0, 1.0).copy()
+            if means.shape != (m,):
                 raise ValidationError("bernoulli_means must be m values in [0, 1]")
             means.setflags(write=False)
             object.__setattr__(self, "bernoulli_means", means)
@@ -202,7 +201,7 @@ class LearningInstance:
             return self.posterior_rule.distribution
         if self.posterior_rule.eta == 0.0:
             return self.prior
-        mu_hat = _as_floats(empirical_means, "empirical_means")
+        mu_hat = _floats(empirical_means, "empirical_means", 0.0, 1.0)
         if mu_hat.shape != (self.theta_count,):
             raise ValidationError("empirical_means must have one entry per atom")
         return DiscreteDistribution(self._gibbs_log_weights(mu_hat, _integer(n, "n", 1)))
@@ -506,9 +505,7 @@ def gaussian_instance_check(
     exponent = _real(exponent, "exponent")
     if exponent not in (1.0, 0.75):
         raise ValidationError("exponent must be 1 or 0.75")
-    ps = [_real(p, "p values", 0.005, 0.5, open_low=True, open_high=True) for p in p_values]
-    if not ps:
-        raise ValidationError("p values must lie in (0.005, 0.5)")
+    ps = _floats(p_values, "p values", 0.005, 0.5, open_low=True, open_high=True, ndim=1).tolist()
     config = config or QuadratureConfig()
     rows = []
     for p in ps:
@@ -562,11 +559,7 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
     the KT wealth of the whole block is computed at once.
     """
     n, paths, seed = _integer(n, "n", 1), _integer(paths, "paths", 1000), _integer(seed, "seed", 0)
-    deltas = [
-        _real(d, "delta values", 0.0, 1.0, open_low=True, open_high=True) for d in delta_values
-    ]
-    if not deltas:
-        raise ValidationError("delta values must lie in (0, 1)")
+    deltas = _floats(delta_values, "delta values", 0.0, 1.0, open_low=True, open_high=True, ndim=1)
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
     for block_paths in _blocks(paths, n):
@@ -574,7 +567,7 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
         peaks = _kt_rows(block)[1][:, 1:].max(axis=1)
         crossings += (peaks[:, None] >= thresholds).sum(axis=0)
     rows = []
-    for delta, crossed in zip(deltas, crossings):
+    for delta, crossed in zip(deltas.tolist(), crossings):
         upper = wilson_upper(int(crossed), paths)
         rows.append(
             VilleRow(

@@ -140,6 +140,23 @@ class TestDivergenceCommand:
         assert code == 0
         assert out.splitlines()[1] == "renyi,1.05,,inf,0"
 
+    @pytest.mark.parametrize(
+        "argv, flag, owner",
+        [
+            (["kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2"], "alpha", "RENYI"),
+            (["kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--c", "3"], "c", "ZCP"),
+            (["little_kl", "--p", "0.2", "--q", "0.5", "--alpha", "2"], "alpha", "RENYI"),
+            (["renyi", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2", "--c", "3"], "c", "ZCP"),
+            (["tv", "--mixture-p", "0.1", "--c", "1"], "c", "ZCP"),
+        ],
+    )
+    def test_flags_the_kind_does_not_use_are_refused(self, capsys, argv, flag, owner):
+        code, out, err = _run(capsys, ["divergence", "--kind", *argv])
+        assert code == 1
+        assert out == ""
+        message = f"{flag} is only meaningful for {owner}, not {argv[0]}"
+        assert err == f"zcp-paclab divergence: error: {message}\n"
+
 
 class TestOutputContract:
     ARGV = ["betting", "--n", "40", "--seed", "4"]
@@ -384,6 +401,7 @@ class TestConfigFile:
             {"m": 2, "prior": ["x", 1]},
             {"m": 2, "posterior": "fixed", "fixed_weights": "ab"},
             {"m": 2, "loss": "bernoulli", "bernoulli_means": ["x", 0.5]},
+            {"m": 2, "prior": ["1", "3"]},  # a string is not a number, even one float() parses
         ],
     )
     def test_non_numeric_instance_values_exit_one(self, instance, tmp_path, capsys):
@@ -394,6 +412,14 @@ class TestConfigFile:
         assert out == ""
         assert "must be numeric" in err
         assert "Traceback" not in err
+
+    def test_prior_weight_beyond_the_float_range_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "inst.json"
+        config.write_text('{"instance": {"m": 2, "prior": [1%s, 1]}}' % ("0" * 400))
+        code, out, err = _run(capsys, ["bound", "--n", "20", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err == "zcp-paclab bound: error: weights must lie in [0, inf)\n"
 
     @pytest.mark.parametrize(
         "instance, message",

@@ -49,6 +49,13 @@ class TestMakeDiscrete:
         with pytest.raises(ValidationError):
             make_discrete(weights)
 
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [1.7e308, 1.7e308, 0.0, 1.7e308]])
+    def test_weights_whose_sum_overflows_normalize_without_a_warning(self, weights, recwarn):
+        dist = make_discrete(weights)
+        expected = np.where(np.array(weights) > 0, 1.0 / np.count_nonzero(weights), 0.0)
+        np.testing.assert_array_equal(dist.weights, expected)
+        assert len(recwarn) == 0
+
     def test_direct_construction_checks_consistency(self):
         with pytest.raises(ValidationError):  # the weights sum to 1.2
             DiscreteDistribution(np.log([0.6, 0.6]))

@@ -527,6 +527,9 @@ class TestQuadrature:
         assert [k.value for k in DivergenceKind] == ["kl", "tv", "renyi", "zcp"]
         with pytest.raises(ValidationError, match="unknown divergence kind 'little_kl'"):
             divergence_gaussian(pair, "little_kl")
+        for kind in (5, None, [1]):  # not a name of a kind, nor hashable
+            with pytest.raises(ValidationError, match="unknown divergence kind"):
+                divergence_gaussian(pair, kind)
         with pytest.raises(ValidationError):
             divergence_gaussian(pair, "zcp")  # missing c
         with pytest.raises(ValidationError):

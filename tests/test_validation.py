@@ -1,9 +1,11 @@
-"""Every public number argument goes through one check.
+"""Every public number argument goes through one check, and every array argument through its twin.
 
 A number argument that is non-numeric, NaN, outside its documented interval
 or, for an integer, not integral raises ValidationError.  Invalid values for
 functions that already have an invalid-input parametrization sit next to it
-in their module's tests; this file holds the rest as one table.
+in their module's tests; this file holds the rest as one table.  Each entry
+of an array argument follows the same rules, and an array of the wrong shape
+is refused too; a second table holds every array argument.
 """
 
 import dataclasses
@@ -23,18 +25,23 @@ from zcp_paclab import (
     analytic_inequality_suite,
     asymptotics_inequality_check,
     complexity_term,
+    DiscreteDistribution,
     coverage_reports,
     divergence_gaussian,
     empirical_bernstein_bound,
+    expected_sample_variance,
     fenchel_dual_bound,
     gaussian_instance,
+    from_log_weights,
     gaussian_instance_check,
     hoeffding_zcp_bound,
+    kt_bettor,
     learning_instance_from_dict,
     little_kl,
     little_kl_inverse_upper,
     little_kl_mean_bound,
     make_discrete,
+    max_log_wealth,
     mcallester_baseline,
     mean_zero_coins,
     multivariate_instance,
@@ -43,6 +50,7 @@ from zcp_paclab import (
     sample_variance_from_sums,
     tightness_comparison,
     ville_experiment,
+    wealth_quadratic_lower,
     wilson_upper,
     zcp1_upper_bound_kl_tv,
     zcp_c_shift_bound,
@@ -52,7 +60,7 @@ from zcp_paclab import (
     zcp_upper_bound_kl_tv,
 )
 from zcp_paclab import betting, bounds, distributions, divergences, errors, harness
-from zcp_paclab.errors import _integer, _real
+from zcp_paclab.errors import _floats, _integer, _real
 
 INF, NAN = math.inf, math.nan
 _P = make_discrete([0.5, 0.3, 0.2])
@@ -242,6 +250,94 @@ class TestScalarChecks:
         config = BoundConfig(n=np.int64(100), delta=0.05)
         assert type(config.n) is np.int64
         assert dataclasses.asdict(config) == {"n": 100, "delta": 0.05, "alpha": 2.0}
+
+
+def _not_reals(outside, ok=0.25):
+    """Two-entry lists an array argument refuses: numeric strings, None, an int beyond the
+    float range (+inf), a ragged list, NaN and ``outside`` its interval, each beside (or made
+    of) the valid entry ``ok``."""
+    return (
+        [str(ok), str(ok)],
+        [None, ok],
+        [10**400, ok],
+        [[ok], [ok, ok]],
+        [NAN, ok],
+        [outside, ok],
+    )
+
+
+def _bernoulli_instance(means):
+    return LearningInstance(
+        make_discrete([1.0, 1.0]), LossKind.BERNOULLI, GibbsPosterior(1.0), bernoulli_means=means
+    )
+
+
+# name -> (call taking the array under test, arrays it must refuse)
+_ARRAY_TABLE = {
+    "max_log_wealth.coins": (max_log_wealth, (*_not_reals(1.5), [], [[0.25]])),
+    "kt_bettor.coins": (kt_bettor, (*_not_reals(-1.5), [], [[0.25]])),
+    "wealth_quadratic_lower.coins": (wealth_quadratic_lower, (*_not_reals(1.5), [], [[0.25]])),
+    "DiscreteDistribution.log_weights": (
+        DiscreteDistribution, (*_not_reals(INF, math.log(0.5)), [], [[0.0]])
+    ),
+    "from_log_weights.log_weights": (from_log_weights, (*_not_reals(INF), [], [[0.0]])),
+    "make_discrete.weights": (make_discrete, (*_not_reals(-1.0), [], [[0.25, 0.25]])),
+    "LearningInstance.bernoulli_means": (
+        _bernoulli_instance, (*_not_reals(1.5), [-0.5, 0.25], [0.25], [[0.25, 0.25]])
+    ),
+    "LearningInstance.posterior.empirical_means": (
+        lambda v: _instance().posterior(v, 10),
+        (*_not_reals(INF), [-INF, 0.25], [1.5, 0.25], [0.25], [[0.25, 0.25]]),
+    ),
+    "expected_sample_variance.losses": (
+        lambda v: expected_sample_variance(v, make_discrete([1.0, 1.0])),
+        (*([row, [0.5, 0.5]] for row in _not_reals(1.5)), [0.25, 0.25], [[]], [[[0.25]]]),
+    ),
+    "fenchel_dual_bound.a": (lambda v: fenchel_dual_bound(v, 1.0, 1.0), _not_reals(0.0)),
+    "fenchel_dual_bound.b": (lambda v: fenchel_dual_bound(1.0, v, 1.0), _not_reals(-1.0)),
+    "fenchel_dual_bound.y": (lambda v: fenchel_dual_bound(1.0, 1.0, v), _not_reals(-INF)),
+    "ville_experiment.delta_values": (
+        lambda v: ville_experiment(10, v, 1000, 0), (*_not_reals(1.0), [], [[0.25]])
+    ),
+    "gaussian_instance_check.p_values": (
+        lambda v: gaussian_instance_check(v, 1.0), (*_not_reals(0.5), [], [[0.25]])
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{name}={value!r}".replace(str(10**400), "10**400"))
+        for name, (call, values) in _ARRAY_TABLE.items()
+        for value in values
+    ],
+)
+def test_invalid_array_argument_is_a_validation_error(call, value):
+    with pytest.raises(ValidationError):
+        call(value)
+
+
+class TestArrayChecks:
+    def test_message_forms(self):
+        for values in (["1", "2"], [None], [[1.0], [1.0, 2.0]], {"a": 1}, [1j]):
+            with pytest.raises(ValidationError, match=r"^w must be numeric$"):
+                _floats(values, "w")
+        for values in ([NAN], [-1.0], [10**400]):
+            with pytest.raises(ValidationError, match=r"^w must lie in \[0, inf\)$"):
+                _floats(values, "w", 0.0, INF, open_high=True)
+        for values in ([], [[0.5]], 0.5):
+            with pytest.raises(ValidationError, match=r"^coins must be a nonempty 1-d array$"):
+                _floats(values, "coins", -1.0, 1.0, ndim=1)
+
+    def test_entries_follow_the_scalar_rules(self):
+        assert _floats([10**400, -(10**400), 2], "y").tolist() == [INF, -INF, 2.0]
+        assert _floats([True, 3], "w").dtype == np.float64
+        assert _floats([[0.5, 1.0]], "losses", 0.0, 1.0, ndim=2).shape == (1, 2)
+
+    def test_a_float_array_is_not_copied(self):
+        coins = np.linspace(-1.0, 1.0, 5)
+        assert _floats(coins, "coins", -1.0, 1.0, ndim=1) is coins
 
 
 def test_package_all_lists_each_module_export_once():

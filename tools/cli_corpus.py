@@ -52,6 +52,9 @@ CONFIGS = {
     "unknown.json": '{"n": 200, "bogus": 1}',
     "null.json": '{"n": 200, "delta": null}',
     "malformed.json": '{"n": 200,',
+    # a prior weight beyond the float range, and weights written as strings
+    "huge.json": '{"n": 200, "instance": {"m": 2, "prior": [1%s, 1]}}' % ("0" * 400),
+    "strings.json": '{"n": 200, "instance": {"m": 2, "prior": ["1", "3"]}}',
 }
 _CONFIG_DIR = "<config-dir>"
 
@@ -99,6 +102,7 @@ def _golden() -> list[tuple[str, ...]]:
         ("instance", "--kind", "gaussian", "--mixture-p", "0.1"),
         ("divergence", "--kind", "kl", *_P, *_Q),
         ("divergence", "--kind", "kl", "--p", "0.25,0.25,0.25,0.25", "--q", "0.5,0.3,0.2,0"),
+        ("divergence", "--kind", "kl", "--p", "1e308,1e308", "--q", "1,1"),  # the sum overflows
         ("divergence", "--kind", "tv", *_P, *_Q),
         ("divergence", "--kind", "renyi", "--alpha", "2", *_P, *_Q),
         ("divergence", "--kind", "renyi", "--alpha", "0.5", *_P, *_Q),
@@ -182,6 +186,11 @@ _OUT_OF_RANGE = (
     ("bound", *_config("null.json")),
     ("bound", *_config("malformed.json")),
     ("bound", *_config("mismatch.json")),  # the prior has 3 atoms, m is 4
+    ("bound", *_config("huge.json")),
+    ("bound", *_config("strings.json")),
+    # flags the kind does not use
+    ("divergence", "--kind", "kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2", "--c", "3"),
+    ("divergence", "--kind", "little_kl", "--p", "0.2", "--q", "0.5", "--alpha", "2"),
     ("betting", "--n", "5", "--out", _CONFIG_DIR),  # a directory
     ("betting", "--n", "5", "--out", f"{_CONFIG_DIR}/missing/x.csv"),
     ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
