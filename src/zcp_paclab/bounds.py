@@ -17,11 +17,10 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .divergences import (
-    kl_discrete,
+    _pair_logs,
+    _tv_zcp_rows,
     little_kl_inverse_upper,
     renyi_discrete,
-    tv_discrete,
-    zcp_discrete,
 )
 from .errors import ValidationError, _floats, _integer, _real
 
@@ -149,8 +148,11 @@ def sample_variance_from_sums(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndar
     negative.
     """
     n = _integer(n, "n", 2)
-    s1 = np.asarray(s1, dtype=float)
-    return np.maximum(n * np.asarray(s2, dtype=float) - s1 * s1, 0.0) / (n * (n - 1.0))
+    return _sample_variance(_floats(s1, "s1", 0.0, n), _floats(s2, "s2", 0.0, n), n)
+
+
+def _sample_variance(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
+    return np.maximum(n * s2 - s1 * s1, 0.0) / (n * (n - 1.0))
 
 
 def expected_sample_variance(losses: np.ndarray, posterior: DiscreteDistribution) -> float:
@@ -238,14 +240,13 @@ def asymptotics_inequality_check(
     inf) when P is not dominated by P0.
     """
     n = _integer(n, "n", 25)
-    zcp1 = zcp_discrete(p, p0, 1.0)
-    if math.isinf(zcp1):
-        return AsymptoticsCheck(math.inf, math.inf, True)
-    tv = tv_discrete(p, p0)
     log_n = math.log(n)
     config = BoundConfig(n, 1.0 / (float(n) * n), 1.0 + 1.0 / log_n)
+    tv, zcp1, zcp2 = map(float, _tv_zcp_rows(*_pair_logs(p, p0), 1.0, config.thm2_c))
+    if math.isinf(zcp1):
+        return AsymptoticsCheck(math.inf, math.inf, True)
     d_alpha = renyi_discrete(p, p0, config.alpha)
-    b_n = complexity_term(d_alpha, zcp_discrete(p, p0, config.thm2_c), config)
+    b_n = complexity_term(d_alpha, zcp2, config)
     l_n = math.sqrt(2.0 * log_n * (log_n + 1.0) * math.log(2.0 + 2.0 * math.sqrt(2.0) * float(n) ** 4.5))
     a_n = 2.0 + (2.0 + math.sqrt(d_alpha)) * (zcp1 + tv)
     ratio = b_n / l_n

@@ -90,15 +90,13 @@ class QuadratureConfig:
 
 
 def _log_abs_expm1(d: np.ndarray) -> np.ndarray:
-    """ln|exp(d) - 1| elementwise for d in [-inf, +inf], never overflowing."""
-    out = np.full_like(d, -np.inf)
-    pos_small = (d > 0.0) & (d <= 700.0)
-    pos_big = d > 700.0
-    neg = d < 0.0
-    with np.errstate(divide="ignore"):
-        out[pos_small] = np.log(np.expm1(d[pos_small]))
-        out[neg] = np.log(-np.expm1(d[neg]))
-    out[pos_big] = d[pos_big] + np.log1p(-np.exp(-d[pos_big]))
+    """ln|exp(d) - 1| elementwise for d in [-inf, +inf], never overflowing; -inf for the NaN d
+    that lp - lq gives where p = q = 0."""
+    with np.errstate(over="ignore", divide="ignore"):  # exp(d) past d = 709.78; ln 0 at d = 0
+        out = np.fmax(np.log(np.abs(np.expm1(d))), -np.inf)  # fmax(NaN, -inf) = -inf
+    big = d > 700.0
+    if big.any():  # where exp(d) - 1 may overflow: d + ln(1 - exp(-d))
+        out[big] = d[big] + np.log1p(-np.exp(-d[big]))
     return out
 
 
@@ -107,12 +105,12 @@ def _log1p_sq(ln_t, c: float) -> np.ndarray:
     ln_t = np.asarray(ln_t, dtype=float)
     if c == 0.0:
         return np.zeros_like(ln_t)
-    s2 = 2.0 * (math.log(c) + ln_t)
-    out = np.empty_like(s2)
-    small = s2 <= 700.0
-    out[small] = np.log1p(np.exp(s2[small]))
-    # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
-    out[~small] = s2[~small] + np.log1p(np.exp(-s2[~small]))
+    with np.errstate(over="ignore"):  # 2 ln(ct) past the float range; exp(s2) where s2 > 700
+        s2 = 2.0 * (math.log(c) + ln_t)
+        out = np.log1p(np.exp(s2), out=np.empty_like(ln_t))  # an array, even for a 0-d ln_t
+    big = s2 > 700.0
+    if big.any():  # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
+        out[big] = s2[big] + np.log1p(np.exp(-s2[big]))
     return out
 
 
@@ -124,23 +122,17 @@ def _pair_logs(p: DiscreteDistribution, q: DiscreteDistribution) -> tuple[np.nda
     return p.log_weights, q.log_weights
 
 
-def _abs_diff_of_exps(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """|exp(lp) - exp(lq)| per atom, exact even when one side underflows."""
-    hi = np.maximum(lp, lq)
-    both_zero = (lp == -np.inf) & (lq == -np.inf)
-    with np.errstate(invalid="ignore"):  # -inf - -inf where both_zero
-        gap = np.where(both_zero, np.inf, np.abs(lp - lq))
-        return np.where(both_zero, 0.0, np.exp(hi) * (-np.expm1(-gap)))
+def _abs_diff_of_exps(lp: np.ndarray, lq: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """|exp(lp) - exp(lq)| per atom, exact when one side underflows, written over d = lp - lq."""
+    np.expm1(np.negative(np.abs(d, out=d), out=d), out=d)
+    np.fmax(d, -1.0, out=d)  # -1, not NaN, where p = q = 0: there d is NaN and exp(max) = 0
+    d *= np.exp(np.maximum(lp, lq))  # exp(max) (exp(-|lp - lq|) - 1) = -|p - q|
+    return np.negative(d, out=d)
 
 
-def _kl_terms(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """p ln(p/q) per atom; the atoms must have p > 0 and q > 0."""
-    return np.exp(lp) * (lp - lq)
-
-
-def _tv_terms(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    """|p - q| / 2 per atom."""
-    return 0.5 * _abs_diff_of_exps(lp, lq)
+def _kl_terms(lp: np.ndarray, lq: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p ln(p/q) per atom, p = exp(lp); the atoms must have p > 0 and q > 0."""
+    return p * (lp - lq)
 
 
 def _renyi_log_terms(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
@@ -148,16 +140,14 @@ def _renyi_log_terms(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray
     return alpha * lp + (1.0 - alpha) * lq
 
 
-def _zcp_terms(lp: np.ndarray, lq: np.ndarray, c: float) -> np.ndarray:
-    """q |r - 1| sqrt(ln(1 + c^2 (r - 1)^2)) per atom, r = p/q; no atom may have q = 0 < p."""
-    both_zero = (lp == -np.inf) & (lq == -np.inf)
-    ln_t = _log_abs_expm1(np.where(both_zero, 0.0, lp - lq))
-    with np.errstate(over="ignore"):  # 2 ln(ct) overflows once ln(ct) > 8.9e307
-        root = np.sqrt(_log1p_sq(ln_t, c))
+def _zcp_terms(abs_diff: np.ndarray, ln_t: np.ndarray, c: float) -> np.ndarray:
+    """q |r - 1| sqrt(ln(1 + c^2 (r - 1)^2)) per atom from |p - q| and ln|r - 1|, r = p/q."""
+    root = np.sqrt(_log1p_sq(ln_t, c))
     wide = np.isinf(root) & np.isfinite(ln_t)  # there sqrt(ln(1 + (ct)^2)) = sqrt(2) sqrt(ln(ct))
     if wide.any():
         root[wide] = math.sqrt(2.0) * np.sqrt(math.log(c) + ln_t[wide])
-    return _abs_diff_of_exps(lp, lq) * root
+    root *= abs_diff
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +157,12 @@ def _zcp_terms(lp: np.ndarray, lq: np.ndarray, c: float) -> np.ndarray:
 
 def kl_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """KL(P, Q) = sum p_i ln(p_i / q_i); +inf when P is not dominated by Q."""
-    return float(_kl_rows(*_pair_logs(p, q)))
+    return float(_kl_rows(*_pair_logs(p, q), p.weights))
 
 
 def tv_discrete(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     """Total variation distance (1/2) sum |p_i - q_i|, always in [0, 1]."""
-    return float(_tv_rows(*_pair_logs(p, q)))
+    return float(_tv_zcp_rows(*_pair_logs(p, q))[0])
 
 
 def renyi_discrete(p: DiscreteDistribution, q: DiscreteDistribution, alpha: float) -> float:
@@ -193,7 +183,7 @@ def zcp_discrete(p: DiscreteDistribution, q: DiscreteDistribution, c: float) -> 
     +inf when some q_i = 0 < p_i and c > 0; identically 0 at c = 0.
     """
     c = _real(c, "c", 0.0, math.inf, open_high=True)
-    return float(_zcp_rows(*_pair_logs(p, q), c))
+    return float(_tv_zcp_rows(*_pair_logs(p, q), c)[1])
 
 
 # Row functions: a divergence of each row of lp against lq (broadcast together), summed along
@@ -205,26 +195,22 @@ def _undominated(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
     return ((lp > -np.inf) & (lq == -np.inf)).any(axis=-1)
 
 
-def _atoms_in_use(used: np.ndarray, lp: np.ndarray, lq: np.ndarray):
-    """``used``, lp and lq without the atoms no row uses, which add zeros that regroup a row's
-    pairwise sum: a row then sums as a 1-d call on it when all rows use the same atoms.
+def _atoms_in_use(used: np.ndarray, *arrays: np.ndarray):
+    """``used`` and ``arrays`` without the atoms no row uses, which add zeros that regroup a
+    row's pairwise sum: a row then sums as a 1-d call on it when all rows use the same atoms.
     ``compress`` keeps the rows C-contiguous, as their sums need; ``a[..., keep]`` need not."""
     keep = used.reshape(-1, used.shape[-1]).any(axis=0)
-    arrays = (used, lp, lq)
+    arrays = (used, *arrays)
     return arrays if keep.all() else tuple(a.compress(keep, axis=-1) for a in arrays)
 
 
-def _kl_rows(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
+def _kl_rows(lp: np.ndarray, lq: np.ndarray, p: np.ndarray) -> np.ndarray:
     infinite = _undominated(lp, lq)
-    support, lp, lq = _atoms_in_use(lp > -np.inf, lp, lq)
+    support, lp, lq, p = _atoms_in_use(lp > -np.inf, lp, lq, p)
     with np.errstate(invalid="ignore"):
-        terms = np.where(support, _kl_terms(lp, lq), 0.0)
+        terms = np.where(support, _kl_terms(lp, lq, p), 0.0)
     # KL >= 0, but rounding can put a value near 0 below it
     return np.where(infinite, np.inf, np.maximum(0.0, terms.sum(axis=-1)))
-
-
-def _tv_rows(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
-    return _tv_terms(lp, lq).sum(axis=-1)
 
 
 def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
@@ -237,10 +223,19 @@ def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
     return np.where(infinite, np.inf, value)
 
 
-def _zcp_rows(lp: np.ndarray, lq: np.ndarray, c: float) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        value = _zcp_terms(lp, lq, c).sum(axis=-1)
-    return np.where((c > 0.0) & _undominated(lp, lq), np.inf, value)
+def _tv_zcp_rows(lp: np.ndarray, lq: np.ndarray, *scales: float) -> tuple[np.ndarray, ...]:
+    """TV of each row, then its ZCP at each of ``scales``, from one |p - q| and one ln|r - 1|."""
+    with np.errstate(invalid="ignore"):  # -inf - -inf where p = q = 0
+        d = lp - lq
+    ln_t = _log_abs_expm1(d)
+    abs_diff = _abs_diff_of_exps(lp, lq, d)
+    infinite = _undominated(lp, lq)
+    rows = [(0.5 * abs_diff).sum(axis=-1)]
+    with np.errstate(invalid="ignore"):  # 0 * inf where an undominated p underflows to 0
+        for c in scales:
+            value = _zcp_terms(abs_diff, ln_t, c).sum(axis=-1)
+            rows.append(np.where((c > 0.0) & infinite, np.inf, value))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +384,10 @@ def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
     """The divergence's per-atom terms at an array of nodes; refuses a batch of nodes that would
     take the evaluations past ``_MAX_EVALUATIONS``."""
     terms = {
-        DivergenceKind.KL: _kl_terms,
-        DivergenceKind.TV: _tv_terms,
-        DivergenceKind.ZCP: lambda lp, lq: _zcp_terms(lp, lq, c),
+        DivergenceKind.KL: lambda lp, lq: _kl_terms(lp, lq, np.exp(lp)),
+        DivergenceKind.TV: lambda lp, lq: 0.5 * _abs_diff_of_exps(lp, lq, lp - lq),
+        DivergenceKind.ZCP: lambda lp, lq: _zcp_terms(
+            _abs_diff_of_exps(lp, lq, lp - lq), _log_abs_expm1(lp - lq), c),
         DivergenceKind.RENYI: lambda lp, lq: np.exp(_renyi_log_terms(lp, lq, alpha)),
     }[kind]
 
@@ -403,7 +399,7 @@ def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
         if spent > _MAX_EVALUATIONS:
             message = f"quadrature needs more than {_MAX_EVALUATIONS} integrand evaluations"
             raise NumericalError(message + " (evaluation budget exhausted)")
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # invalid: -inf - -inf where p = q = 0
             return terms(pair.log_pdf_p(x), pair.log_pdf_q(x))
 
     return integrand

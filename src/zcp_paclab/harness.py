@@ -13,6 +13,7 @@ independent of execution order.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -30,10 +31,10 @@ from .bounds import (
     _failures,
     _hoeffding_zcp,
     _mcallester,
+    _sample_variance,
     hoeffding_zcp_bound,
     little_kl_mean_bound,
     mcallester_baseline,
-    sample_variance_from_sums,
 )
 from .distributions import (
     DiscreteDistribution,
@@ -48,8 +49,7 @@ from .divergences import (
     QuadratureConfig,
     _kl_rows,
     _renyi_rows,
-    _tv_rows,
-    _zcp_rows,
+    _tv_zcp_rows,
     divergence_gaussian,
     kl_discrete,
     tv_discrete,
@@ -144,16 +144,22 @@ class LearningInstance:
         """m, the number of atoms: the prior's support size."""
         return self.prior.support_size
 
-    @property
+    @functools.cached_property
     def atom_positions(self) -> np.ndarray:
-        return np.arange(self.theta_count) / self.theta_count
+        t = np.arange(self.theta_count) / self.theta_count
+        t.setflags(write=False)
+        return t
 
     def true_means(self) -> np.ndarray:
-        """Exact per-atom expected loss."""
-        if self.loss_kind is LossKind.ABS_DISTANCE:
-            t = self.atom_positions
-            return t * t - t + 0.5
-        return self.bernoulli_means
+        """Exact per-atom expected loss; it and ``atom_positions`` are built once, read-only."""
+        return self._true_means
+
+    @functools.cached_property
+    def _true_means(self) -> np.ndarray:
+        t = self.atom_positions
+        means = t * t - t + 0.5 if self.loss_kind is LossKind.ABS_DISTANCE else self.bernoulli_means
+        means.setflags(write=False)
+        return means
 
     def draw_losses(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, m) loss matrix for one i.i.d. sample of size n.
@@ -197,14 +203,15 @@ class LearningInstance:
 
     def posterior(self, empirical_means: np.ndarray, n: int) -> DiscreteDistribution:
         """Posterior for one realized sample (empirical means, sample size)."""
+        mu_hat = _floats(empirical_means, "empirical_means", 0.0, 1.0)
+        if mu_hat.shape != (self.theta_count,):
+            raise ValidationError("empirical_means must have one entry per atom")
+        n = _integer(n, "n", 1)
         if isinstance(self.posterior_rule, FixedPosterior):
             return self.posterior_rule.distribution
         if self.posterior_rule.eta == 0.0:
             return self.prior
-        mu_hat = _floats(empirical_means, "empirical_means", 0.0, 1.0)
-        if mu_hat.shape != (self.theta_count,):
-            raise ValidationError("empirical_means must have one entry per atom")
-        return DiscreteDistribution(self._gibbs_log_weights(mu_hat, _integer(n, "n", 1)))
+        return DiscreteDistribution(self._gibbs_log_weights(mu_hat, n))
 
     def _gibbs_log_weights(self, mu_hat: np.ndarray, n: int) -> np.ndarray:
         """Normalized Gibbs posterior log-weights for each row of empirical means."""
@@ -284,7 +291,7 @@ def _trial_block(
     of S1 and S2.  The posteriors, divergences and bounds of all rows are then
     computed at once, each row with the bits of a block of that row alone.
     """
-    n = config.n
+    n = _integer(config.n, "n", 2)  # the sample variance needs two draws
     rngs = (np.random.default_rng((seed, t)) for t in trials)
     s1, s2 = map(np.array, zip(*(instance.loss_sums(n, rng) for rng in rngs)))
     mu_hat = s1 / n
@@ -292,7 +299,7 @@ def _trial_block(
     if isinstance(rule, GibbsPosterior) and rule.eta > 0.0:
         lp = instance._gibbs_log_weights(mu_hat, n)
     else:  # one posterior serves the whole block
-        lp = instance.posterior(mu_hat[0], n).log_weights
+        lp = (rule.distribution if isinstance(rule, FixedPosterior) else instance.prior).log_weights
     w = _summing_to_one(np.exp(lp))
     lq = instance.prior.log_weights
     true_mu = instance.true_means()
@@ -300,15 +307,14 @@ def _trial_block(
     def mean(values):  # w @ values per row, by the dot product a 1-d ``@`` uses
         return np.matmul(w[..., None, :], values[..., :, None])[..., 0, 0]
 
-    d_kl = _kl_rows(lp, lq)
+    d_tv, d_zcp1, d_zcp2 = _tv_zcp_rows(lp, lq, config.thm1_c, config.thm2_c)
+    d_kl = _kl_rows(lp, lq, w)
     d_alpha = _renyi_rows(lp, lq, config.alpha)
-    d_zcp1 = _zcp_rows(lp, lq, config.thm1_c)
-    d_zcp2 = _zcp_rows(lp, lq, config.thm2_c)
     comp = _complexity(d_alpha, d_zcp2, config)
-    v_hat = mean(sample_variance_from_sums(s1, s2, n))
+    v_hat = mean(_sample_variance(s1, s2, n))
     fields = {
         "d_kl": d_kl,
-        "d_tv": _tv_rows(lp, lq),
+        "d_tv": d_tv,
         "d_alpha": d_alpha,
         "d_zcp_thm1": d_zcp1,
         "d_zcp_thm2": d_zcp2,
@@ -321,9 +327,10 @@ def _trial_block(
         "p_hat_mean": mean(mu_hat),
         "p_mean": mean(true_mu),
     }
-    fields = {name: np.broadcast_to(values, mu_hat.shape[:1]) for name, values in fields.items()}
     # every other field is >= 0 by construction; little_kl_mean_bound checks p_hat_mean and comp_n
     for name, values in fields.items():
+        if values.shape != mu_hat.shape[:1]:  # a divergence or bound of the one posterior
+            fields[name] = values = np.broadcast_to(values, mu_hat.shape[:1])
         if np.isnan(values).any():  # a NaN fails no bound, so it must not count as a pass
             raise ValidationError(f"{name} is NaN in trial {trials[np.isnan(values).argmax()]}")
     pairs = zip(fields["p_hat_mean"].tolist(), fields["comp_n"].tolist())

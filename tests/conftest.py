@@ -1,4 +1,6 @@
-"""Shared fuzz helpers for the test suite."""
+"""Shared fuzz helpers and oracles for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -93,3 +95,33 @@ def bisect_max_log_wealth(coins):
         if value > best_value:
             best_beta, best_value = beta, value
     return best_beta, best_value
+
+
+def masked_log_abs_expm1(d):
+    """Reference for ``divergences._log_abs_expm1``: ln|exp(d) - 1| with d < 0, 0 < d <= 700
+    and d > 700 each computed under its own mask."""
+    out = np.full_like(d, -np.inf)
+    pos_small = (d > 0.0) & (d <= 700.0)
+    pos_big = d > 700.0
+    neg = d < 0.0
+    with np.errstate(divide="ignore"):
+        out[pos_small] = np.log(np.expm1(d[pos_small]))
+        out[neg] = np.log(-np.expm1(d[neg]))
+    out[pos_big] = d[pos_big] + np.log1p(-np.exp(-d[pos_big]))
+    return out
+
+
+def masked_log1p_sq(ln_t, c):
+    """Reference for ``divergences._log1p_sq``: ln(1 + (ct)^2) with s2 = 2 ln(ct) <= 700 and
+    s2 > 700 each computed under its own mask."""
+    ln_t = np.asarray(ln_t, dtype=float)
+    if c == 0.0:
+        return np.zeros_like(ln_t)
+    with np.errstate(over="ignore"):  # 2 ln(ct) overflows once ln(ct) > 8.9e307
+        s2 = 2.0 * (math.log(c) + ln_t)
+    out = np.empty_like(s2)
+    small = s2 <= 700.0
+    out[small] = np.log1p(np.exp(s2[small]))
+    # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
+    out[~small] = s2[~small] + np.log1p(np.exp(-s2[~small]))
+    return out

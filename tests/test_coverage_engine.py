@@ -8,6 +8,8 @@ equal it bit for bit.
 import dataclasses
 import logging
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +41,8 @@ from zcp_paclab import (
 )
 from zcp_paclab import bounds, divergences, harness
 from zcp_paclab.distributions import _logsumexp, _normalized
+
+from conftest import masked_log1p_sq, masked_log_abs_expm1
 
 _CONFIG = BoundConfig(n=1000, delta=0.05, alpha=2.0)
 
@@ -200,14 +204,18 @@ class TestRowKernels:
 
     def test_divergence_rows_equal_1d_calls(self):
         rng = np.random.default_rng(7)
+        scales = (44.0, 0.0, 1e200)  # at c = 1e200, ln(1 + (ct)^2) takes its s2 > 700 branch
+
+        def shared(k):  # entry k of TV, then ZCP at every scale, from one call as a block makes it
+            return lambda lp, lq, *_: divergences._tv_zcp_rows(lp, lq, *scales)[k]
+
         # (row function, public 1-d function, extra argument)
         kinds = [
-            (divergences._kl_rows, kl_discrete, ()),
-            (divergences._tv_rows, tv_discrete, ()),
+            (lambda lp, lq: divergences._kl_rows(lp, lq, np.exp(lp)), kl_discrete, ()),
+            (shared(0), tv_discrete, ()),
             (divergences._renyi_rows, renyi_discrete, (2.0,)),
             (divergences._renyi_rows, renyi_discrete, (0.5,)),
-            (divergences._zcp_rows, zcp_discrete, (44.0,)),
-            (divergences._zcp_rows, zcp_discrete, (0.0,)),
+            *((shared(k), zcp_discrete, (c,)) for k, c in enumerate(scales, 1)),
         ]
         infinite = 0
         for m in (3, 9, 50, 300):
@@ -257,3 +265,44 @@ class TestRowKernels:
         check(comp, [complexity_term(a, z, config) for a, z in zip(d_alpha, d)])
         check(bounds._empirical_bernstein(comp, v_hat, n),
               [empirical_bernstein_bound(c, v, n) for c, v in zip(comp, v_hat)])
+
+    def test_log_kernels_equal_their_masked_oracles(self):
+        rng = np.random.default_rng(11)
+        big = np.nextafter(700.0, math.inf)
+        edges = [0.0, -0.0, 5e-324, 1e-300, 1e-8, 1.0, 699.0, 700.0, big, 709.78, 710.0, 800.0,
+                 1e300, math.inf]
+        d = np.array([*edges, *(-x for x in edges), *rng.normal(0.0, 30.0, 200),
+                      *rng.uniform(-1000.0, 1000.0, 200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the mask-free kernels warn about nothing either
+            ln_abs = divergences._log_abs_expm1(d)
+        assert [v.hex() for v in ln_abs] == [v.hex() for v in masked_log_abs_expm1(d)]
+
+        for c in (0.0, 1e-300, 1.0, 44.0, 3.7e12, 1e152, 1e200, 1.7e308):
+            # ln_t around the s2 = 2 ln(ct) = 700 edge, at s2 = 709.9 where exp(s2) overflows, and
+            # far enough out that 2 ln(ct) overflows
+            edge = 350.0 - math.log(c) if c > 0.0 else 0.0
+            near = edge + np.array([-1e-9, -2e-13, 0.0, 2e-13, 1e-9, 1.0, 4.95])
+            ln_t = np.concatenate([ln_abs, near, [-math.inf, math.inf, 1e308, 1.7e308]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = divergences._log1p_sq(ln_t, c)
+                scalar = divergences._log1p_sq(0.0, c)
+            assert [v.hex() for v in values] == [v.hex() for v in masked_log1p_sq(ln_t, c)], c
+            assert scalar.shape == () and float(scalar).hex() == masked_log1p_sq(0.0, c)[()].hex()
+
+
+class TestBlockMemory:
+    def test_a_block_peaks_below_378_kb(self):
+        # at m = 50 a block holds 81 trials, so each (trials, m) array takes 32 KB: at most
+        # about eleven of them may be alive at once
+        for loss in ("abs", "bernoulli"):
+            instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
+            harness._trial_block(instance, _CONFIG, range(81), 1)  # builds the cached grid
+            tracemalloc.start()
+            try:
+                harness._trial_block(instance, _CONFIG, range(81), 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 378_000, (loss, peak)

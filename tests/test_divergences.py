@@ -16,6 +16,7 @@ from conftest import random_dominated_pair, random_pair
 from zcp_paclab import (
     DivergenceKind,
     DivergenceValue,
+    GaussianMixturePair,
     NumericalError,
     QuadratureConfig,
     ValidationError,
@@ -390,6 +391,14 @@ class TestChainBounds:
 
 
 class TestQuadrature:
+    def test_nodes_where_both_densities_underflow_add_nothing(self):
+        # P = Q, and away from mu both log-densities of sigma 1e-300 are -inf
+        pair = GaussianMixturePair(mu=0.0, sigma1=1.0, sigma2=1e-300, p=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert divergence_gaussian(pair, "tv").value == 0.0
+            assert divergence_gaussian(pair, "zcp", c=1.0).value == 0.0
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             QuadratureConfig(half_width_in_sigma1=4.0)

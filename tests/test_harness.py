@@ -94,6 +94,25 @@ class TestLearningInstance:
         inst = _instance(rule=GibbsPosterior(0.0))
         assert inst.posterior(np.linspace(0, 1, 8), 100) is inst.prior
 
+    @pytest.mark.parametrize(
+        "rule", [FixedPosterior(make_discrete(np.ones(8))), GibbsPosterior(0.0)]
+    )
+    def test_a_sample_free_posterior_still_checks_its_arguments(self, rule):
+        inst = _instance(rule=rule)
+        for means in ([math.inf, "x"] * 4, [math.nan] * 8, [0.5] * 7, [1.5] * 8):
+            with pytest.raises(ValidationError, match="empirical_means"):
+                inst.posterior(means, 10)
+        with pytest.raises(ValidationError, match="^n must"):
+            inst.posterior(np.zeros(8), 0)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_grid_and_true_means_are_built_once_and_read_only(self, loss):
+        inst = _instance(loss=loss)
+        for array in (inst.atom_positions, inst.true_means()):
+            assert not array.flags.writeable
+        assert inst.atom_positions is inst.atom_positions
+        assert inst.true_means() is inst.true_means()
+
     def test_gibbs_concentrates_with_eta(self):
         mu_hat = np.linspace(0.2, 0.8, 8)
         last = 0.0

@@ -293,6 +293,12 @@ _ARRAY_TABLE = {
         lambda v: expected_sample_variance(v, make_discrete([1.0, 1.0])),
         (*([row, [0.5, 0.5]] for row in _not_reals(1.5)), [0.25, 0.25], [[]], [[[0.25]]]),
     ),
+    "sample_variance_from_sums.s1": (
+        lambda v: sample_variance_from_sums(v, [0.5, 0.5], 2), _not_reals(3.0)
+    ),
+    "sample_variance_from_sums.s2": (
+        lambda v: sample_variance_from_sums([0.5, 0.5], v, 2), _not_reals(-1.0)
+    ),
     "fenchel_dual_bound.a": (lambda v: fenchel_dual_bound(v, 1.0, 1.0), _not_reals(0.0)),
     "fenchel_dual_bound.b": (lambda v: fenchel_dual_bound(1.0, v, 1.0), _not_reals(-1.0)),
     "fenchel_dual_bound.y": (lambda v: fenchel_dual_bound(1.0, 1.0, v), _not_reals(-INF)),
@@ -316,6 +322,14 @@ _ARRAY_TABLE = {
 def test_invalid_array_argument_is_a_validation_error(call, value):
     with pytest.raises(ValidationError):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "s1, s2", [(["1"], ["1"]), ([10**400], [1]), ([NAN], [1.0])], ids=["str", "10**400", "nan"]
+)
+def test_sample_variance_from_sums_checks_its_sums(s1, s2):
+    with pytest.raises(ValidationError):
+        sample_variance_from_sums(s1, s2, 2)
 
 
 class TestArrayChecks:
