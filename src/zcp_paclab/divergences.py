@@ -106,8 +106,10 @@ def _log1p_sq(ln_t, c: float) -> np.ndarray:
     if c == 0.0:
         return np.zeros_like(ln_t)
     with np.errstate(over="ignore"):  # 2 ln(ct) past the float range; exp(s2) where s2 > 700
-        s2 = 2.0 * (math.log(c) + ln_t)
-        out = np.log1p(np.exp(s2), out=np.empty_like(ln_t))  # an array, even for a 0-d ln_t
+        s2 = np.add(ln_t, math.log(c), out=np.empty_like(ln_t))  # an array, even for a 0-d ln_t
+        s2 *= 2.0
+        out = np.exp(s2, out=np.empty_like(ln_t))
+        np.log1p(out, out=out)
     big = s2 > 700.0
     if big.any():  # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
         out[big] = s2[big] + np.log1p(np.exp(-s2[big]))

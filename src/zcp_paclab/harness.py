@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .betting import _coin_row, _kt_rows
+from .betting import _coin_blocks, _kt_rows
 from .bounds import (
     BOUND_NAMES,
     BoundConfig,
@@ -274,12 +274,17 @@ def wilson_upper(failures: int, trials: int) -> float:
     return min(1.0, (center + radius) / (1.0 + z2n))
 
 
-# Entries in one (trials, m) array of a coverage block, or in one (paths, n)
-# coin array of a Ville block.  8,192 ran m = 2000 coverage about 10% faster,
-# but its peak RSS at m = 50 was 1.0 MB above that of one trial at a time;
-# 4,096 keeps that rise near 0.5 MB.  Ville ran no faster with 65,536 entries:
-# its per-path generators and draws cost the same at any block size.
+# Entries in one (trials, m) array of a coverage block.  8,192 ran m = 2000
+# coverage about 10% faster, but its peak RSS at m = 50 was 1.0 MB above
+# that of one trial at a time; 4,096 keeps that rise near 0.5 MB.
 _BLOCK_ENTRIES = 4096
+# Entries in one (paths, n) coin array of a Ville block: 8 paths at
+# n = 1000.  The allocator reuses arrays this small: at 16,384 entries each
+# block's arrays went back to the system, and `ville --n 1000 --paths 10000`
+# took about 77,000 page faults per run (none at 8,192 once warm).  The
+# seeding is shared by hundreds of paths (betting._SEEDING_PATHS), so a
+# small block does not pay for it.
+_VILLE_BLOCK_ENTRIES = 8192
 
 
 def _trial_block(
@@ -562,16 +567,17 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
     wealth is a nonnegative martingale started at 1 and Ville's inequality
     caps P(max_t W_t >= 1/delta) at delta.  PASS per delta: Wilson-99
     upper bound on the crossing rate <= delta.  Path p draws the coins of
-    ``mean_zero_coins(n, seed, p)`` into one row of a block of paths, and
-    the KT wealth of the whole block is computed at once.
+    ``mean_zero_coins(n, seed, p)`` into one row of a block of up to
+    8,192 // n paths, and the KT wealth paths of a block are computed at
+    once, each with the bits of one path run alone.  About 512 paths are
+    seeded at once (``betting._coin_blocks``).
     """
     n, paths, seed = _integer(n, "n", 1), _integer(paths, "paths", 1000), _integer(seed, "seed", 0)
     deltas = _floats(delta_values, "delta values", 0.0, 1.0, open_low=True, open_high=True, ndim=1)
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
-    for block_paths in _blocks(paths, n):
-        block = np.array([_coin_row(n, seed, path) for path in block_paths])
-        peaks = _kt_rows(block)[1][:, 1:].max(axis=1)
+    for coins in _coin_blocks(n, seed, range(paths), max(1, _VILLE_BLOCK_ENTRIES // n)):
+        peaks = _kt_rows(coins)[1][:, 1:].max(axis=1)
         crossings += (peaks[:, None] >= thresholds).sum(axis=0)
     rows = []
     for delta, crossed in zip(deltas.tolist(), crossings):

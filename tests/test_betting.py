@@ -1,6 +1,9 @@
 """Coin-betting wealth: coin checks, the hindsight optimum, and KT."""
 
+import concurrent.futures
 import math
+import random
+import threading
 import warnings
 
 import numpy as np
@@ -15,6 +18,7 @@ from zcp_paclab import (
     kt_bettor,
     max_log_wealth,
     mean_zero_coins,
+    ville_experiment,
     wealth_quadratic_lower,
 )
 from zcp_paclab import betting
@@ -268,14 +272,69 @@ class TestMartingaleProperty:
         assert abs(wealth.mean() - 1.0) <= 5.0 * standard_error
 
 
+def _oracle_coins(n, seed, path):
+    rng = np.random.default_rng((seed, path))
+    signs = rng.integers(0, 2, n) * 2 - 1
+    return signs * rng.random(n)
+
+
+# one and two uint32 words at their edges, and entropy longer than SeedSequence's 4-word pool
+_WORD_COUNT_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**200]
+_EDGE_IDS = ["0", "2**32-1", "2**32", "2**64+5", "10**30", "2**200"]
+
+
 class TestMeanZeroCoins:
     def test_stream_is_sign_times_uniform(self):
         # pins the random stream that `betting --n` and `ville` both draw
         for seed, path in [(0, 0), (4, 0), (1, 999)]:
-            rng = np.random.default_rng((seed, path))
-            signs = rng.integers(0, 2, 50) * 2 - 1
-            expected = signs * rng.random(50)
-            np.testing.assert_array_equal(mean_zero_coins(50, seed, path), expected)
+            np.testing.assert_array_equal(mean_zero_coins(50, seed, path), _oracle_coins(50, seed, path))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1001])
+    @pytest.mark.parametrize("seed", _WORD_COUNT_EDGES, ids=_EDGE_IDS)
+    def test_stream_bit_for_bit_at_word_count_edges(self, n, seed):
+        for path in _WORD_COUNT_EDGES:
+            assert mean_zero_coins(n, seed, path).tobytes() == _oracle_coins(n, seed, path).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1001])
+    @pytest.mark.parametrize("seed", [1, 2**64 + 5, 2**200], ids=["1", "2**64+5", "2**200"])
+    @pytest.mark.parametrize("rows", [4, 9])
+    def test_blocks_of_mixed_path_word_counts(self, n, seed, rows):
+        paths = [5, 2**200, 2**32 - 1, 10**30, 0, 2**32, 2**64 + 5, 2**96, 7]
+        blocks = list(betting._coin_blocks(n, seed, paths, rows))
+        assert [block.shape for block in blocks] == {4: [(4, n), (4, n), (1, n)], 9: [(9, n)]}[rows]
+        for row, path in zip(np.concatenate(blocks), paths, strict=True):
+            assert row.tobytes() == _oracle_coins(n, seed, path).tobytes()
+
+    def test_seeding_matches_pcg64_on_random_pairs(self):
+        rng = random.Random(16)
+        bits = [1, 8, 31, 32, 33, 63, 64, 65, 96, 97, 128, 129, 200]
+        for _ in range(100):  # 100 seeds of 100 paths each: 10,000 pairs
+            seed = rng.getrandbits(rng.choice(bits))
+            paths = [rng.getrandbits(rng.choice(bits)) for _ in range(100)]
+            for path, state in zip(paths, betting._pcg64_states(seed, paths)):
+                expected = np.random.PCG64(np.random.SeedSequence((seed, path))).state["state"]
+                assert state == (expected["state"], expected["inc"]), (seed, path)
+
+    def test_concurrent_ville_runs_match_runs_alone(self):
+        # each call seeds and draws from its own generator, so threads cannot interleave draws
+        calls = [(1000, [0.5, 0.1], 1000, 1), (7, [0.5, 0.2], 10_000, 2)]
+        alone = [ville_experiment(*args) for args in calls]
+        def coins(args):
+            n, _, paths, seed = args
+            return np.concatenate(list(betting._coin_blocks(n, seed, range(paths), 100)))
+
+        blocks = [coins(args) for args in calls]
+        start = threading.Barrier(len(calls))
+
+        def run(args):
+            start.wait(timeout=60)
+            return ville_experiment(*args), coins(args)
+
+        with concurrent.futures.ThreadPoolExecutor(len(calls)) as pool:
+            results = list(pool.map(run, calls))
+        for (rows, block), rows_alone, block_alone in zip(results, alone, blocks):
+            assert rows == rows_alone
+            assert block.tobytes() == block_alone.tobytes()
 
     def test_coins_lie_in_the_open_interval(self):
         coins = mean_zero_coins(10_000, 3)

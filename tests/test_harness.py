@@ -530,20 +530,40 @@ def _path_by_path_crossings(n, deltas, paths, seed):
 class TestVilleEngine:
     DELTAS = (0.5, 0.2, 0.1, 0.05)
 
-    @pytest.mark.parametrize("paths", [1003, 1004, 1005])  # 4 paths per block at n = 1000
+    # around a boundary of the 4-path blocks that 4,096 entries gave at n = 1000
+    @pytest.mark.parametrize("paths", [1003, 1004, 1005])
     def test_block_boundary_matches_path_by_path(self, paths):
         rows = ville_experiment(1000, self.DELTAS, paths, seed=1)
         assert [row.crossings for row in rows] == _path_by_path_crossings(
             1000, self.DELTAS, paths, 1
         )
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_ville_block_boundary_matches_path_by_path(self, offset):
+        rows_per_block = harness._VILLE_BLOCK_ENTRIES // 1000
+        paths = (1000 // rows_per_block + 1) * rows_per_block + offset  # at least 1,000 paths
+        rows = ville_experiment(1000, self.DELTAS, paths, seed=1)
+        assert [row.crossings for row in rows] == _path_by_path_crossings(
+            1000, self.DELTAS, paths, 1
+        )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_seeding_group_boundary_matches_path_by_path(self, offset, monkeypatch):
+        group = 5 * (harness._VILLE_BLOCK_ENTRIES // 1000)  # 5 blocks at n = 1000
+        monkeypatch.setattr(betting, "_SEEDING_PATHS", group)
+        paths = (1000 // group + 1) * group + offset
+        rows = ville_experiment(1000, self.DELTAS, paths, seed=4)
+        assert [row.crossings for row in rows] == _path_by_path_crossings(
+            1000, self.DELTAS, paths, 4
+        )
+
     def test_one_path_per_block(self, monkeypatch):
-        monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(harness, "_VILLE_BLOCK_ENTRIES", 1)
         rows = ville_experiment(50, self.DELTAS, 1000, seed=2)
         assert [row.crossings for row in rows] == _path_by_path_crossings(50, self.DELTAS, 1000, 2)
 
     def test_paths_longer_than_a_block(self):
-        n = harness._BLOCK_ENTRIES + 904  # each block holds one path
+        n = harness._VILLE_BLOCK_ENTRIES + 904  # each block holds one path
         rows = ville_experiment(n, self.DELTAS, 1000, seed=3)
         assert [row.crossings for row in rows] == _path_by_path_crossings(n, self.DELTAS, 1000, 3)
 

@@ -119,11 +119,19 @@ def _golden() -> list[tuple[str, ...]]:
         ("betting", "--n", "100000", "--seed", "1"),
         ("ville", "--n", "1000", "--paths", "10000", "--delta", "0.1,0.05", "--seed", "1"),
     ]
-    # a Ville block holds 4 paths at n = 1000: one below, at and one above a boundary
+    # one below, at and one above a boundary of the 4-path Ville blocks that
+    # 4,096 entries gave at n = 1000; n = 5000 then held one path per block
     argvs += [
         ("ville", "--n", "1000", "--paths", paths, "--seed", "1") for paths in ("1003", "1004", "1005")
     ]
-    argvs.append(("ville", "--n", "5000", "--paths", "1000", "--seed", "1"))  # one path per block
+    argvs.append(("ville", "--n", "5000", "--paths", "1000", "--seed", "1"))
+    # a Ville block of 8,192 entries holds 8 paths at n = 1000, and 512 paths are
+    # seeded at once: around a boundary of each, and paths longer than a block
+    argvs += [
+        ("ville", "--n", "1000", "--paths", paths, "--seed", "1")
+        for paths in ("1007", "1008", "1009", "4095", "4096", "4097")
+    ]
+    argvs.append(("ville", "--n", "9000", "--paths", "1000", "--seed", "1"))
     argvs += [
         ("coverage", *_config("flags.json")),
         ("coverage", *_config("flags.json"), "--loss", "abs"),  # an explicit flag wins
