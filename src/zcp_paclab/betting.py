@@ -80,7 +80,10 @@ def max_log_wealth(coins) -> tuple[float, float]:
     candidate is then compared against both endpoints and beta = 0, which
     also guarantees ln W*_n >= 0.
     """
-    arr = _floats(coins, "coins", -1.0, 1.0, ndim=1)
+    return _max_log_wealth(_floats(coins, "coins", -1.0, 1.0, ndim=1))
+
+
+def _max_log_wealth(arr: np.ndarray) -> tuple[float, float]:
     if not arr.any():
         return 0.0, 0.0
     with np.errstate(divide="ignore"):  # a +-1 coin makes an endpoint slope infinite
@@ -146,7 +149,10 @@ def kt_bettor(coins) -> WealthTrace:
 
 def wealth_quadratic_lower(coins) -> float:
     """Lower bound ln W*_n >= (sum c_t)^2 / (4 n)."""
-    arr = _floats(coins, "coins", -1.0, 1.0, ndim=1)
+    return _wealth_quadratic_lower(_floats(coins, "coins", -1.0, 1.0, ndim=1))
+
+
+def _wealth_quadratic_lower(arr: np.ndarray) -> float:
     total = float(arr.sum())
     return total * total / (4.0 * arr.size)
 

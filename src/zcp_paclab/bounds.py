@@ -18,9 +18,9 @@ import numpy as np
 from .distributions import DiscreteDistribution
 from .divergences import (
     _pair_logs,
+    _renyi_rows,
     _tv_zcp_rows,
     little_kl_inverse_upper,
-    renyi_discrete,
 )
 from .errors import ValidationError, _floats, _integer, _real
 
@@ -240,17 +240,26 @@ def asymptotics_inequality_check(
     inf) when P is not dominated by P0.
     """
     n = _integer(n, "n", 25)
-    log_n = math.log(n)
-    config = BoundConfig(n, 1.0 / (float(n) * n), 1.0 + 1.0 / log_n)
-    tv, zcp1, zcp2 = map(float, _tv_zcp_rows(*_pair_logs(p, p0), 1.0, config.thm2_c))
-    if math.isinf(zcp1):
-        return AsymptoticsCheck(math.inf, math.inf, True)
-    d_alpha = renyi_discrete(p, p0, config.alpha)
-    b_n = complexity_term(d_alpha, zcp2, config)
-    l_n = math.sqrt(2.0 * log_n * (log_n + 1.0) * math.log(2.0 + 2.0 * math.sqrt(2.0) * float(n) ** 4.5))
-    a_n = 2.0 + (2.0 + math.sqrt(d_alpha)) * (zcp1 + tv)
-    ratio = b_n / l_n
+    [(ratio, a_n)] = _asymptotics_rows(*_pair_logs(p, p0), (n,))
+    ratio, a_n = float(ratio), float(a_n)
     return AsymptoticsCheck(ratio, a_n, ratio <= a_n)
+
+
+def _asymptotics_rows(lp: np.ndarray, lq: np.ndarray, ns) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(B_n / L(n), A_n) of each row of lp against lq, for each n >= 25 of ``ns``.  One TV
+    and ZCP(.; 1) serve every n.  Both are inf on an undominated row, as D_alpha and ZCP are."""
+    configs = [BoundConfig(n, 1.0 / (float(n) * n), 1.0 + 1.0 / math.log(n)) for n in ns]
+    tv, zcp1, *zcp2 = _tv_zcp_rows(lp, lq, 1.0, *(config.thm2_c for config in configs))
+    rows = []
+    for config, d_zcp in zip(configs, zcp2):
+        log_n = math.log(config.n)
+        log_tail = math.log(2.0 + 2.0 * math.sqrt(2.0) * float(config.n) ** 4.5)
+        l_n = math.sqrt(2.0 * log_n * (log_n + 1.0) * log_tail)
+        d_alpha = _renyi_rows(lp, lq, config.alpha)
+        ratio = _complexity(d_alpha, d_zcp, config) / l_n
+        a_n = 2.0 + (2.0 + np.sqrt(d_alpha)) * (zcp1 + tv)
+        rows.append((ratio, a_n))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import tempfile
 
 import numpy as np
 
-from .betting import kt_bettor, max_log_wealth, mean_zero_coins, wealth_quadratic_lower
-from .bounds import BoundConfig, CheckRow, analytic_inequality_suite, asymptotics_inequality_check
+from .betting import kt_bettor, mean_zero_coins, wealth_quadratic_lower
+from .bounds import BoundConfig, analytic_inequality_suite
 from .distributions import (
     _multivariate_ln_a, bernoulli_instance, gaussian_instance, make_discrete, multivariate_instance
 )
@@ -47,6 +47,7 @@ from .harness import (
     gaussian_instance_check,
     learning_instance_from_dict,
     run_coverage,
+    self_check_suite,
     ville_experiment,
 )
 
@@ -333,48 +334,8 @@ def _cmd_inequalities(args) -> tuple[dict, dict, bool | None]:
     return _table(rows), {"trials": args.trials, "tolerance": 1e-9, "all_passed": passed}, passed
 
 
-def _asymptotics_fuzz(rng: np.random.Generator):
-    for index in range(300):
-        size = int(rng.integers(2, 65))
-        p = make_discrete(rng.random(size) + 1e-3)
-        q = make_discrete(rng.random(size) + 1e-3)
-        for n in (25, 100, 10_000):
-            check = asymptotics_inequality_check(p, q, n)
-            yield check.a_value - check.b_over_l, f"pair={index},n={n}", not check.holds
-
-
-def _betting_fuzz(rng: np.random.Generator):
-    for index in range(300):
-        n = int(rng.integers(1, 257))
-        # the quadratic wealth lower bound holds for every [-1, 1] sequence
-        coins = rng.choice([-1.0, 1.0], n) * rng.random(n)
-        quad_slack = max_log_wealth(coins)[1] - wealth_quadratic_lower(coins)
-        # the 2 sqrt(n) KT regret guarantee is a binary-coin theorem and is
-        # false for general magnitudes, so fuzz it on +-1 sequences only
-        bias = rng.uniform(0.1, 0.9)
-        trace = kt_bettor(np.where(rng.random(n) < bias, 1.0, -1.0))
-        slack = min(quad_slack, math.log(2.0 * math.sqrt(trace.n)) - trace.log_regret)
-        yield slack, f"sequence={index},n={trace.n}", slack < -1e-12
-
-
-def _fuzz_row(check: str, results) -> CheckRow:
-    """The check row of (slack, where, violated) fuzz results; stderr names the worst one."""
-    worst_slack, worst_at, violations = math.inf, "", 0
-    for slack, where, violated in results:
-        if math.isfinite(slack) and slack < worst_slack:
-            worst_slack, worst_at = slack, where
-        violations += violated
-    if violations:
-        print(f"self-check: {check} violated at {worst_at}", file=sys.stderr)
-    return CheckRow(check, worst_slack, violations, violations == 0)
-
-
 def _cmd_self_check(args) -> tuple[dict, dict, bool | None]:
-    rows = analytic_inequality_suite(trials=args.trials, seed=args.seed, tolerance=1e-9)
-    rng = np.random.default_rng((args.seed, 1))
-    rows.append(_fuzz_row("asymptotics_surrogate", _asymptotics_fuzz(rng)))
-    rng = np.random.default_rng((args.seed, 2))
-    rows.append(_fuzz_row("betting_invariants", _betting_fuzz(rng)))
+    rows = self_check_suite(trials=args.trials, seed=args.seed)
     all_ok = all(row.passed for row in rows)
     for row in rows:
         if not row.passed:

@@ -218,10 +218,22 @@ def _kl_rows(lp: np.ndarray, lq: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
     infinite = (alpha > 1.0) & _undominated(lp, lq)
     active, lp, lq = _atoms_in_use(~((lp == -np.inf) & (lq == -np.inf)), lp, lq)
-    with np.errstate(invalid="ignore"):
-        log_sum = _logsumexp(np.where(active, _renyi_log_terms(lp, lq, alpha), -np.inf))
+    with np.errstate(invalid="ignore", over="ignore"):  # over: alpha lp and (1 - alpha) lq
+        terms = _renyi_log_terms(lp, lq, alpha)
+        # a huge alpha can overflow a term, whose true value is lq + alpha (lp - lq); such a row
+        # factors its largest d = lp - lq out: D = alpha/(alpha - 1) d_max + LSE(lq + alpha (d -
+        # d_max))/(alpha - 1).  Every other row keeps its bits.
+        wrong = active & (np.isnan(terms) | np.isinf(terms) & (lp > -np.inf) & (lq > -np.inf))
+        value = np.asarray(_logsumexp(np.where(active & ~wrong, terms, -np.inf)) / (alpha - 1.0))
+        redo = wrong.any(axis=-1) & ~infinite
+        if redo.any():
+            active, lp, lq = (a[redo] for a in np.broadcast_arrays(active, lp, lq))
+            d = np.where(active, lp - lq, -np.inf)
+            d_max = d.max(axis=-1, keepdims=True)
+            value[redo] = (alpha / (alpha - 1.0) * d_max[..., 0]
+                           + _logsumexp(lq + alpha * (d - d_max)) / (alpha - 1.0))
         # D_alpha >= 0, but rounding can put a value near 0 below it
-        value = np.maximum(0.0, log_sum / (alpha - 1.0))
+        value = np.maximum(0.0, value)
     return np.where(infinite, np.inf, value)
 
 

@@ -21,17 +21,20 @@ from typing import Iterator
 
 import numpy as np
 
-from .betting import _coin_blocks, _kt_rows
+from .betting import _coin_blocks, _kt_rows, _max_log_wealth, _wealth_quadratic_lower
 from .bounds import (
     BOUND_NAMES,
     BoundConfig,
     BoundReport,
+    CheckRow,
+    _asymptotics_rows,
     _complexity,
     _empirical_bernstein,
     _failures,
     _hoeffding_zcp,
     _mcallester,
     _sample_variance,
+    analytic_inequality_suite,
     hoeffding_zcp_bound,
     little_kl_mean_bound,
     mcallester_baseline,
@@ -75,6 +78,7 @@ __all__ = [
     "gaussian_instance_check",
     "VilleRow",
     "ville_experiment",
+    "self_check_suite",
     "TightnessRow",
     "tightness_comparison",
 ]
@@ -593,6 +597,102 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
             )
         )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Self-check: the analytic lemmas, the asymptotic surrogate and the wealth invariants
+# ---------------------------------------------------------------------------
+
+_FUZZ_DRAWS = 300
+_ASYMPTOTICS_N = (25, 100, 10_000)
+
+
+def self_check_suite(trials: int = 100_000, seed: int = 0) -> list[CheckRow]:
+    """The three ``analytic_inequality_suite`` rows, then two fuzz rows.
+
+    ``asymptotics_surrogate`` checks B_n / L(n) <= A_n
+    (``asymptotics_inequality_check``) on 300 random pairs of 2 to 64 atoms
+    at n in {25, 100, 10000}.  ``betting_invariants`` checks ln W*_n >=
+    (sum c_t)^2 / (4n) on 300 [-1, 1] coin sequences, and the KT regret
+    ln(W*_n / W_n) <= ln(2 sqrt(n)) on 300 +-1 sequences, with a violation
+    below -1e-12.  The fuzz draws come from default_rng((seed, 1)) and
+    default_rng((seed, 2)).  A fuzz row's worst slack is its smallest finite
+    one; a violated fuzz check logs the first draw with that slack at
+    WARNING.
+    """
+    seed = _integer(seed, "seed", 0)
+    rows = analytic_inequality_suite(trials=trials, seed=seed)
+    slack, violated = _asymptotics_fuzz(np.random.default_rng((seed, 1)))
+    count = len(_ASYMPTOTICS_N)
+    rows.append(_fuzz_row("asymptotics_surrogate", slack.ravel(), violated.ravel(),
+                          lambda i: f"pair={i // count},n={_ASYMPTOTICS_N[i % count]}"))
+    slack, lengths = _betting_fuzz(np.random.default_rng((seed, 2)))
+    rows.append(_fuzz_row("betting_invariants", slack, slack < -1e-12,
+                          lambda i: f"sequence={i},n={lengths[i]}"))
+    return rows
+
+
+def _asymptotics_fuzz(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Slack A_n - B_n / L(n) and violation of each (pair, n), both of shape (300, 3).
+
+    Pair i draws its size from integers(2, 65), then the weights of P and P0
+    as random(size) + 1e-3 each.  The pairs of one size form one block, and
+    each row has the bits of ``asymptotics_inequality_check`` on its pair:
+    no weight is 0, so every atom is in use.
+    """
+    sizes = np.empty(_FUZZ_DRAWS, dtype=int)
+    weights = np.empty((_FUZZ_DRAWS, 2, 64))  # pair, side, atom
+    for index in range(_FUZZ_DRAWS):
+        sizes[index] = size = rng.integers(2, 65)
+        rng.random(out=weights[index, 0, :size])
+        rng.random(out=weights[index, 1, :size])
+    slack = np.empty((_FUZZ_DRAWS, len(_ASYMPTOTICS_N)))
+    violated = np.empty(slack.shape, dtype=bool)
+    for size in set(sizes.tolist()):  # np.unique would import numpy.ma, a megabyte
+        pairs = np.flatnonzero(sizes == size)
+        w = weights[pairs, :, :size] + 1e-3
+        # make_discrete's log-weights, row by row
+        lp, lq = np.moveaxis(np.log(w / w.sum(axis=-1, keepdims=True)), 1, 0)
+        for j, (ratio, a_n) in enumerate(_asymptotics_rows(lp, lq, _ASYMPTOTICS_N)):
+            slack[pairs, j] = a_n - ratio
+            violated[pairs, j] = ~(ratio <= a_n)
+    return slack, violated
+
+
+def _betting_fuzz(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller wealth-invariant slack of each of 300 sequences, and its length n.
+
+    Sequence i draws n from integers(1, 257) and n coins choice([-1, 1], n)
+    * random(n) for the quadratic lower bound, then bias = uniform(0.1, 0.9)
+    and n +-1 coins, +1 where random(n) < bias, for the KT regret.
+    """
+    slack = np.empty(_FUZZ_DRAWS)
+    lengths = np.empty(_FUZZ_DRAWS, dtype=int)
+    for index in range(_FUZZ_DRAWS):
+        n = int(rng.integers(1, 257))
+        # the quadratic wealth lower bound holds for every [-1, 1] sequence
+        coins = rng.choice([-1.0, 1.0], n) * rng.random(n)
+        quad_slack = _max_log_wealth(coins)[1] - _wealth_quadratic_lower(coins)
+        # the 2 sqrt(n) KT regret guarantee is a binary-coin theorem and is
+        # false for general magnitudes, so fuzz it on +-1 sequences only
+        bias = rng.uniform(0.1, 0.9)
+        binary = np.where(rng.random(n) < bias, 1.0, -1.0)
+        log_regret = _max_log_wealth(binary)[1] - float(_kt_rows(binary)[1][-1])
+        slack[index] = min(quad_slack, math.log(2.0 * math.sqrt(n)) - log_regret)
+        lengths[index] = n
+    return slack, lengths
+
+
+def _fuzz_row(check: str, slack: np.ndarray, violated: np.ndarray, where) -> CheckRow:
+    """The check row of per-draw slacks and violations; a violation logs ``where(i)`` of the
+    first draw i with the smallest finite slack."""
+    finite = np.flatnonzero(np.isfinite(slack))
+    first = finite[np.argmin(slack[finite])] if finite.size else None
+    worst_slack, worst_at = (math.inf, "") if first is None else (float(slack[first]), where(first))
+    violations = int(np.count_nonzero(violated))
+    if violations:
+        logger.warning("self-check: %s violated at %s", check, worst_at)
+    return CheckRow(check, worst_slack, violations, violations == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import zcp_paclab
-from zcp_paclab import cli
+from zcp_paclab import cli, harness
 from zcp_paclab.bounds import CheckRow
 
 
@@ -524,6 +525,19 @@ class TestVerificationCommands:
         assert payload[0] == "check,worst_slack,violations,passed"
         assert "# all_passed=true" in out
 
+    @pytest.mark.parametrize("alpha", ["1e300", "1e308"])
+    def test_huge_renyi_order_is_finite_and_silent(self, capsys, alpha):
+        argv = ["divergence", "--kind", "renyi", "--alpha", alpha,
+                "--p", "0.1,0.05,0.85", "--q", "0.12,0.08,0.8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, argv)
+            assert _run(capsys, ["bound", "--n", "30", "--alpha", alpha, "--loss", "bernoulli",
+                                 "--eta", "0.05"])[0] == 0
+        assert (code, err) == (0, "")
+        value = float(out.splitlines()[1].split(",")[3])
+        assert value == pytest.approx(math.log(0.85 / 0.8), rel=1e-12, abs=0.0)
+
     def test_gaussian_check_single_p(self, capsys):
         code, out, _ = _run(capsys, ["gaussian-check", "--p", "0.1", "--format", "json"])
         assert code == 0
@@ -539,7 +553,7 @@ class TestVerificationCommands:
 
     def test_self_check_fault_exits_two(self, capsys, monkeypatch):
         broken = [CheckRow("fan_log_quadratic", worst_slack=-1.0, violations=3, passed=False)]
-        monkeypatch.setattr(cli, "analytic_inequality_suite", lambda **kwargs: broken)
+        monkeypatch.setattr(harness, "analytic_inequality_suite", lambda **kwargs: broken)
         code, out, err = _run(capsys, ["self-check", "--trials", "10"])
         assert code == 2
         assert "fan_log_quadratic" in err

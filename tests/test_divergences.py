@@ -153,6 +153,35 @@ class TestDiscreteEdgeCases:
         )
         np.testing.assert_allclose(zcp_discrete(p, q, 1e6), expected_big, rtol=1e-13)
 
+    @pytest.mark.parametrize("alpha", [1e300, 1e308])
+    def test_renyi_at_huge_alpha_tends_to_the_max_log_ratio(self, alpha):
+        # at alpha = 1e308 both alpha lp and (1 - alpha) lq overflow, with opposite signs
+        p, q = make_discrete([0.1, 0.05, 0.85]), make_discrete([0.12, 0.08, 0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = renyi_discrete(p, q, alpha)
+        assert value == pytest.approx(math.log(0.85 / 0.8), rel=1e-12, abs=0.0)
+
+    def test_renyi_at_huge_alpha_with_a_massless_atom(self):
+        # where p = 0 < q, alpha lp is -inf and (1 - alpha) lq overflows to +inf
+        p, q = make_discrete([0.0, 0.15, 0.85]), make_discrete([0.12, 0.08, 0.8])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert renyi_discrete(p, q, 1e308) == pytest.approx(
+                math.log(0.15 / 0.08), rel=1e-12, abs=0.0)
+            assert renyi_discrete(q, p, 1e308) == math.inf
+
+    def test_renyi_overflow_fixup_leaves_other_rows_bits(self):
+        # a block row takes the bits of a 1-d call on it, overflowed or not
+        with np.errstate(divide="ignore"):
+            lp = np.log([[0.1, 0.05, 0.85], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+            lq = np.log([[0.12, 0.08, 0.8], [0.25, 0.75, 0.0], [0.1, 0.1, 0.8]])
+        for alpha in (2.0, 1e300, 1e308):
+            block = divergences._renyi_rows(lp, lq, alpha)
+            for row in range(3):
+                one = divergences._renyi_rows(lp[row], lq[row], alpha)
+                assert block[row].hex() == float(one).hex()
+
     @pytest.mark.parametrize("p", [0.1, 1e-154])
     def test_zcp_finite_where_twice_the_log_ratio_overflows(self, p):
         # ln a = 1e308: 2 ln(r - 1) overflows, while its root sqrt(2) sqrt(ln(r - 1)) does not

@@ -1,15 +1,22 @@
 """Learning instances, Monte Carlo coverage, and the verification tables."""
 
 import dataclasses
+import logging
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zcp_paclab
 from zcp_paclab import (
     BoundConfig,
+    CheckRow,
     CoverageReport,
     CoverageRow,
     FixedPosterior,
@@ -18,6 +25,7 @@ from zcp_paclab import (
     LossKind,
     ValidationError,
     analytic_inequality_suite,
+    asymptotics_inequality_check,
     coverage_reports,
     divergence_scaling_table,
     gaussian_instance_check,
@@ -26,16 +34,18 @@ from zcp_paclab import (
     expected_sample_variance,
     kt_bettor,
     make_discrete,
+    max_log_wealth,
     mcallester_baseline,
     run_coverage,
     sample_variance_from_sums,
     mean_zero_coins,
     tightness_comparison,
     ville_experiment,
+    wealth_quadratic_lower,
     wilson_upper,
     zcp1_upper_bound_kl_tv,
 )
-from zcp_paclab import betting, harness
+from zcp_paclab import betting, bounds, cli, harness
 
 
 def _instance(m=8, loss=LossKind.ABS_DISTANCE, rule=None, **kwargs):
@@ -605,3 +615,113 @@ class TestTightnessComparison:
             tightness_comparison(1.0, [63], BoundConfig(n=100, delta=0.05))
         with pytest.raises(ValidationError):
             tightness_comparison(1.0, [], BoundConfig(n=100, delta=0.05))
+
+
+def _asymptotics_oracle(seed):
+    """(slack, holds) of each (pair, n) of the asymptotics fuzz, one checked pair at a time."""
+    rng = np.random.default_rng((seed, 1))
+    for index in range(300):
+        size = int(rng.integers(2, 65))
+        p = make_discrete(rng.random(size) + 1e-3)
+        q = make_discrete(rng.random(size) + 1e-3)
+        for n in (25, 100, 10_000):
+            check = asymptotics_inequality_check(p, q, n)
+            yield check.a_value - check.b_over_l, f"pair={index},n={n}", check.holds
+
+
+def _betting_oracle(seed):
+    """(slack, length) of each betting fuzz sequence, through the checked public calls."""
+    rng = np.random.default_rng((seed, 2))
+    for _ in range(300):
+        n = int(rng.integers(1, 257))
+        coins = rng.choice([-1.0, 1.0], n) * rng.random(n)
+        quad_slack = max_log_wealth(coins)[1] - wealth_quadratic_lower(coins)
+        bias = rng.uniform(0.1, 0.9)
+        trace = kt_bettor(np.where(rng.random(n) < bias, 1.0, -1.0))
+        yield min(quad_slack, math.log(2.0 * math.sqrt(trace.n)) - trace.log_regret), trace.n
+
+
+def _first_worst(slacks_and_labels):
+    """The first smallest finite slack and its label, scanning in draw order."""
+    worst, at = math.inf, ""
+    for slack, label in slacks_and_labels:
+        if math.isfinite(slack) and slack < worst:
+            worst, at = slack, label
+    return worst, at
+
+
+_INJECTED = """
+import sys
+from zcp_paclab import bounds, cli
+complexity = bounds._complexity
+bounds._complexity = lambda *args: complexity(*args) * float(sys.argv[1])
+sys.exit(cli.run(["self-check", "--trials", "1000", "--seed", sys.argv[2]]))
+"""
+
+
+class TestSelfCheckFuzz:
+    """The fuzz rows of self_check_suite against one checked call per draw.  The asymptotics
+    blocks give each pair the bits of a 1-d call only if numpy sums each row of a C-contiguous
+    2-d array as it sums that row alone."""
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_asymptotics_blocks_match_one_pair_calls(self, seed):
+        slack, violated = harness._asymptotics_fuzz(np.random.default_rng((seed, 1)))
+        expected = list(_asymptotics_oracle(seed))
+        assert [s.hex() for s in slack.ravel().tolist()] == [s.hex() for s, _, _ in expected]
+        assert violated.ravel().tolist() == [not holds for _, _, holds in expected]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_betting_rows_match_the_checked_path(self, seed):
+        slack, lengths = harness._betting_fuzz(np.random.default_rng((seed, 2)))
+        expected = list(_betting_oracle(seed))
+        assert [s.hex() for s in slack.tolist()] == [s.hex() for s, _ in expected]
+        assert lengths.tolist() == [n for _, n in expected]
+        worst, _ = _first_worst((s, "") for s, _ in expected)
+        violations = sum(s < -1e-12 for s, _ in expected)
+        row = harness.self_check_suite(trials=100, seed=seed)[4]
+        assert row == CheckRow("betting_invariants", worst, violations, violations == 0)
+
+    def test_suite_extends_the_analytic_rows(self):
+        rows = harness.self_check_suite(trials=500, seed=4)
+        assert rows[:3] == analytic_inequality_suite(trials=500, seed=4)
+        assert [row.check for row in rows[3:]] == ["asymptotics_surrogate", "betting_invariants"]
+        assert all(row.passed for row in rows)
+
+    def test_tied_worst_slacks_name_the_first_pair(self, monkeypatch, caplog):
+        # with TV and every ZCP patched to 0, A_n = 2 and B_n / L(n) depends on n alone, so all
+        # pairs tie at each n; tripled, B_n / L(n) exceeds 2 at n = 25 and 100
+        complexity = bounds._complexity
+        monkeypatch.setattr(bounds, "_complexity", lambda *args: complexity(*args) * 3.0)
+        monkeypatch.setattr(bounds, "_tv_zcp_rows",
+                            lambda lp, lq, *scales: (np.zeros(lp.shape[:-1]),) * (len(scales) + 1))
+        with caplog.at_level(logging.WARNING, logger="zcp_paclab.harness"):
+            row = harness.self_check_suite(trials=100, seed=0)[3]
+        assert row.violations == 600
+        assert caplog.messages == ["self-check: asymptotics_surrogate violated at pair=0,n=25"]
+
+    def test_injected_violation_names_the_first_worst_pair(self, monkeypatch, caplog):
+        factor, seed = 3.0, 7
+        complexity = bounds._complexity
+        monkeypatch.setattr(bounds, "_complexity", lambda *args: complexity(*args) * factor)
+        expected = list(_asymptotics_oracle(seed))
+        worst, at = _first_worst((s, label) for s, label, _ in expected)
+        violations = sum(not holds for _, _, holds in expected)
+        assert 0 < violations < len(expected) and at != "pair=0,n=25"
+        with caplog.at_level(logging.WARNING, logger="zcp_paclab.harness"):
+            row = harness.self_check_suite(trials=100, seed=seed)[3]
+        assert row == CheckRow("asymptotics_surrogate", worst, violations, False)
+        assert caplog.messages == [f"self-check: asymptotics_surrogate violated at {at}"]
+        # without a configured handler the warning reaches stderr as the bare message
+        src = str(Path(zcp_paclab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _INJECTED, str(factor), str(seed)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"self-check: asymptotics_surrogate violated at {at}",
+            f"self-check failure: asymptotics_surrogate worst_slack={cli._fmt(worst)}",
+        ]

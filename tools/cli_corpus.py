@@ -84,6 +84,7 @@ def _golden() -> list[tuple[str, ...]]:
         for loss in ("abs", "bernoulli")
     ]
     argvs.append(("bound", "--n", "200", "--m", "2000", "--seed", "2"))
+    argvs.append(("bound", "--n", "30", "--alpha", "1e308", "--loss", "bernoulli", "--eta", "0.05"))
     for seed in ("1", "2", "3"):
         argvs.append(("self-check", "--seed", seed))
         argvs.append(("inequalities", "--seed", seed))
@@ -106,6 +107,9 @@ def _golden() -> list[tuple[str, ...]]:
         ("divergence", "--kind", "tv", *_P, *_Q),
         ("divergence", "--kind", "renyi", "--alpha", "2", *_P, *_Q),
         ("divergence", "--kind", "renyi", "--alpha", "0.5", *_P, *_Q),
+        # alpha lp and (1 - alpha) lq overflow with opposite signs; D tends to ln max(p/q)
+        ("divergence", "--kind", "renyi", "--alpha", "1e308",
+         "--p", "0.1,0.05,0.85", "--q", "0.12,0.08,0.8"),
         ("divergence", "--kind", "zcp", "--c", "1", *_P, *_Q),
         ("divergence", "--kind", "little_kl", "--p", "0.3", "--q", "0.6"),
         ("divergence", "--kind", "kl", "--mixture-p", "0.1"),
