@@ -10,6 +10,7 @@ log-space.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -162,6 +163,8 @@ def mean_zero_coins(n: int, seed: int, path: int = 0) -> np.ndarray:
 
     The bits are those of ``integers(0, 2, n) * 2 - 1`` times ``random(n)``
     from that generator, drawn by ``_coin_blocks`` as Ville draws its paths.
+    Ville and the coverage trials get their generators from one seeding
+    helper, ``_seeded_generators``.
     """
     n, seed, path = _integer(n, "n", 1), _integer(seed, "seed", 0), _integer(path, "path", 0)
     return next(_coin_blocks(n, seed, [path], 1))[0]
@@ -179,8 +182,8 @@ _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 _SIGN_BIT = np.uint64(1 << 63)
-# Paths seeded at once: the array arithmetic costs a few dozen numpy calls
-# whatever the count, and per path about 2 us of Python-int work.
+# Streams seeded at once: the array arithmetic costs a few dozen numpy calls
+# whatever the count, and per stream about 2 us of Python-int work.
 _SEEDING_PATHS = 512
 
 
@@ -248,31 +251,41 @@ def _pcg64_states(seed: int, paths) -> list[tuple[int, int]]:
     return states
 
 
+def _seeded_generators(seed: int, indices) -> Iterator[np.random.Generator]:
+    """Yield, for each index i of ``indices`` in order, a generator that draws what
+    ``default_rng((seed, i))`` draws until the next is yielded: one Generator over one
+    PCG64, both made for this call so that concurrent calls cannot interleave draws, set
+    to the state of ``PCG64(SeedSequence((seed, i)))`` with no buffered 32-bit half (the
+    Generator's binomial constants depend on (n, p) alone).  Up to _SEEDING_PATHS indices
+    are seeded at once."""
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    template = bit_generator.state
+    for first in range(0, len(indices), _SEEDING_PATHS):
+        for state, inc in _pcg64_states(seed, indices[first : first + _SEEDING_PATHS]):
+            template["state"] = {"state": state, "inc": inc}
+            bit_generator.state = template
+            yield generator
+
+
 def _coin_blocks(n: int, seed: int, paths, rows: int) -> Iterator[np.ndarray]:
     """Yield the coins of paths, ``rows`` at a time: row i of block k has the
     bits of ``mean_zero_coins(n, seed, paths[k * rows + i])``.
 
-    Up to about _SEEDING_PATHS paths are seeded at once.  Each path's PCG64
-    state is set on one generator made for this call, which draws ceil(n/2)
-    words for the signs and then n for the magnitudes.
+    Each path's generator (``_seeded_generators``) gives ceil(n/2) raw words
+    for the signs and then n for the magnitudes.
     """
-    generator = np.random.PCG64(0)  # not shared, so concurrent calls cannot interleave draws
-    template = generator.state
-    group = rows * max(1, _SEEDING_PATHS // rows)
-    for first in range(0, len(paths), group):
-        states = _pcg64_states(seed, paths[first : first + group])
-        for start in range(0, len(states), rows):
-            block = states[start : start + rows]
-            signs = np.empty((len(block), (n + 1) // 2), dtype=np.uint64)
-            coins = np.empty((len(block), n))
-            magnitudes = coins.view(np.uint64)
-            for i, (state, inc) in enumerate(block):
-                template["state"] = {"state": state, "inc": inc}
-                generator.state = template
-                signs[i] = generator.random_raw(signs.shape[1])
-                magnitudes[i] = generator.random_raw(n)
-            _coins_from_words(signs, coins)
-            yield coins
+    generators = _seeded_generators(seed, paths)
+    for first in range(0, len(paths), rows):
+        count = min(rows, len(paths) - first)
+        signs = np.empty((count, (n + 1) // 2), dtype=np.uint64)
+        coins = np.empty((count, n))
+        magnitudes = coins.view(np.uint64)
+        for i, generator in enumerate(itertools.islice(generators, count)):
+            signs[i] = generator.bit_generator.random_raw(signs.shape[1])
+            magnitudes[i] = generator.bit_generator.random_raw(n)
+        _coins_from_words(signs, coins)
+        yield coins
 
 
 def _coins_from_words(signs: np.ndarray, coins: np.ndarray) -> None:

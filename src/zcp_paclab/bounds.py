@@ -16,12 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DiscreteDistribution
-from .divergences import (
-    _pair_logs,
-    _renyi_rows,
-    _tv_zcp_rows,
-    little_kl_inverse_upper,
-)
+from .divergences import _little_kl_inverse_upper, _pair_logs, _renyi_rows, _tv_zcp_rows
 from .errors import ValidationError, _floats, _integer, _real
 
 __all__ = [
@@ -179,7 +174,7 @@ def little_kl_mean_bound(p_hat_mean: float, comp: float, n: int) -> float:
     """
     p_hat_mean = _real(p_hat_mean, "p_hat_mean", 0.0, 1.0)
     comp = _real(comp, "comp", 0.0, math.inf)
-    return little_kl_inverse_upper(p_hat_mean, comp / _integer(n, "n", 2))
+    return _little_kl_inverse_upper(p_hat_mean, comp / _integer(n, "n", 2))
 
 
 @dataclass(frozen=True)

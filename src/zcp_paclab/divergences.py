@@ -211,14 +211,18 @@ def _kl_rows(lp: np.ndarray, lq: np.ndarray, p: np.ndarray) -> np.ndarray:
     support, lp, lq, p = _atoms_in_use(lp > -np.inf, lp, lq, p)
     with np.errstate(invalid="ignore"):
         terms = np.where(support, _kl_terms(lp, lq, p), 0.0)
-    # KL >= 0, but rounding can put a value near 0 below it
-    return np.where(infinite, np.inf, np.maximum(0.0, terms.sum(axis=-1)))
+    # KL >= 0, but rounding can put a value near 0 below it; + 0.0 turns -0.0 into +0.0
+    return np.where(infinite, np.inf, np.maximum(terms.sum(axis=-1), 0.0) + 0.0)
+
+
+_NEAR_ONE = 0.25  # |alpha - 1| below which _renyi_rows takes D from log1p and expm1
 
 
 def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
     infinite = (alpha > 1.0) & _undominated(lp, lq)
     active, lp, lq = _atoms_in_use(~((lp == -np.inf) & (lq == -np.inf)), lp, lq)
-    with np.errstate(invalid="ignore", over="ignore"):  # over: alpha lp and (1 - alpha) lq
+    # over: alpha lp and (1 - alpha) lq; divide: log1p(-1) where P and Q are disjoint
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         terms = _renyi_log_terms(lp, lq, alpha)
         # a huge alpha can overflow a term, whose true value is lq + alpha (lp - lq); such a row
         # factors its largest d = lp - lq out: D = alpha/(alpha - 1) d_max + LSE(lq + alpha (d -
@@ -232,8 +236,15 @@ def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
             d_max = d.max(axis=-1, keepdims=True)
             value[redo] = (alpha / (alpha - 1.0) * d_max[..., 0]
                            + _logsumexp(lq + alpha * (d - d_max)) / (alpha - 1.0))
-        # D_alpha >= 0, but rounding can put a value near 0 below it
-        value = np.maximum(0.0, value)
+        if abs(alpha - 1.0) < _NEAR_ONE:
+            # LSE's rounding over alpha - 1 swamps a D near 0 here; log1p(x) / (alpha - 1), x =
+            # sum p expm1((alpha - 1)(lp - lq)) over p > 0, is 0 at P = Q and tends to KL.  LSE
+            # stays where x nears -1 and cancels, or overflows.
+            x = np.where(lp > -np.inf, np.exp(lp) * np.expm1((alpha - 1.0) * (lp - lq)), 0.0)
+            x = x.sum(axis=-1)
+            value = np.where((-0.5 < x) & (x < np.inf), np.log1p(x) / (alpha - 1.0), value)
+        # D_alpha >= 0, but rounding can put a value near 0 below it; + 0.0 turns -0.0 into +0.0
+        value = np.maximum(value, 0.0) + 0.0
     return np.where(infinite, np.inf, value)
 
 
@@ -244,7 +255,7 @@ def _tv_zcp_rows(lp: np.ndarray, lq: np.ndarray, *scales: float) -> tuple[np.nda
     ln_t = _log_abs_expm1(d)
     abs_diff = _abs_diff_of_exps(lp, lq, d)
     infinite = _undominated(lp, lq)
-    rows = [(0.5 * abs_diff).sum(axis=-1)]
+    rows = [np.minimum((0.5 * abs_diff).sum(axis=-1), 1.0)]  # rounding can pass 1 on disjoint P, Q
     with np.errstate(invalid="ignore"):  # 0 * inf where an undominated p underflows to 0
         for c in scales:
             value = _zcp_terms(abs_diff, ln_t, c).sum(axis=-1)
@@ -255,6 +266,7 @@ def _tv_zcp_rows(lp: np.ndarray, lq: np.ndarray, *scales: float) -> tuple[np.nda
 # ---------------------------------------------------------------------------
 # Binary KL and its upper inverse
 # ---------------------------------------------------------------------------
+_TINY = sys.float_info.min  # the smallest normal float, read once for every _rel_entr call
 
 
 def little_kl(p_hat: float, q: float) -> float:
@@ -262,11 +274,7 @@ def little_kl(p_hat: float, q: float) -> float:
 
     Conventions: 0 ln 0 = 0; +inf when p_hat > 0 = q or p_hat < 1 = q.
     """
-    return _little_kl(_real(p_hat, "p_hat", 0.0, 1.0), _real(q, "q", 0.0, 1.0))
-
-
-def _little_kl(p_hat: float, q: float) -> float:
-    """kl for arguments already checked, as inside the inverse's bisection."""
+    p_hat, q = _real(p_hat, "p_hat", 0.0, 1.0), _real(q, "q", 0.0, 1.0)
     return _rel_entr(p_hat, q) + _rel_entr(1.0 - p_hat, 1.0 - q)
 
 
@@ -280,7 +288,7 @@ def _rel_entr(x: float, y: float) -> float:
     ratio = x / y
     if 0.5 < ratio < 2.0:
         return x * math.log1p((x - y) / y)
-    if sys.float_info.min < ratio < math.inf:
+    if _TINY < ratio < math.inf:
         return x * math.log(ratio)
     return x * (math.log(x) - math.log(y))
 
@@ -293,7 +301,11 @@ def little_kl_inverse_upper(p_hat: float, budget: float) -> float:
     adjacent floats so the returned q also inverts kl to full precision.
     """
     p_hat = _real(p_hat, "p_hat", 0.0, 1.0)
-    budget = _real(budget, "budget", 0.0, math.inf)
+    return _little_kl_inverse_upper(p_hat, _real(budget, "budget", 0.0, math.inf))
+
+
+def _little_kl_inverse_upper(p_hat: float, budget: float) -> float:
+    """``little_kl_inverse_upper`` for arguments already checked, as the coverage engine's are."""
     if budget == 0.0:
         return p_hat
     if p_hat == 1.0 or budget == math.inf:
@@ -301,11 +313,12 @@ def little_kl_inverse_upper(p_hat: float, budget: float) -> float:
     if p_hat == 0.0:
         return min(1.0, -math.expm1(-budget))
     lo, hi = p_hat, 1.0  # kl(p_hat, lo) = 0 <= budget < kl(p_hat, hi) = +inf
+    p_bar = 1.0 - p_hat
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return lo
-        if _little_kl(p_hat, mid) <= budget:
+        if _rel_entr(p_hat, mid) + _rel_entr(p_bar, 1.0 - mid) <= budget:  # kl(p_hat, mid)
             lo = mid
         else:
             hi = mid
@@ -542,7 +555,6 @@ def divergence_gaussian(
     if kind is DivergenceKind.RENYI:
         if value <= 0.0:
             raise NumericalError("Renyi integral underflowed to a nonpositive value")
-        renyi = math.log(value) / (alpha - 1.0)
-        renyi_err = err / (abs(alpha - 1.0) * value)
-        return DivergenceValue(renyi, renyi_err)
-    return DivergenceValue(value, err)
+        value, err = math.log(value) / (alpha - 1.0), err / (abs(alpha - 1.0) * value)
+    # every divergence is >= 0, but rounding can put a value near 0 below it; max gives +0.0
+    return DivergenceValue(max(0.0, value), err)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .betting import _coin_blocks, _kt_rows, _max_log_wealth, _wealth_quadratic_lower
+from .betting import _seeded_generators
 from .bounds import (
     BOUND_NAMES,
     BoundConfig,
@@ -36,7 +38,6 @@ from .bounds import (
     _sample_variance,
     analytic_inequality_suite,
     hoeffding_zcp_bound,
-    little_kl_mean_bound,
     mcallester_baseline,
 )
 from .distributions import (
@@ -51,6 +52,7 @@ from .divergences import (
     DivergenceKind,
     QuadratureConfig,
     _kl_rows,
+    _little_kl_inverse_upper,
     _renyi_rows,
     _tv_zcp_rows,
     divergence_gaussian,
@@ -292,16 +294,19 @@ _VILLE_BLOCK_ENTRIES = 8192
 
 
 def _trial_block(
-    instance: LearningInstance, config: BoundConfig, trials: range, seed: int
+    instance: LearningInstance, config: BoundConfig, trials: range,
+    generators: Iterator[np.random.Generator],
 ) -> dict[str, np.ndarray]:
     """BoundReport field -> its value in each trial of ``trials``.
 
-    Trial t draws its per-atom sums from default_rng((seed, t)) into one row
-    of S1 and S2.  The posteriors, divergences and bounds of all rows are then
-    computed at once, each row with the bits of a block of that row alone.
+    Trial t draws its per-atom sums into one row of S1 and S2 from the next
+    of ``generators``, which draws what default_rng((seed, t)) draws (coverage
+    and Ville share one seeding helper, ``betting._seeded_generators``).  The
+    posteriors, divergences and bounds of all rows are then computed at once,
+    each row with the bits of a block of that row alone.
     """
     n = _integer(config.n, "n", 2)  # the sample variance needs two draws
-    rngs = (np.random.default_rng((seed, t)) for t in trials)
+    rngs = itertools.islice(generators, len(trials))
     s1, s2 = map(np.array, zip(*(instance.loss_sums(n, rng) for rng in rngs)))
     mu_hat = s1 / n
     rule = instance.posterior_rule
@@ -336,21 +341,27 @@ def _trial_block(
         "p_hat_mean": mean(mu_hat),
         "p_mean": mean(true_mu),
     }
-    # every other field is >= 0 by construction; little_kl_mean_bound checks p_hat_mean and comp_n
     for name, values in fields.items():
         if values.shape != mu_hat.shape[:1]:  # a divergence or bound of the one posterior
             fields[name] = values = np.broadcast_to(values, mu_hat.shape[:1])
         if np.isnan(values).any():  # a NaN fails no bound, so it must not count as a pass
             raise ValidationError(f"{name} is NaN in trial {trials[np.isnan(values).argmax()]}")
-    pairs = zip(fields["p_hat_mean"].tolist(), fields["comp_n"].tolist())
-    fields["little_kl_bound"] = np.array([little_kl_mean_bound(p, comp, n) for p, comp in pairs])
+    # every other field is >= 0 by construction; the kl inversion's arguments are checked here
+    p_hat = _floats(fields["p_hat_mean"], "p_hat_mean", 0.0, 1.0).tolist()
+    budgets = (_floats(fields["comp_n"], "comp", 0.0, math.inf) / n).tolist()
+    fields["little_kl_bound"] = np.array(list(map(_little_kl_inverse_upper, p_hat, budgets)))
     return fields
 
 
-def _blocks(count: int, width: int) -> Iterator[range]:
-    """Consecutive ranges of rows 0 .. count - 1, each of max(1, _BLOCK_ENTRIES // width) rows."""
-    rows = max(1, _BLOCK_ENTRIES // width)
-    return (range(first, min(first + rows, count)) for first in range(0, count, rows))
+def _trial_blocks(
+    instance: LearningInstance, config: BoundConfig, trials: int, seed: int
+) -> Iterator[tuple[range, dict[str, np.ndarray]]]:
+    """Each block of max(1, _BLOCK_ENTRIES // m) consecutive trials, and its fields."""
+    generators = _seeded_generators(seed, range(trials))
+    rows = max(1, _BLOCK_ENTRIES // instance.theta_count)
+    for first in range(0, trials, rows):
+        block = range(first, min(first + rows, trials))
+        yield block, _trial_block(instance, config, block, generators)
 
 
 def coverage_reports(
@@ -358,12 +369,12 @@ def coverage_reports(
 ) -> Iterator[BoundReport]:
     """Yield one BoundReport per trial, in trial-index order.
 
-    Trial t draws from default_rng((seed, t)), so any subset of trials can
+    Trial t draws what default_rng((seed, t)) draws, through the seeding helper
+    Ville uses too (``betting._seeded_generators``), so any subset of trials can
     be reproduced independently.
     """
-    seed = _integer(seed, "seed", 0)
-    for trial_range in _blocks(_integer(trials, "trials", 1), instance.theta_count):
-        block = _trial_block(instance, config, trial_range, seed)
+    seed, trials = _integer(seed, "seed", 0), _integer(trials, "trials", 1)
+    for _, block in _trial_blocks(instance, config, trials, seed):
         for row in zip(*(values.tolist() for values in block.values())):
             yield BoundReport(**dict(zip(block, row)))
 
@@ -409,8 +420,7 @@ def run_coverage(
     trials, seed = _integer(trials, "trials", 100), _integer(seed, "seed", 0)
     counts = dict.fromkeys(BOUND_NAMES, 0)
     events = []
-    for trial_range in _blocks(trials, instance.theta_count):
-        block = _trial_block(instance, config, trial_range, seed)
+    for trial_range, block in _trial_blocks(instance, config, trials, seed):
         failed = _failures(**block)
         # a BoundReport only for a trial that some bound fails
         for row in np.flatnonzero(np.logical_or.reduce(list(failed.values()))):
@@ -573,8 +583,8 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
     upper bound on the crossing rate <= delta.  Path p draws the coins of
     ``mean_zero_coins(n, seed, p)`` into one row of a block of up to
     8,192 // n paths, and the KT wealth paths of a block are computed at
-    once, each with the bits of one path run alone.  About 512 paths are
-    seeded at once (``betting._coin_blocks``).
+    once, each with the bits of one path run alone.  The paths draw through
+    the seeding helper coverage uses too, ``betting._seeded_generators``.
     """
     n, paths, seed = _integer(n, "n", 1), _integer(paths, "paths", 1000), _integer(seed, "seed", 0)
     deltas = _floats(delta_values, "delta values", 0.0, 1.0, open_low=True, open_high=True, ndim=1)

@@ -4,7 +4,21 @@ import math
 
 import numpy as np
 
-from zcp_paclab import make_discrete
+from zcp_paclab import (
+    BoundReport,
+    complexity_term,
+    empirical_bernstein_bound,
+    hoeffding_zcp_bound,
+    kl_discrete,
+    little_kl_mean_bound,
+    make_discrete,
+    mcallester_baseline,
+    renyi_discrete,
+    sample_variance_from_sums,
+    tv_discrete,
+    zcp_discrete,
+)
+from zcp_paclab.divergences import _rel_entr
 
 
 def random_pair(rng, max_support=64, min_support=2):
@@ -125,3 +139,66 @@ def masked_log1p_sq(ln_t, c):
     # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
     out[~small] = s2[~small] + np.log1p(np.exp(-s2[~small]))
     return out
+
+
+def oracle_coins(n, seed, path):
+    """Path ``path`` of Ville's coins, drawn from its own default_rng((seed, path))."""
+    rng = np.random.default_rng((seed, path))
+    signs = rng.integers(0, 2, n) * 2 - 1
+    return signs * rng.random(n)
+
+
+def oracle_report(instance, config, seed, trial):
+    """Trial ``trial`` of a coverage run, drawn from its own default_rng((seed, trial)) and
+    computed from public scalar functions only."""
+    n = config.n
+    s1, s2 = instance.loss_sums(n, np.random.default_rng((seed, trial)))
+    mu_hat = s1 / n
+    post, prior = instance.posterior(mu_hat, n), instance.prior
+    w, true_mu = post.weights, instance.true_means()
+    v_hat = float(w @ sample_variance_from_sums(s1, s2, n))
+    p_hat_mean = float(w @ mu_hat)
+    d_kl, d_alpha = kl_discrete(post, prior), renyi_discrete(post, prior, config.alpha)
+    d_zcp1 = zcp_discrete(post, prior, config.thm1_c)
+    d_zcp2 = zcp_discrete(post, prior, config.thm2_c)
+    comp = complexity_term(d_alpha, d_zcp2, config)
+    return BoundReport(
+        d_kl=d_kl,
+        d_tv=tv_discrete(post, prior),
+        d_alpha=d_alpha,
+        d_zcp_thm1=d_zcp1,
+        d_zcp_thm2=d_zcp2,
+        comp_n=comp,
+        hoeffding_zcp=hoeffding_zcp_bound(d_zcp1, config),
+        mcallester=mcallester_baseline(d_kl, config),
+        emp_bernstein=empirical_bernstein_bound(comp, v_hat, n),
+        little_kl_bound=little_kl_mean_bound(p_hat_mean, comp, n),
+        realized_gap=float(w @ (mu_hat - true_mu)),
+        v_hat=v_hat,
+        p_hat_mean=p_hat_mean,
+        p_mean=float(w @ true_mu),
+    )
+
+
+def _little_kl(p_hat, q):
+    return _rel_entr(p_hat, q) + _rel_entr(1.0 - p_hat, 1.0 - q)
+
+
+def oracle_kl_inverse_upper(p_hat, budget):
+    """The kl inversion as its bisection was first written, on ``_little_kl``; the kernel must
+    make the same comparisons and so return the same bits."""
+    if budget == 0.0:
+        return p_hat
+    if p_hat == 1.0 or budget == math.inf:
+        return 1.0
+    if p_hat == 0.0:
+        return min(1.0, -math.expm1(-budget))
+    lo, hi = p_hat, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return lo
+        if _little_kl(p_hat, mid) <= budget:
+            lo = mid
+        else:
+            hi = mid

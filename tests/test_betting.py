@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_max_log_wealth, grid_max_log_wealth, random_coins
+from conftest import bisect_max_log_wealth, grid_max_log_wealth, oracle_coins, random_coins
 from zcp_paclab import (
     ValidationError,
     WealthTrace,
@@ -272,12 +272,6 @@ class TestMartingaleProperty:
         assert abs(wealth.mean() - 1.0) <= 5.0 * standard_error
 
 
-def _oracle_coins(n, seed, path):
-    rng = np.random.default_rng((seed, path))
-    signs = rng.integers(0, 2, n) * 2 - 1
-    return signs * rng.random(n)
-
-
 # one and two uint32 words at their edges, and entropy longer than SeedSequence's 4-word pool
 _WORD_COUNT_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**200]
 _EDGE_IDS = ["0", "2**32-1", "2**32", "2**64+5", "10**30", "2**200"]
@@ -287,13 +281,13 @@ class TestMeanZeroCoins:
     def test_stream_is_sign_times_uniform(self):
         # pins the random stream that `betting --n` and `ville` both draw
         for seed, path in [(0, 0), (4, 0), (1, 999)]:
-            np.testing.assert_array_equal(mean_zero_coins(50, seed, path), _oracle_coins(50, seed, path))
+            np.testing.assert_array_equal(mean_zero_coins(50, seed, path), oracle_coins(50, seed, path))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1001])
     @pytest.mark.parametrize("seed", _WORD_COUNT_EDGES, ids=_EDGE_IDS)
     def test_stream_bit_for_bit_at_word_count_edges(self, n, seed):
         for path in _WORD_COUNT_EDGES:
-            assert mean_zero_coins(n, seed, path).tobytes() == _oracle_coins(n, seed, path).tobytes()
+            assert mean_zero_coins(n, seed, path).tobytes() == oracle_coins(n, seed, path).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 7, 1001])
     @pytest.mark.parametrize("seed", [1, 2**64 + 5, 2**200], ids=["1", "2**64+5", "2**200"])
@@ -303,7 +297,7 @@ class TestMeanZeroCoins:
         blocks = list(betting._coin_blocks(n, seed, paths, rows))
         assert [block.shape for block in blocks] == {4: [(4, n), (4, n), (1, n)], 9: [(9, n)]}[rows]
         for row, path in zip(np.concatenate(blocks), paths, strict=True):
-            assert row.tobytes() == _oracle_coins(n, seed, path).tobytes()
+            assert row.tobytes() == oracle_coins(n, seed, path).tobytes()
 
     def test_seeding_matches_pcg64_on_random_pairs(self):
         rng = random.Random(16)

@@ -1,11 +1,13 @@
 """The coverage engine runs trials as (trials, m) blocks with the bits of one trial at a time.
 
-The oracle below builds one trial's BoundReport from public scalar functions
-only, the way trials were computed one by one; every engine report must
-equal it bit for bit.
+The oracle (``conftest.oracle_report``) builds one trial's BoundReport from
+public scalar functions only and its own default_rng((seed, trial)), the way
+trials were computed one by one; every engine report must equal it bit for
+bit.
 """
 
 import dataclasses
+import json
 import logging
 import math
 import tracemalloc
@@ -30,52 +32,21 @@ from zcp_paclab import (
     hoeffding_zcp_bound,
     kl_discrete,
     learning_instance_from_dict,
-    little_kl_mean_bound,
     make_discrete,
     mcallester_baseline,
     renyi_discrete,
     run_coverage,
-    sample_variance_from_sums,
+    ville_experiment,
     tv_discrete,
     zcp_discrete,
 )
-from zcp_paclab import bounds, divergences, harness
+from zcp_paclab import betting, bounds, cli, divergences, harness
+from zcp_paclab.betting import _seeded_generators, kt_bettor, mean_zero_coins
 from zcp_paclab.distributions import _logsumexp, _normalized
 
-from conftest import masked_log1p_sq, masked_log_abs_expm1
+from conftest import masked_log1p_sq, masked_log_abs_expm1, oracle_coins, oracle_report
 
 _CONFIG = BoundConfig(n=1000, delta=0.05, alpha=2.0)
-
-
-def _oracle(instance, config, seed, trial):
-    """Trial ``trial`` of a coverage run, from public scalar functions only."""
-    n = config.n
-    s1, s2 = instance.loss_sums(n, np.random.default_rng((seed, trial)))
-    mu_hat = s1 / n
-    post, prior = instance.posterior(mu_hat, n), instance.prior
-    w, true_mu = post.weights, instance.true_means()
-    v_hat = float(w @ sample_variance_from_sums(s1, s2, n))
-    p_hat_mean = float(w @ mu_hat)
-    d_kl, d_alpha = kl_discrete(post, prior), renyi_discrete(post, prior, config.alpha)
-    d_zcp1 = zcp_discrete(post, prior, config.thm1_c)
-    d_zcp2 = zcp_discrete(post, prior, config.thm2_c)
-    comp = complexity_term(d_alpha, d_zcp2, config)
-    return BoundReport(
-        d_kl=d_kl,
-        d_tv=tv_discrete(post, prior),
-        d_alpha=d_alpha,
-        d_zcp_thm1=d_zcp1,
-        d_zcp_thm2=d_zcp2,
-        comp_n=comp,
-        hoeffding_zcp=hoeffding_zcp_bound(d_zcp1, config),
-        mcallester=mcallester_baseline(d_kl, config),
-        emp_bernstein=empirical_bernstein_bound(comp, v_hat, n),
-        little_kl_bound=little_kl_mean_bound(p_hat_mean, comp, n),
-        realized_gap=float(w @ (mu_hat - true_mu)),
-        v_hat=v_hat,
-        p_hat_mean=p_hat_mean,
-        p_mean=float(w @ true_mu),
-    )
 
 
 def _bits(report):
@@ -87,7 +58,7 @@ def _assert_engine_matches_oracle(instance, config, trials, seed):
     reports = list(coverage_reports(instance, config, trials, seed))
     assert len(reports) == trials
     for trial, report in enumerate(reports):
-        assert _bits(report) == _bits(_oracle(instance, config, seed, trial)), trial
+        assert _bits(report) == _bits(oracle_report(instance, config, seed, trial)), trial
     return reports
 
 
@@ -159,6 +130,83 @@ class TestBlocks:
         assert all(type(trial) is int for trial, _, _ in result.failure_events)
 
 
+# one and two uint32 words at their edges, and entropy longer than SeedSequence's 4-word pool
+_SEEDS = [0, 1, 2**32, 2**64 + 5, 10**30]
+_SEED_IDS = ["0", "1", "2**32", "2**64+5", "10**30"]
+
+
+def _scaled_hoeffding(monkeypatch):
+    """Shrink the Hoeffding bound in the engine and in the public scalar call alike, so that
+    some trials fail it and the failure counts are not all 0."""
+    kernel = bounds._hoeffding_zcp
+
+    def scaled(d_zcp, config):
+        return kernel(d_zcp, config) * 0.01
+
+    monkeypatch.setattr(bounds, "_hoeffding_zcp", scaled)
+    monkeypatch.setattr(harness, "_hoeffding_zcp", scaled)
+
+
+class TestSharedSeeding:
+    """Coverage and Ville draw through ``betting._seeded_generators``; trial or path i still
+    draws what default_rng((seed, i)) draws."""
+
+    @pytest.mark.parametrize("seed", _SEEDS, ids=_SEED_IDS)
+    @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
+    def test_reports_and_counts_match_default_rng_per_trial(self, loss, seed, monkeypatch):
+        _scaled_hoeffding(monkeypatch)
+        instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
+        rows = harness._BLOCK_ENTRIES // 50
+        trials = rows + 20  # past a block boundary
+        _assert_engine_matches_oracle(instance, _CONFIG, trials, seed)
+        report = run_coverage(instance, _CONFIG, 2 * rows + 1, seed)  # past two boundaries
+        oracle = [oracle_report(instance, _CONFIG, seed, trial) for trial in range(2 * rows + 1)]
+        expected = [(trial, name, r) for trial, r in enumerate(oracle)
+                    for name, failed in r.failures().items() if failed]
+        assert [(t, name, _bits(r)) for t, name, r in report.failure_events] == [
+            (t, name, _bits(r)) for t, name, r in expected]
+        counts = {row.bound: row.failures for row in report.rows}
+        assert counts == {name: sum(n == name for _, n, _ in expected) for name in counts}
+        assert counts["hoeffding_zcp"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5], ids=["0", "2**64+5"])
+    @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
+    @pytest.mark.parametrize("m, trials", [(50, 23), (2000, 9)])  # 81- and 2-trial blocks
+    def test_seeding_group_boundaries(self, m, trials, loss, seed, monkeypatch):
+        # groups of 3: one 81-trial block spans eight of them, and the 2-trial block [2, 3]
+        # straddles two
+        monkeypatch.setattr(betting, "_SEEDING_PATHS", 3)
+        instance = learning_instance_from_dict({"m": m, "loss": loss, "eta": 5.0})
+        _assert_engine_matches_oracle(instance, _CONFIG, trials, seed)
+
+    @pytest.mark.parametrize("seed", _SEEDS, ids=_SEED_IDS)
+    @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
+    def test_bound_prints_the_oracle_trial(self, loss, seed, capsys):
+        argv = ["bound", "--n", "1000", "--m", "50", "--loss", loss, "--eta", "5",
+                "--seed", str(seed), "--format", "json"]
+        assert cli.run(argv) == 0
+        printed = json.loads(capsys.readouterr().out)["rows"][0]
+        instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
+        expected = oracle_report(instance, BoundConfig(1000, 0.05, 2.0), seed, 0)
+        assert [float(v).hex() for v in printed.values()] == _bits(expected)
+
+    @pytest.mark.parametrize("seed", [3, 2**64 + 5], ids=["3", "2**64+5"])
+    def test_ville_matches_default_rng_path_by_path(self, seed, monkeypatch):
+        monkeypatch.setattr(betting, "_SEEDING_PATHS", 7)  # groups that straddle 3-path blocks
+        monkeypatch.setattr(harness, "_VILLE_BLOCK_ENTRIES", 30)
+        n, deltas = 10, [0.5, 0.1]
+        coins = np.concatenate(list(betting._coin_blocks(n, seed, range(1000), 3)))
+        expected = np.array([oracle_coins(n, seed, path) for path in range(1000)])
+        assert coins.tobytes() == expected.tobytes()
+        for path in (0, 6, 7, 999):
+            assert mean_zero_coins(n, seed, path).tobytes() == coins[path].tobytes()
+        peaks = [float(kt_bettor(row).log_wealth[1:].max()) for row in coins]
+        rows = ville_experiment(n, deltas, 1000, seed)
+        assert [row.crossings for row in rows] == [
+            sum(peak >= -math.log(d) for peak in peaks) for d in deltas]
+        assert rows[0].crossings > 0
+
+
 class TestNaNIsNeverAPass:
     @pytest.mark.parametrize("eta", [0.0, 5.0])
     def test_nan_loss_sums_raise(self, eta, monkeypatch):
@@ -184,6 +232,28 @@ class TestNaNIsNeverAPass:
         monkeypatch.setattr(harness, "_mcallester", mcallester)
         instance = learning_instance_from_dict({"m": 8, "eta": 5.0})
         with pytest.raises(ValidationError, match=r"^mcallester is NaN in trial 3$"):
+            run_coverage(instance, BoundConfig(100, 0.05), 100, 0)
+
+
+class TestBlockChecks:
+    """The kl inversion's arguments are checked once per block, with the words of the checked
+    scalar call."""
+
+    def test_p_hat_mean_out_of_range(self, monkeypatch):
+        # five times the posterior weights: every posterior mean of an abs loss passes 1
+        monkeypatch.setattr(harness, "_summing_to_one", lambda w: 5.0 * w)
+        instance = learning_instance_from_dict({"m": 8, "eta": 5.0})
+        with pytest.raises(ValidationError, match=r"^p_hat_mean must lie in \[0, 1\]$"):
+            run_coverage(instance, BoundConfig(100, 0.05), 100, 0)
+        with pytest.raises(ValidationError, match=r"^p_hat_mean must lie in \[0, 1\]$"):
+            next(coverage_reports(instance, BoundConfig(100, 0.05), 1, 0))
+
+    @pytest.mark.parametrize("eta", [0.0, 5.0])
+    def test_comp_n_out_of_range(self, eta, monkeypatch):
+        monkeypatch.setattr(harness, "_complexity", lambda d_alpha, d_zcp, config: -1.0 - d_zcp)
+        monkeypatch.setattr(harness, "_empirical_bernstein", lambda comp, v_hat, n: v_hat)
+        instance = learning_instance_from_dict({"m": 8, "eta": eta})
+        with pytest.raises(ValidationError, match=r"^comp must lie in \[0, inf\]$"):
             run_coverage(instance, BoundConfig(100, 0.05), 100, 0)
 
 
@@ -298,10 +368,26 @@ class TestBlockMemory:
         # about eleven of them may be alive at once
         for loss in ("abs", "bernoulli"):
             instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
-            harness._trial_block(instance, _CONFIG, range(81), 1)  # builds the cached grid
+            trials = range(81)
+            # builds the cached grid
+            harness._trial_block(instance, _CONFIG, trials, _seeded_generators(1, trials))
+            generators = _seeded_generators(1, trials)  # seeds inside the traced call
             tracemalloc.start()
             try:
-                harness._trial_block(instance, _CONFIG, range(81), 1)
+                harness._trial_block(instance, _CONFIG, trials, generators)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 378_000, (loss, peak)
+
+    def test_a_run_of_two_blocks_peaks_below_378_kb(self):
+        # the seeded states of all 200 trials and one block's arrays
+        for loss in ("abs", "bernoulli"):
+            instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
+            run_coverage(instance, _CONFIG, 200, 1)  # builds the cached grid
+            tracemalloc.start()
+            try:
+                run_coverage(instance, _CONFIG, 200, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import zcp_paclab.divergences as divergences
 from zcp_paclab import cli
-from conftest import random_dominated_pair, random_pair
+from conftest import oracle_kl_inverse_upper, random_dominated_pair, random_pair
 from zcp_paclab import (
     DivergenceKind,
     DivergenceValue,
@@ -261,6 +261,24 @@ class TestLittleKl:
         assert little_kl(p_hat, q) <= budget
         if q < 1.0:
             assert budget < little_kl(p_hat, math.nextafter(q, 1.0))
+
+
+    def test_kernel_makes_the_first_bisections_comparisons(self):
+        # the unchecked kernel against the bisection as first written on _little_kl, bit for bit
+        rng = np.random.default_rng(18)
+        edges = [1e-300, 1e-17, 0.5, 1.0 - 2.0**-53]
+        budgets = np.geomspace(1e-15, 100.0, 200).tolist()
+        pairs = [(p, b) for p in edges for b in budgets]
+        pairs += [(p, b) for p in [0.0, 1.0, *edges] for b in [0.0, 5e-324, 1e-300, math.inf]]
+        # mostly uniform p_hat: one near 0 takes up to twice the halvings of one near 1/2 (about
+        # 55), many through _rel_entr's slower branch, and 100,000 pairs must run in seconds
+        p_hat = np.where(rng.random(100_000) < 0.95, rng.random(100_000),
+                         10.0 ** rng.uniform(-300.0, 0.0, 100_000))
+        pairs += zip(p_hat.tolist(), (10.0 ** rng.uniform(-15.0, 2.0, 100_000)).tolist())
+        for p, b in pairs:
+            assert divergences._little_kl_inverse_upper(p, b).hex() == (
+                oracle_kl_inverse_upper(p, b).hex()), (p, b)
+        assert len(pairs) > 100_000
 
 
 class TestChainBounds:
@@ -590,3 +608,128 @@ class TestDivergenceAxiomsFuzz:
                 assert value >= -1e-12
             assert kl_discrete(p, p) == 0.0
             assert zcp_discrete(q, q, 1e3) == 0.0
+
+
+_NEAR_ONE_ALPHAS = [1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-6, 1.0 + 1e-3]
+
+
+def _plus_zero(value):
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+class TestRenyiNearOne:
+    """Near alpha = 1 the log-sum-exp's rounding, divided by alpha - 1, used to give P = Q a
+    confident nonzero D; the log1p/expm1 form gives exactly 0 there and tends to KL."""
+
+    @pytest.mark.parametrize("alpha", _NEAR_ONE_ALPHAS)
+    def test_equal_pairs_give_exactly_zero(self, alpha):
+        rng = np.random.default_rng(9)
+        weights = [[0.1, 0.2, 0.3, 0.4], [1e-30, 1.0, 0.0, 3e-8]]
+        weights += [rng.random(m) for m in (2, 8, 300)]
+        for w in weights:
+            p = make_discrete(w)
+            assert _plus_zero(renyi_discrete(p, p, alpha)), w
+        rows = np.array([make_discrete(rng.random(8)).log_weights for _ in range(5)])
+        assert all(map(_plus_zero, divergences._renyi_rows(rows, rows, alpha).tolist()))
+
+    @pytest.mark.parametrize("alpha", [*_NEAR_ONE_ALPHAS, 0.3, 0.76, 0.9, 1.1, 1.24, 2.0, 10.0])
+    def test_separated_pairs_match_mpmath(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        pairs = [
+            ([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]),
+            ([0.5, 0.5], [0.9, 0.1]),
+            ([1.0, 2.0, 3.0, 0.0], [1.0, 1.0, 1.0, 1.0]),
+            ([1e-12, 0.3, 0.7], [0.2, 0.2, 0.6]),
+            (np.arange(1.0, 65.0).tolist(), np.arange(64.0, 0.0, -1.0).tolist()),
+        ]
+        with mpmath.workdps(60):
+            for wp, wq in pairs:
+                a = mpmath.mpf(alpha)
+                sp, sq = mpmath.fsum(map(mpmath.mpf, wp)), mpmath.fsum(map(mpmath.mpf, wq))
+                total = mpmath.fsum((mpmath.mpf(x) / sp) ** a * (mpmath.mpf(y) / sq) ** (1 - a)
+                                    for x, y in zip(wp, wq) if x > 0)
+                expected = float(mpmath.log(total) / (a - 1))
+                value = renyi_discrete(make_discrete(wp), make_discrete(wq), alpha)
+                assert abs(value - expected) <= 1e-12 * expected, (wp, wq, value, expected)
+
+    def test_tends_to_kl(self):
+        p, q = make_discrete([0.1, 0.2, 0.3, 0.4]), make_discrete([0.4, 0.3, 0.2, 0.1])
+        kl = kl_discrete(p, q)
+        for alpha in (1.0 - 1e-12, 1.0 + 1e-12):
+            assert abs(renyi_discrete(p, q, alpha) - kl) <= 1e-11 * kl
+
+    def test_cli_prints_zero_for_equal_pairs(self, capsys):
+        weights = ("--p", "0.1,0.2,0.3,0.4", "--q", "0.1,0.2,0.3,0.4")
+        for alpha in ("1.0000000001", "1.000001"):
+            assert cli.run(["divergence", "--kind", "renyi", "--alpha", alpha, *weights]) == 0
+            assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "0"
+        argv = ["bound", "--n", "100", "--m", "10", "--eta", "0", "--alpha", "1.0000000001"]
+        assert cli.run([*argv, "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["d_alpha"] == row["d_kl"] == row["d_tv"] == 0.0
+
+
+class TestNoNegativeDivergence:
+    """Every divergence is >= 0: a value that rounding puts below 0, or at -0.0, is +0.0."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_renyi_below_one_is_never_minus_zero(self, alpha):
+        # a log-sum-exp of +0.0 over alpha - 1 < 0 gave -0.0: at P = Q for alpha = 0.7, and for
+        # this near pair at 0.3 and 0.5
+        p, q = make_discrete([0.1, 0.2, 0.3, 0.4]), make_discrete([0.1, 0.2, 0.3, 0.40000001])
+        for a, b in ((p, p), (p, q), (q, p)):
+            value = renyi_discrete(a, b, alpha)
+            assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_cli_prints_no_minus_zero(self, capsys):
+        argv = ["divergence", "--kind", "renyi", "--alpha", "0.5", "--p", "0.1,0.2,0.3,0.4",
+                "--q", "0.1,0.2,0.3,0.40000001"]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "0"
+
+    def test_tv_of_disjoint_pairs_is_at_most_one(self):
+        # 1/2 (1 + the sum of q's weights) rounded to 1.0000000000000002
+        p = make_discrete([0, 0, 0, 0, 0, 0, 0, 1])
+        q = make_discrete([0, 0, 0, 0.0031622776601683794, 0, 1, 1, 0])
+        assert tv_discrete(p, q) == tv_discrete(q, p) == 1.0
+
+    def test_quadrature_renyi_at_tiny_alpha_is_plus_zero(self):
+        # the integral's log is -1.29e-11 below 0 at alpha = 1e-12; the error estimate stays
+        result = divergence_gaussian(gaussian_instance(0.2, 1.0, 1.0), "renyi", alpha=1e-12)
+        assert _plus_zero(result.value)
+        assert result.abs_error.hex() == (1.3196878806390033e-10).hex()
+
+
+# a weight of 0 or of 1e-30 to 1, so that P and Q span 30 orders of magnitude
+_WEIGHT = st.one_of(st.just(0.0), st.floats(-30.0, 0.0).map(lambda e: 10.0**e))
+_AXIOM_PAIRS = st.lists(st.tuples(_WEIGHT, _WEIGHT), min_size=2, max_size=8).filter(
+    lambda atoms: any(a for a, _ in atoms) and any(b for _, b in atoms)
+).map(lambda atoms: tuple(map(make_discrete, zip(*atoms))))
+_ALPHAS = st.one_of(
+    st.sampled_from([1e-12, 0.3, 0.5, 0.75, 1.25, 2.0, 10.0, 1e3, *_NEAR_ONE_ALPHAS]),
+    st.floats(1e-6, 50.0).filter(lambda a: a != 1.0),
+)
+_SCALES = st.one_of(st.sampled_from([0.0, 1.0, 44.0, 1e3]), st.floats(0.0, 1e6))
+
+
+class TestDivergenceAxiomProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(_AXIOM_PAIRS, _SCALES, _SCALES, _ALPHAS, _ALPHAS)
+    def test_axioms(self, pair, c1, c2, a1, a2):
+        p, q = pair
+        (c1, c2), (a1, a2) = sorted((c1, c2)), sorted((a1, a2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kl, tv, tv_swapped = kl_discrete(p, q), tv_discrete(p, q), tv_discrete(q, p)
+            zcp1, zcp2 = zcp_discrete(p, q, c1), zcp_discrete(p, q, c2)
+            renyi1, renyi2 = renyi_discrete(p, q, a1), renyi_discrete(p, q, a2)
+            same = [kl_discrete(p, p), tv_discrete(p, p), zcp_discrete(p, p, c1)]
+            renyi_same = [renyi_discrete(p, p, a) for a in (a1, a2)]
+        for value in (kl, tv, zcp1, zcp2, renyi1, renyi2, *same, *renyi_same):
+            assert value >= 0.0 and math.copysign(1.0, value) == 1.0
+        assert all(map(_plus_zero, same))
+        for alpha, value in zip((a1, a2), renyi_same):
+            assert _plus_zero(value) if abs(alpha - 1.0) < divergences._NEAR_ONE else value <= 1e-14
+        assert tv == tv_swapped <= 1.0
+        assert zcp1 <= zcp2
+        assert renyi1 <= renyi2 * (1.0 + 1e-12) + 1e-14

@@ -42,6 +42,7 @@ from pathlib import Path
 
 _COVERAGE = ("--n", "1000", "--eta", "5", "--delta", "0.05", "--alpha", "2")
 _P, _Q = ("--p", "0.5,0.3,0.2,0"), ("--q", "0.25,0.25,0.25,0.25")
+_EQUAL = ("--p", "0.1,0.2,0.3,0.4", "--q", "0.1,0.2,0.3,0.4")
 
 # --config file name -> its text
 CONFIGS = {
@@ -85,6 +86,7 @@ def _golden() -> list[tuple[str, ...]]:
     ]
     argvs.append(("bound", "--n", "200", "--m", "2000", "--seed", "2"))
     argvs.append(("bound", "--n", "30", "--alpha", "1e308", "--loss", "bernoulli", "--eta", "0.05"))
+    argvs.append(("bound", "--n", "100", "--m", "10", "--eta", "0", "--alpha", "1.0000000001"))
     for seed in ("1", "2", "3"):
         argvs.append(("self-check", "--seed", seed))
         argvs.append(("inequalities", "--seed", seed))
@@ -110,6 +112,15 @@ def _golden() -> list[tuple[str, ...]]:
         # alpha lp and (1 - alpha) lq overflow with opposite signs; D tends to ln max(p/q)
         ("divergence", "--kind", "renyi", "--alpha", "1e308",
          "--p", "0.1,0.05,0.85", "--q", "0.12,0.08,0.8"),
+        # near alpha = 1 the log-sum-exp's rounding over alpha - 1 gave P = Q a nonzero D
+        *(("divergence", "--kind", "renyi", "--alpha", alpha, *_EQUAL)
+          for alpha in ("1.0000000001", "1.000001")),
+        # a near pair printed -0
+        *(("divergence", "--kind", "renyi", "--alpha", alpha, *_EQUAL[:3], "0.1,0.2,0.3,0.40000001")
+          for alpha in ("0.9", "0.5")),
+        ("divergence", "--mixture-p", "0.2", "--kind", "renyi", "--alpha", "1e-12"),  # was < 0
+        ("divergence", "--kind", "tv", "--p", "0,0,0,0,0,0,0,1",  # disjoint: rounding passed 1
+         "--q", "0,0,0,0.0031622776601683794,0,1,1,0"),
         ("divergence", "--kind", "zcp", "--c", "1", *_P, *_Q),
         ("divergence", "--kind", "little_kl", "--p", "0.3", "--q", "0.6"),
         ("divergence", "--kind", "kl", "--mixture-p", "0.1"),
