@@ -200,17 +200,22 @@ class GaussianMixturePair:
 
     def log_pdf_p(self, x):
         """Log-density of the mixture P at x (a number or an array)."""
-        l1 = _log_normal_pdf(x, self.mu, self.sigma1)
-        l2 = _log_normal_pdf(x, self.mu, self.sigma2)
-        if self.p == 0.0:
-            return l2
-        if self.p == 1.0:
-            return l1
-        return np.logaddexp(math.log(self.p) + l1, math.log1p(-self.p) + l2)
+        return self._log_pdfs(x)[0]
 
     def log_pdf_q(self, x):
         """Log-density of the reference component Q at x (a number or an array)."""
         return _log_normal_pdf(x, self.mu, self.sigma2)
+
+    def _log_pdfs(self, x):
+        """(ln p, ln q) at x, with ln q computed once and shared by ln p; at p = 0 they are the
+        same array, which no caller may write into."""
+        lq = self.log_pdf_q(x)
+        if self.p == 0.0:
+            return lq, lq
+        l1 = _log_normal_pdf(x, self.mu, self.sigma1)
+        if self.p == 1.0:
+            return l1, lq
+        return np.logaddexp(math.log(self.p) + l1, math.log1p(-self.p) + lq), lq
 
 
 def gaussian_instance(p: float, sigma1: float, exponent: float) -> GaussianMixturePair:

@@ -409,7 +409,8 @@ _MAX_EVALUATIONS = 2**23
 
 def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
     """The divergence's per-atom terms at an array of nodes; refuses a batch of nodes that would
-    take the evaluations past ``_MAX_EVALUATIONS``."""
+    take the evaluations past ``_MAX_EVALUATIONS``.  No kernel writes into lp or lq, which are one
+    array when p = 0."""
     terms = {
         DivergenceKind.KL: lambda lp, lq: _kl_terms(lp, lq, np.exp(lp)),
         DivergenceKind.TV: lambda lp, lq: 0.5 * _abs_diff_of_exps(lp, lq, lp - lq),
@@ -427,7 +428,7 @@ def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
             message = f"quadrature needs more than {_MAX_EVALUATIONS} integrand evaluations"
             raise NumericalError(message + " (evaluation budget exhausted)")
         with np.errstate(over="ignore", invalid="ignore"):  # invalid: -inf - -inf where p = q = 0
-            return terms(pair.log_pdf_p(x), pair.log_pdf_q(x))
+            return terms(*pair._log_pdfs(x))
 
     return integrand
 
@@ -442,6 +443,14 @@ def _adaptive_simpson(f, edges: np.ndarray, budget: float, max_depth: int):
     tol / 2.  Each test depends only on the interval itself, so the accepted
     intervals are those of the depth-first recursion; they are refined level
     by level instead, evaluating f on at most 2 * _BATCH nodes per call.
+
+    Each stack entry is one (8, k) array of k intervals, its rows a, m, b,
+    f(a), f(m), f(b), the interval's Simpson sum and its tol, with the
+    entry's remaining depth.  A pop evaluates f once on both quarter points
+    of every interval, and the refined intervals' children, left halves
+    then right halves, go back in chunks of _BATCH columns.  The chunks, the
+    order of the pops and the grouping of every sum are those of one array
+    per row, so the stacking changes no bit of the value or the error.
     """
     a, b = edges[:-1], edges[1:]
     m = 0.5 * (a + b)
@@ -449,29 +458,37 @@ def _adaptive_simpson(f, edges: np.ndarray, budget: float, max_depth: int):
     fa, fb = fe[:-1], fe[1:]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     tol = budget * (b - a) / (edges[-1] - edges[0])
-    stack = [(a, m, b, fa, fm, fb, whole, tol, max_depth)]
+    stack = [(np.stack([a, m, b, fa, fm, fb, whole, tol]), max_depth)]
     value = err = 0.0
     exhausted = False
     while stack:
-        a, m, b, fa, fm, fb, whole, tol, depth = stack.pop()
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        refine = ~(np.abs(delta) <= 15.0 * tol)
+        s, depth = stack.pop()
+        lo, hi = s[0:2], s[1:3]  # (a, m) and (m, b): the left and right halves' ends
+        quarters = 0.5 * (lo + hi)
+        f_quarters = f(quarters.ravel()).reshape(2, -1)
+        f_lo, f_hi = s[3:5], s[4:6]
+        # the halves' Simpson sums (m - a)/6 (fa + 4 flm + fm) and (b - m)/6 (fm + 4 frm + fb)
+        halves = (hi - lo) / 6.0 * (f_lo + 4.0 * f_quarters + f_hi)
+        pair_sum = halves[0] + halves[1]
+        delta = pair_sum - s[6]
+        refine = ~(np.abs(delta) <= 15.0 * s[7])
         if depth <= 0:
             exhausted = exhausted or bool(refine.any())
             refine[:] = False
         done = ~refine
-        value += float(np.sum(left[done] + right[done] + delta[done] / 15.0))
-        err += float(np.sum(np.abs(delta[done]) / 15.0))
-        half_tol = 0.5 * tol
-        children = ((a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
-                    (half_tol, half_tol))
-        halves = [np.concatenate([lo[refine], hi[refine]]) for lo, hi in children]
-        for start in range(0, halves[0].size, _BATCH):
-            stack.append((*(h[start : start + _BATCH] for h in halves), depth - 1))
+        correction = delta[done] / 15.0
+        value += float((pair_sum[done] + correction).sum())
+        err += float(np.abs(correction).sum())
+        if not refine.any():
+            continue
+        # children[:, 0] is each left half and children[:, 1] each right half, row for row as s
+        children = np.empty((8, 2, s.shape[1]))
+        children[0], children[1], children[2] = lo, quarters, hi
+        children[3], children[4], children[5] = f_lo, f_quarters, f_hi
+        children[6], children[7] = halves, 0.5 * s[7]
+        children = children[:, :, refine].reshape(8, -1)
+        for start in range(0, children.shape[1], _BATCH):
+            stack.append((children[:, start : start + _BATCH], depth - 1))
     return value, err, exhausted
 
 
@@ -506,11 +523,14 @@ def divergence_gaussian(
     """Divergence of a GaussianMixturePair by adaptive Simpson quadrature.
 
     Supports KL, TV, ZCP (requires c >= 0) and RENYI (requires alpha > 0,
-    alpha != 1).  Integrates the defining integrand over mu +/-
-    half_width_in_sigma1 * sigma1 with panel edges seeded at multiples of
-    both component scales, so the narrow spike cannot be stepped over.
-    RENYI is +inf, without integrating, when p > 0 and the integrand's tail
-    exponent (alpha - 1)/(2 sigma2^2) - alpha/(2 sigma1^2) is >= 0.
+    alpha != 1).  Every kind is invariant under x -> (x - mu)/sigma1, so the
+    pair is integrated in standard units, mu = 0 and sigma1 = 1 with sigma2
+    replaced by the ratio sigma2/sigma1; a ratio outside (0, inf) raises
+    NumericalError.  The defining integrand is integrated over +/-
+    half_width_in_sigma1 with panel edges seeded at multiples of both
+    component scales, so the narrow spike cannot be stepped over.  RENYI is
+    +inf, without integrating, when p > 0 and the integrand's tail exponent,
+    a positive multiple of (alpha - 1) - alpha (sigma2/sigma1)^2, is >= 0.
     Raises NumericalError when the error estimate cannot be brought below
     rel_tol * |value| + 1e-12 within the subdivision and evaluation budgets.
     """
@@ -530,12 +550,17 @@ def divergence_gaussian(
     elif c is not None:
         raise ValidationError(f"c is only meaningful for ZCP, not {kind.value}")
 
+    ratio = float(pair.sigma2) / float(pair.sigma1)  # Python floats: overflow gives inf, no warning
+    if not 0.0 < ratio < math.inf:
+        raise NumericalError(f"sigma2/sigma1 = {ratio!r} leaves the float range")
     if kind is DivergenceKind.RENYI and pair.p > 0.0:
-        # far out p^alpha q^(1 - alpha) ~ exp(tail * x^2), so tail >= 0 diverges
-        tail = (alpha - 1.0) / (2.0 * pair.sigma2**2) - alpha / (2.0 * pair.sigma1**2)
-        if tail >= 0.0:
+        # far out p^alpha q^(1 - alpha) ~ exp(tail * x^2), in standard units with tail =
+        # ((alpha - 1) - alpha ratio^2) / (2 ratio^2), so tail >= 0 diverges; ratio * ratio
+        # overflows to inf where ratio**2 would raise
+        if (alpha - 1.0) - alpha * (ratio * ratio) >= 0.0:
             return DivergenceValue(math.inf, 0.0)
 
+    pair = GaussianMixturePair(mu=0.0, sigma1=1.0, sigma2=ratio, p=pair.p)
     f = _integrand(pair, kind, alpha, c)
     edges = _panel_edges(pair, config.half_width_in_sigma1)
     rough = _rough_composite(f, edges)

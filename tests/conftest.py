@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 
+import zcp_paclab.divergences as divergences
 from zcp_paclab import (
     BoundReport,
+    DivergenceKind,
+    NumericalError,
     complexity_term,
     empirical_bernstein_bound,
     hoeffding_zcp_bound,
@@ -18,7 +21,14 @@ from zcp_paclab import (
     tv_discrete,
     zcp_discrete,
 )
-from zcp_paclab.divergences import _rel_entr
+from zcp_paclab.divergences import (
+    _abs_diff_of_exps,
+    _kl_terms,
+    _log_abs_expm1,
+    _rel_entr,
+    _renyi_log_terms,
+    _zcp_terms,
+)
 
 
 def random_pair(rng, max_support=64, min_support=2):
@@ -202,3 +212,66 @@ def oracle_kl_inverse_upper(p_hat, budget):
             lo = mid
         else:
             hi = mid
+
+
+def oracle_integrand(pair, kind, alpha, c):
+    """The quadrature integrand as first written, with ln q computed in both of the pair's
+    log-density calls; it reads ``divergences._MAX_EVALUATIONS`` as the library does."""
+    terms = {
+        DivergenceKind.KL: lambda lp, lq: _kl_terms(lp, lq, np.exp(lp)),
+        DivergenceKind.TV: lambda lp, lq: 0.5 * _abs_diff_of_exps(lp, lq, lp - lq),
+        DivergenceKind.ZCP: lambda lp, lq: _zcp_terms(
+            _abs_diff_of_exps(lp, lq, lp - lq), _log_abs_expm1(lp - lq), c),
+        DivergenceKind.RENYI: lambda lp, lq: np.exp(_renyi_log_terms(lp, lq, alpha)),
+    }[kind]
+
+    spent = 0
+
+    def integrand(x):
+        nonlocal spent
+        spent += x.size
+        limit = divergences._MAX_EVALUATIONS
+        if spent > limit:
+            message = f"quadrature needs more than {limit} integrand evaluations"
+            raise NumericalError(message + " (evaluation budget exhausted)")
+        with np.errstate(over="ignore", invalid="ignore"):  # invalid: -inf - -inf where p = q = 0
+            return terms(pair.log_pdf_p(x), pair.log_pdf_q(x))
+
+    return integrand
+
+
+def oracle_adaptive_simpson(f, edges, budget, max_depth):
+    """Adaptive Simpson as first written, each field of an interval its own array and the
+    children concatenated field by field; it reads ``divergences._BATCH`` as the library does.
+    The library's stacked refinement must accept the same intervals in the same order and so
+    return the same bits."""
+    a, b = edges[:-1], edges[1:]
+    m = 0.5 * (a + b)
+    fe, fm = f(edges), f(m)
+    fa, fb = fe[:-1], fe[1:]
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = budget * (b - a) / (edges[-1] - edges[0])
+    stack = [(a, m, b, fa, fm, fb, whole, tol, max_depth)]
+    value = err = 0.0
+    exhausted = False
+    while stack:
+        a, m, b, fa, fm, fb, whole, tol, depth = stack.pop()
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        refine = ~(np.abs(delta) <= 15.0 * tol)
+        if depth <= 0:
+            exhausted = exhausted or bool(refine.any())
+            refine[:] = False
+        done = ~refine
+        value += float(np.sum(left[done] + right[done] + delta[done] / 15.0))
+        err += float(np.sum(np.abs(delta[done]) / 15.0))
+        half_tol = 0.5 * tol
+        children = ((a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right),
+                    (half_tol, half_tol))
+        halves = [np.concatenate([lo[refine], hi[refine]]) for lo, hi in children]
+        for start in range(0, halves[0].size, divergences._BATCH):
+            stack.append((*(h[start : start + divergences._BATCH] for h in halves), depth - 1))
+    return value, err, exhausted

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import zcp_paclab.divergences as divergences
 from zcp_paclab import cli
-from conftest import oracle_kl_inverse_upper, random_dominated_pair, random_pair
+from conftest import (
+    oracle_adaptive_simpson,
+    oracle_integrand,
+    oracle_kl_inverse_upper,
+    random_dominated_pair,
+    random_pair,
+)
 from zcp_paclab import (
     DivergenceKind,
     DivergenceValue,
@@ -592,6 +598,145 @@ class TestQuadrature:
             divergence_gaussian(pair, "renyi")  # missing alpha
         with pytest.raises(ValidationError):
             divergence_gaussian(pair, "kl", alpha=2.0)  # stray parameter
+
+
+# every kind, at the ZCP scales and Renyi orders the refinement must keep the bits of
+_QUADRATURE_KINDS = [
+    ("kl", {}),
+    ("tv", {}),
+    *(("zcp", {"c": c}) for c in (0.0, 1.0, 1e3)),
+    *(("renyi", {"alpha": alpha}) for alpha in (0.5, 0.9, 1.04)),
+]
+_ORACLE_PAIRS = [
+    gaussian_instance(p, 1.0, exponent)
+    for p in (0.2, 0.1, 0.05, 0.02, 1e-4)
+    for exponent in (1.0, 0.75)
+]
+
+
+def _outcome(pair, kind, config=None, **kwargs):
+    """divergence_gaussian's value and error as hex, or its refusal's message."""
+    try:
+        result = divergence_gaussian(pair, kind, config, **kwargs)
+    except NumericalError as exc:
+        return str(exc)
+    return result.value.hex(), result.abs_error.hex()
+
+
+def _quadrature(monkeypatch, oracle, pair, kind, config=None, **kwargs):
+    """``_outcome`` and the raw (value, error, exhausted) of its Simpson pass, through the
+    library's refinement and integrand or, with ``oracle``, through conftest's."""
+    simpson, raw = (oracle_adaptive_simpson if oracle else divergences._adaptive_simpson), []
+
+    def recording(*args):
+        raw.append(simpson(*args))
+        return raw[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(divergences, "_adaptive_simpson", recording)
+        if oracle:
+            patch.setattr(divergences, "_integrand", oracle_integrand)
+        outcome = _outcome(pair, kind, config, **kwargs)
+    return outcome, [(value.hex(), err.hex(), exhausted) for value, err, exhausted in raw]
+
+
+def _evaluations(monkeypatch, pair, kind, **kwargs):
+    """Integrand evaluations one divergence_gaussian call spends."""
+    make, sizes = divergences._integrand, []
+
+    def counting(*args):
+        f = make(*args)
+        return lambda x: (sizes.append(x.size), f(x))[1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(divergences, "_integrand", counting)
+        divergence_gaussian(pair, kind, **kwargs)
+    return sum(sizes)
+
+
+class TestQuadratureOracle:
+    """The stacked refinement and the integrand's single ln q against their first versions in
+    conftest: the same intervals accepted in the same order give every value and error the same
+    bits, and the evaluations run out at the same count."""
+
+    def _agree(self, monkeypatch, config=None):
+        outcomes = []
+        for pair in _ORACLE_PAIRS:
+            for kind, kwargs in _QUADRATURE_KINDS:
+                expected = _quadrature(monkeypatch, True, pair, kind, config, **kwargs)
+                got = _quadrature(monkeypatch, False, pair, kind, config, **kwargs)
+                assert got == expected, (pair, kind, kwargs)
+                outcomes.append(got)
+        return outcomes
+
+    @pytest.mark.parametrize("batch", [2048, 3])
+    def test_same_bits_at_each_batch(self, monkeypatch, batch):
+        monkeypatch.setattr(divergences, "_BATCH", batch)
+        outcomes = self._agree(monkeypatch)
+        assert all(isinstance(outcome, tuple) for outcome, _ in outcomes)
+
+    def test_same_bits_when_the_subdivisions_run_out(self, monkeypatch):
+        outcomes = self._agree(monkeypatch, QuadratureConfig(max_subdivisions=3))
+        assert any(exhausted for _, raw in outcomes for _, _, exhausted in raw)
+
+    @pytest.mark.parametrize("kind, kwargs", _QUADRATURE_KINDS)
+    def test_same_refusal_when_the_evaluations_run_out(self, monkeypatch, kind, kwargs):
+        pair = gaussian_instance(1e-4, 1.0, 1.0)
+        spent = _evaluations(monkeypatch, pair, kind, **kwargs)
+        if spent == 0:  # Renyi past its threshold is +inf without integrating
+            assert divergence_gaussian(pair, kind, **kwargs).value == math.inf
+            return
+        for limit, refused in ((spent, False), (spent - 1, True)):
+            monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", limit)
+            expected = _quadrature(monkeypatch, True, pair, kind, **kwargs)
+            assert _quadrature(monkeypatch, False, pair, kind, **kwargs) == expected
+            assert isinstance(expected[0], str) == refused, limit
+
+
+# (mu, sigma1) pairs whose densities underflow, overflow or lose their spike off the standard scale
+_OFF_SCALE = [(1e15, 1.0), (1e17, 1.0), (-1e300, 1.0), (0.0, 1e-300), (0.0, 1e300), (0.0, 1e307),
+              (3.0, 2.0)]
+
+
+class TestStandardUnits:
+    """Every kind is invariant under x -> (x - mu)/sigma1, so a pair integrates as its standard
+    pair (0, 1, sigma2/sigma1, p) does, whatever its mean and scale."""
+
+    @pytest.mark.parametrize("mu, sigma1", _OFF_SCALE)
+    def test_off_scale_pairs_give_the_standard_values(self, mu, sigma1):
+        pair = GaussianMixturePair(mu=mu, sigma1=sigma1, sigma2=sigma1 / 8.0, p=0.2)
+        standard = GaussianMixturePair(mu=0.0, sigma1=1.0, sigma2=0.125, p=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, kwargs in _QUADRATURE_KINDS:
+                assert _outcome(pair, kind, **kwargs) == _outcome(standard, kind, **kwargs)
+            assert divergence_gaussian(pair, "tv").value <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mu=st.one_of(st.sampled_from([0.0, 1e17, -1e300, 1e300]), st.floats(-1e300, 1e300)),
+        k=st.integers(-1000, 1000),
+        ratio=st.floats(1e-3, 1e3),
+        p=st.floats(1e-3, 0.999),
+        kind=st.sampled_from(_QUADRATURE_KINDS),
+    )
+    def test_mean_and_scale_move_no_bit(self, mu, k, ratio, p, kind):
+        sigma1 = math.ldexp(1.0, k)
+        pair = GaussianMixturePair(mu=mu, sigma1=sigma1, sigma2=ratio * sigma1, p=p)
+        standard = GaussianMixturePair(mu=0.0, sigma1=1.0, sigma2=pair.sigma2 / sigma1, p=p)
+        kind, kwargs = kind
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(pair, kind, **kwargs) == _outcome(standard, kind, **kwargs)
+
+    @pytest.mark.parametrize("sigma1, sigma2", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_ratio_outside_the_float_range_is_refused(self, sigma1, sigma2):
+        pair = GaussianMixturePair(mu=0.0, sigma1=sigma1, sigma2=sigma2, p=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind, kwargs in _QUADRATURE_KINDS:
+                with pytest.raises(NumericalError, match="sigma2/sigma1"):
+                    divergence_gaussian(pair, kind, **kwargs)
 
 
 class TestDivergenceAxiomsFuzz:

@@ -128,6 +128,10 @@ def _golden() -> list[tuple[str, ...]]:
         ("divergence", "--kind", "renyi", "--alpha", "0.5", "--mixture-p", "0.1"),
         ("divergence", "--kind", "zcp", "--c", "1", "--mixture-p", "0.1"),
         ("divergence", "--kind", "kl", "--mixture-p", "0.05", "--exponent", "0.75"),
+        # off the standard scale: sigma2**2 underflowed, sigma1**2 overflowed, and at 1e307 the nodes
+        *(("divergence", "--mixture-p", "0.2", "--sigma1", sigma1, "--kind", "renyi",
+           "--alpha", "0.5") for sigma1 in ("1e-300", "1e200")),
+        ("divergence", "--mixture-p", "0.2", "--sigma1", "1e307", "--kind", "kl"),
         ("betting", "--coins", "0.5,-0.25,1,0.75,-1,0.1"),
         ("betting", "--n", "200", "--seed", "3"),
         # the benchmark's betting shapes
@@ -219,6 +223,9 @@ _OUT_OF_RANGE = (
     ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
     ("scaling", "--u", "100"),
     *(("instance", "--kind", "bernoulli", "--p", p) for p in ("0", "-0.0", "1e-200", "1e-320", "1e-160")),
+    # sigma2**2 underflowed to a ZeroDivisionError; the spike holding Q's mass now spends the
+    # evaluation budget
+    ("divergence", "--mixture-p", "1e-300", "--kind", "renyi", "--alpha", "0.5"),
 )
 
 
