@@ -306,9 +306,11 @@ class CheckRow:
     passed: bool
 
 
-def analytic_inequality_suite(
-    trials: int = 100_000, seed: int = 0, tolerance: float = 1e-9
-) -> list[CheckRow]:
+# A lemma's draw is violated when its slack is below -_LEMMA_TOLERANCE, which forgives rounding.
+_LEMMA_TOLERANCE = 1e-9
+
+
+def analytic_inequality_suite(trials: int = 100_000, seed: int = 0) -> list[CheckRow]:
     """Fuzz the three analytic lemmas the bound proofs lean on.
 
     1. ln(1 + beta x) >= beta x + (ln(1 - |beta|) + |beta|) x^2 on
@@ -318,11 +320,10 @@ def analytic_inequality_suite(
        |y| sqrt(a ln(1 + a y^2 / b^2)) - b.
 
     Slack is bound minus quantity it must dominate (nonnegative when the
-    lemma holds); a violation is slack < -tolerance.  One CheckRow per
+    lemma holds); a violation is slack < -_LEMMA_TOLERANCE.  One CheckRow per
     lemma, passed when it has no violation.
     """
     trials = _integer(trials, "trials", 1)
-    tolerance = _real(tolerance, "tolerance", 0.0, math.inf)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
 
     beta = rng.uniform(-1.0, 1.0, trials)
@@ -349,6 +350,6 @@ def analytic_inequality_suite(
         ("max_linear_log_barrier", barrier_slack),
         ("fenchel_dual", fenchel_slack),
     ):
-        violations = int((slack < -tolerance).sum())
+        violations = int((slack < -_LEMMA_TOLERANCE).sum())
         rows.append(CheckRow(name, float(slack.min()), violations, violations == 0))
     return rows

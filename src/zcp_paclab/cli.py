@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .betting import kt_bettor, mean_zero_coins, wealth_quadratic_lower
-from .bounds import BoundConfig, analytic_inequality_suite
+from .bounds import _LEMMA_TOLERANCE, BoundConfig, analytic_inequality_suite
 from .distributions import (
     _multivariate_ln_a, bernoulli_instance, gaussian_instance, make_discrete, multivariate_instance
 )
@@ -79,6 +79,12 @@ def _require_flags(args: argparse.Namespace, *flags: str) -> None:
     for flag in flags:
         if getattr(args, flag.replace("-", "_")) is None:
             raise ValidationError(f"missing required flag --{flag}")
+
+
+def _refuse_flag(args: argparse.Namespace, flag: str, owner: str, used: str) -> None:
+    """Refuse a flag that only ``owner`` reads, given where ``used`` runs instead."""
+    if getattr(args, flag.replace("-", "_")) is not None:
+        raise ValidationError(f"{flag} is only meaningful for {owner}, not {used}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +184,10 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
     for flag, owner in (("alpha", "renyi"), ("c", "zcp")):
         if kind == owner:
             _require_flags(args, flag)
-        elif getattr(args, flag) is not None:
-            raise ValidationError(f"{flag} is only meaningful for {owner.upper()}, not {kind}")
+        else:
+            _refuse_flag(args, flag, owner.upper(), kind)
+    if args.p is not None or args.q is not None:
+        _refuse_flag(args, "mixture-p", "a mixture pair", "--p/--q weights")
 
     if kind == "little_kl":
         if args.p is None or args.q is None or len(args.p) != 1 or len(args.q) != 1:
@@ -209,6 +217,10 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
 
 
 def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
+    for flag, owner in {"p": "bernoulli", "lna": "bernoulli", "d": "multivariate",
+                        "u": "multivariate", "mixture-p": "gaussian"}.items():
+        if owner != args.kind:
+            _refuse_flag(args, flag, owner, args.kind)
     if args.kind == "bernoulli":
         _require_flags(args, "p")
         p = args.p
@@ -258,6 +270,7 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
 
 def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
     if args.coins is not None:
+        _refuse_flag(args, "n", "sampled coins", "--coins")
         coins = args.coins
     elif args.n is not None:
         coins = mean_zero_coins(args.n, args.seed)
@@ -329,9 +342,10 @@ def _cmd_ville(args) -> tuple[dict, dict, bool | None]:
 
 
 def _cmd_inequalities(args) -> tuple[dict, dict, bool | None]:
-    rows = analytic_inequality_suite(trials=args.trials, seed=args.seed, tolerance=1e-9)
+    rows = analytic_inequality_suite(trials=args.trials, seed=args.seed)
     passed = all(row.passed for row in rows)
-    return _table(rows), {"trials": args.trials, "tolerance": 1e-9, "all_passed": passed}, passed
+    summary = {"trials": args.trials, "tolerance": _LEMMA_TOLERANCE, "all_passed": passed}
+    return _table(rows), summary, passed
 
 
 def _cmd_self_check(args) -> tuple[dict, dict, bool | None]:

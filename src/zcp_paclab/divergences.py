@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DiscreteDistribution, GaussianMixturePair, _logsumexp
-from .errors import NumericalError, ValidationError, _integer, _real
+from .errors import NumericalError, ValidationError, _real
 
 __all__ = [
     "DivergenceKind",
     "DivergenceValue",
-    "QuadratureConfig",
     "kl_discrete",
     "tv_discrete",
     "renyi_discrete",
@@ -60,27 +59,6 @@ class DivergenceValue:
 
     value: float
     abs_error: float
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for the adaptive Simpson integration over a mixture pair.
-
-    The domain is [mu - half_width_in_sigma1 * sigma1, mu + ...]; the
-    integrator targets an absolute error of rel_tol * |integral| + 1e-12
-    and refuses to report a value it could not certify within
-    ``max_subdivisions`` recursion levels and ``_MAX_EVALUATIONS`` integrand
-    evaluations.
-    """
-
-    half_width_in_sigma1: float = 20.0
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 60
-
-    def __post_init__(self) -> None:
-        _real(self.half_width_in_sigma1, "half_width_in_sigma1", 8.0, math.inf, open_high=True)
-        _real(self.rel_tol, "rel_tol", 0.0, 1e-3, open_low=True)
-        _integer(self.max_subdivisions, "max_subdivisions", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +378,17 @@ def _check_chain_args(kl: float, tv: float, c: float) -> tuple[float, float, flo
 # ---------------------------------------------------------------------------
 
 
+# Half-width of the domain in standard units, and the relative part of the error target.
+_HALF_WIDTH = 20.0
+_REL_TOL = 1e-8
+# Simpson steps per panel of the rough pass that sizes the error budget.
+_ROUGH_STEPS = 32
 # Intervals refined per integrand call; bounds memory when many refine at once.
 _BATCH = 2048
-# Integrand evaluations one integral may spend, as QUADPACK's ``limit``: the
-# benchmark integrals use at most about 3,000, a mixture weight of 1e-6 about a million.
+# Halvings after which an interval is accepted as it is, flagging the result exhausted.
+_MAX_DEPTH = 60
+# Integrand evaluations one integral may spend, as QUADPACK's ``limit``, past which it refuses:
+# the benchmark integrals use at most about 3,000, a mixture weight of 1e-6 about a million.
 _MAX_EVALUATIONS = 2**23
 
 
@@ -492,9 +477,9 @@ def _adaptive_simpson(f, edges: np.ndarray, budget: float, max_depth: int):
     return value, err, exhausted
 
 
-def _panel_edges(pair: GaussianMixturePair, half_width: float) -> np.ndarray:
-    """Breakpoints that always bracket the narrow component's spike."""
-    w = half_width * pair.sigma1
+def _panel_edges(pair: GaussianMixturePair) -> np.ndarray:
+    """Breakpoints over +/- _HALF_WIDTH sigma1 that always bracket the narrow component's spike."""
+    w = _HALF_WIDTH * pair.sigma1
     offsets = {0.0, w}
     for scale in (pair.sigma2, pair.sigma1):
         for k in (1.0, 2.0, 5.0, 10.0):
@@ -504,10 +489,10 @@ def _panel_edges(pair: GaussianMixturePair, half_width: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _rough_composite(f, edges: np.ndarray, per_panel: int = 32) -> float:
-    """Composite Simpson with per_panel steps on each panel, all nodes in one call."""
-    ys = f(np.linspace(edges[:-1], edges[1:], per_panel + 1, axis=-1))
-    h = np.diff(edges) / per_panel
+def _rough_composite(f, edges: np.ndarray) -> float:
+    """Composite Simpson with _ROUGH_STEPS steps on each panel, all nodes in one call."""
+    ys = f(np.linspace(edges[:-1], edges[1:], _ROUGH_STEPS + 1, axis=-1))
+    h = np.diff(edges) / _ROUGH_STEPS
     odd, even = ys[:, 1::2].sum(axis=1), ys[:, 2:-1:2].sum(axis=1)
     return float(np.sum(h / 3.0 * (ys[:, 0] + ys[:, -1] + 4.0 * odd + 2.0 * even)))
 
@@ -515,7 +500,6 @@ def _rough_composite(f, edges: np.ndarray, per_panel: int = 32) -> float:
 def divergence_gaussian(
     pair: GaussianMixturePair,
     kind: DivergenceKind | str,
-    config: QuadratureConfig | None = None,
     *,
     alpha: float | None = None,
     c: float | None = None,
@@ -527,14 +511,15 @@ def divergence_gaussian(
     pair is integrated in standard units, mu = 0 and sigma1 = 1 with sigma2
     replaced by the ratio sigma2/sigma1; a ratio outside (0, inf) raises
     NumericalError.  The defining integrand is integrated over +/-
-    half_width_in_sigma1 with panel edges seeded at multiples of both
-    component scales, so the narrow spike cannot be stepped over.  RENYI is
-    +inf, without integrating, when p > 0 and the integrand's tail exponent,
-    a positive multiple of (alpha - 1) - alpha (sigma2/sigma1)^2, is >= 0.
-    Raises NumericalError when the error estimate cannot be brought below
-    rel_tol * |value| + 1e-12 within the subdivision and evaluation budgets.
+    _HALF_WIDTH with panel edges seeded at multiples of both component
+    scales, so the narrow spike cannot be stepped over.  RENYI is +inf,
+    without integrating, when p > 0 and the integrand's tail exponent, a
+    positive multiple of (alpha - 1) - alpha (sigma2/sigma1)^2, is >= 0.
+    An interval still unresolved after _MAX_DEPTH halvings is accepted as
+    it is.  Raises NumericalError when the summed error estimate then
+    exceeds _REL_TOL * |value| + 1e-12, or when the integral would spend
+    more than _MAX_EVALUATIONS integrand evaluations.
     """
-    config = config or QuadratureConfig()
     try:
         kind = DivergenceKind(kind)
     except ValueError as exc:
@@ -562,18 +547,18 @@ def divergence_gaussian(
 
     pair = GaussianMixturePair(mu=0.0, sigma1=1.0, sigma2=ratio, p=pair.p)
     f = _integrand(pair, kind, alpha, c)
-    edges = _panel_edges(pair, config.half_width_in_sigma1)
+    edges = _panel_edges(pair)
     rough = _rough_composite(f, edges)
     if not math.isfinite(rough):
         raise NumericalError("integrand overflows float64 on the truncated domain")
-    budget = 0.5 * (config.rel_tol * abs(rough) + 1e-12)
-    value, err, exhausted = _adaptive_simpson(f, edges, budget, config.max_subdivisions)
+    budget = 0.5 * (_REL_TOL * abs(rough) + 1e-12)
+    value, err, exhausted = _adaptive_simpson(f, edges, budget, _MAX_DEPTH)
     if not math.isfinite(value):
         raise NumericalError("integrand overflows float64 on the truncated domain")
-    if err > config.rel_tol * abs(value) + 1e-12:
+    if err > _REL_TOL * abs(value) + 1e-12:
         raise NumericalError(
             f"quadrature error estimate {err:.3e} exceeds "
-            f"rel_tol*|value| + 1e-12 = {config.rel_tol * abs(value) + 1e-12:.3e}"
+            f"rel_tol*|value| + 1e-12 = {_REL_TOL * abs(value) + 1e-12:.3e}"
             + (" (subdivision budget exhausted)" if exhausted else "")
         )
 

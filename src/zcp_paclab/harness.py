@@ -50,7 +50,6 @@ from .distributions import (
 )
 from .divergences import (
     DivergenceKind,
-    QuadratureConfig,
     _kl_rows,
     _little_kl_inverse_upper,
     _renyi_rows,
@@ -520,9 +519,7 @@ class GaussianCheckRow:
     product_ok: bool
 
 
-def gaussian_instance_check(
-    p_values, exponent: float, config: QuadratureConfig | None = None
-) -> list[GaussianCheckRow]:
+def gaussian_instance_check(p_values, exponent: float) -> list[GaussianCheckRow]:
     """Quadrature check of the mixture-pair KL floors and product caps.
 
     exponent 1: KL >= 1/(2p) - 1.3 and TV*KL <= 1/2.
@@ -532,12 +529,11 @@ def gaussian_instance_check(
     if exponent not in (1.0, 0.75):
         raise ValidationError("exponent must be 1 or 0.75")
     ps = _floats(p_values, "p values", 0.005, 0.5, open_low=True, open_high=True, ndim=1).tolist()
-    config = config or QuadratureConfig()
     rows = []
     for p in ps:
         pair = gaussian_instance(p, 1.0, exponent)
-        kl = divergence_gaussian(pair, DivergenceKind.KL, config).value
-        tv = divergence_gaussian(pair, DivergenceKind.TV, config).value
+        kl = divergence_gaussian(pair, DivergenceKind.KL).value
+        tv = divergence_gaussian(pair, DivergenceKind.TV).value
         if exponent == 1.0:
             kl_floor = 0.5 / p - 1.3
             product = tv * kl

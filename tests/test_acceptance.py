@@ -13,7 +13,6 @@ import numpy as np
 from conftest import grid_max_log_wealth, random_pair
 from zcp_paclab import (
     BoundConfig,
-    QuadratureConfig,
     analytic_inequality_suite,
     asymptotics_inequality_check,
     bernoulli_instance,
@@ -174,10 +173,9 @@ def test_criterion_05_gaussian_mixture_floors(capsys):
     ok, note = False, ""
     start = time.perf_counter()
     try:
-        config = QuadratureConfig(rel_tol=1e-8)
         p_values = [0.2, 0.1, 0.05, 0.02]
         for exponent in (1.0, 0.75):
-            for row in gaussian_instance_check(p_values, exponent, config):
+            for row in gaussian_instance_check(p_values, exponent):
                 assert row.kl_ok, (exponent, row)
                 assert row.product_ok, (exponent, row)
         elapsed = time.perf_counter() - start
@@ -293,7 +291,7 @@ def test_criterion_10_analytic_lemmas(capsys):
     ok, note = False, ""
     start = time.perf_counter()
     try:
-        rows = analytic_inequality_suite(trials=100_000, seed=0, tolerance=1e-6)
+        rows = analytic_inequality_suite(trials=100_000, seed=0)
         for row in rows:
             assert row.violations == 0, row
         elapsed = time.perf_counter() - start

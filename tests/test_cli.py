@@ -158,6 +158,30 @@ class TestDivergenceCommand:
         message = f"{flag} is only meaningful for {owner}, not {argv[0]}"
         assert err == f"zcp-paclab divergence: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("divergence --kind kl --p 0.5,0.5 --q 0.5,0.5 --mixture-p 0.1",
+             "mixture-p is only meaningful for a mixture pair, not --p/--q weights"),
+            ("divergence --kind little_kl --p 0.3 --q 0.6 --mixture-p 0.1",
+             "mixture-p is only meaningful for a mixture pair, not --p/--q weights"),
+            ("betting --coins 0.5,-0.5 --n 5",
+             "n is only meaningful for sampled coins, not --coins"),
+            ("instance --kind multivariate --d 8 --u 1 --lna 5 --p 0.3",
+             "p is only meaningful for bernoulli, not multivariate"),
+            ("instance --kind bernoulli --p 0.1 --lna 5 --d 8",
+             "d is only meaningful for multivariate, not bernoulli"),
+            ("instance --kind gaussian --mixture-p 0.1 --p 0.4",
+             "p is only meaningful for bernoulli, not gaussian"),
+        ],
+    )
+    def test_flags_the_input_ignores_are_refused(self, capsys, argv, message):
+        command = argv.split()[0]
+        code, out, err = _run(capsys, argv.split())
+        assert code == 1
+        assert out == ""
+        assert err == f"zcp-paclab {command}: error: {message}\n"
+
 
 class TestOutputContract:
     ARGV = ["betting", "--n", "40", "--seed", "4"]

@@ -24,7 +24,6 @@ from zcp_paclab import (
     DivergenceValue,
     GaussianMixturePair,
     NumericalError,
-    QuadratureConfig,
     ValidationError,
     divergence_gaussian,
     from_log_weights,
@@ -452,16 +451,6 @@ class TestQuadrature:
             assert divergence_gaussian(pair, "tv").value == 0.0
             assert divergence_gaussian(pair, "zcp", c=1.0).value == 0.0
 
-    def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            QuadratureConfig(half_width_in_sigma1=4.0)
-        with pytest.raises(ValidationError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(ValidationError):
-            QuadratureConfig(rel_tol=1e-2)
-        with pytest.raises(ValidationError):
-            QuadratureConfig(max_subdivisions=0)
-
     def test_matches_fine_discretization(self):
         # independent oracle: 200k-point trapezoid on [-20, 20] in log space
         pair = gaussian_instance(0.3, 1.0, 1.0)
@@ -517,12 +506,12 @@ class TestQuadrature:
         # just below the threshold alpha = 1/(1 - p^2) the integral converges
         assert math.isfinite(divergence_gaussian(pair, "renyi", alpha=1.04).value)
 
-    @pytest.mark.parametrize("max_subdivisions", [1, 3])
-    def test_subdivision_budget_exhausted(self, max_subdivisions):
+    @pytest.mark.parametrize("max_depth", [1, 3])
+    def test_subdivision_budget_exhausted(self, monkeypatch, max_depth):
         pair = gaussian_instance(0.2, 1.0, 1.0)
-        config = QuadratureConfig(max_subdivisions=max_subdivisions)
+        monkeypatch.setattr(divergences, "_MAX_DEPTH", max_depth)
         with pytest.raises(NumericalError, match=r"\(subdivision budget exhausted\)"):
-            divergence_gaussian(pair, "kl", config)
+            divergence_gaussian(pair, "kl")
 
     def test_evaluation_budget_exhausted(self, monkeypatch):
         # p = 1e-4 TV takes 11,947 integrand evaluations, the rough pass included
@@ -548,10 +537,11 @@ class TestQuadrature:
                 for field, value in expected.items():
                     assert float(row[field]) == pytest.approx(value, rel=1e-8), (argv, field)
 
-    def test_small_subdivision_budget_suffices(self):
+    def test_small_subdivision_budget_suffices(self, monkeypatch):
         pair = gaussian_instance(0.2, 1.0, 1.0)
-        loose = divergence_gaussian(pair, "kl", QuadratureConfig(max_subdivisions=5))
         full = divergence_gaussian(pair, "kl")
+        monkeypatch.setattr(divergences, "_MAX_DEPTH", 5)
+        loose = divergence_gaussian(pair, "kl")
         assert abs(loose.value - full.value) <= loose.abs_error + full.abs_error + 1e-12
 
     def test_refinement_batches_do_not_change_the_value(self, monkeypatch):
@@ -562,10 +552,12 @@ class TestQuadrature:
         np.testing.assert_allclose(batched.value, whole_levels.value, rtol=1e-14)
         np.testing.assert_allclose(batched.abs_error, whole_levels.abs_error, rtol=1e-12)
 
-    def test_error_estimate_brackets_refined_value(self):
+    def test_error_estimate_brackets_refined_value(self, monkeypatch):
         pair = gaussian_instance(0.2, 1.0, 1.0)
-        loose = divergence_gaussian(pair, "kl", QuadratureConfig(rel_tol=1e-6))
-        tight = divergence_gaussian(pair, "kl", QuadratureConfig(rel_tol=1e-10))
+        monkeypatch.setattr(divergences, "_REL_TOL", 1e-6)
+        loose = divergence_gaussian(pair, "kl")
+        monkeypatch.setattr(divergences, "_REL_TOL", 1e-10)
+        tight = divergence_gaussian(pair, "kl")
         assert abs(loose.value - tight.value) <= loose.abs_error + tight.abs_error + 1e-12
         assert loose.abs_error <= 1e-6 * abs(loose.value) + 1e-12
 
@@ -614,16 +606,16 @@ _ORACLE_PAIRS = [
 ]
 
 
-def _outcome(pair, kind, config=None, **kwargs):
+def _outcome(pair, kind, **kwargs):
     """divergence_gaussian's value and error as hex, or its refusal's message."""
     try:
-        result = divergence_gaussian(pair, kind, config, **kwargs)
+        result = divergence_gaussian(pair, kind, **kwargs)
     except NumericalError as exc:
         return str(exc)
     return result.value.hex(), result.abs_error.hex()
 
 
-def _quadrature(monkeypatch, oracle, pair, kind, config=None, **kwargs):
+def _quadrature(monkeypatch, oracle, pair, kind, **kwargs):
     """``_outcome`` and the raw (value, error, exhausted) of its Simpson pass, through the
     library's refinement and integrand or, with ``oracle``, through conftest's."""
     simpson, raw = (oracle_adaptive_simpson if oracle else divergences._adaptive_simpson), []
@@ -636,7 +628,7 @@ def _quadrature(monkeypatch, oracle, pair, kind, config=None, **kwargs):
         patch.setattr(divergences, "_adaptive_simpson", recording)
         if oracle:
             patch.setattr(divergences, "_integrand", oracle_integrand)
-        outcome = _outcome(pair, kind, config, **kwargs)
+        outcome = _outcome(pair, kind, **kwargs)
     return outcome, [(value.hex(), err.hex(), exhausted) for value, err, exhausted in raw]
 
 
@@ -659,12 +651,12 @@ class TestQuadratureOracle:
     conftest: the same intervals accepted in the same order give every value and error the same
     bits, and the evaluations run out at the same count."""
 
-    def _agree(self, monkeypatch, config=None):
+    def _agree(self, monkeypatch):
         outcomes = []
         for pair in _ORACLE_PAIRS:
             for kind, kwargs in _QUADRATURE_KINDS:
-                expected = _quadrature(monkeypatch, True, pair, kind, config, **kwargs)
-                got = _quadrature(monkeypatch, False, pair, kind, config, **kwargs)
+                expected = _quadrature(monkeypatch, True, pair, kind, **kwargs)
+                got = _quadrature(monkeypatch, False, pair, kind, **kwargs)
                 assert got == expected, (pair, kind, kwargs)
                 outcomes.append(got)
         return outcomes
@@ -676,8 +668,20 @@ class TestQuadratureOracle:
         assert all(isinstance(outcome, tuple) for outcome, _ in outcomes)
 
     def test_same_bits_when_the_subdivisions_run_out(self, monkeypatch):
-        outcomes = self._agree(monkeypatch, QuadratureConfig(max_subdivisions=3))
+        monkeypatch.setattr(divergences, "_MAX_DEPTH", 3)
+        outcomes = self._agree(monkeypatch)
         assert any(exhausted for _, raw in outcomes for _, _, exhausted in raw)
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.75])
+    def test_same_bits_within_the_depth_limit_at_a_tiny_weight(self, monkeypatch, exponent):
+        # TV at a mixture weight of 1e-6 halves intervals 57 levels deep at exponent 1 and 60 at
+        # 0.75, so _MAX_DEPTH = 60 leaves no margin; a pass at the limit would be exhausted
+        pair = gaussian_instance(1e-6, 1.0, exponent)
+        expected = _quadrature(monkeypatch, True, pair, "tv")
+        got = _quadrature(monkeypatch, False, pair, "tv")
+        assert got == expected
+        assert isinstance(got[0], tuple)
+        assert [exhausted for _, _, exhausted in got[1]] == [False]
 
     @pytest.mark.parametrize("kind, kwargs", _QUADRATURE_KINDS)
     def test_same_refusal_when_the_evaluations_run_out(self, monkeypatch, kind, kwargs):

@@ -20,7 +20,6 @@ from zcp_paclab import (
     GibbsPosterior,
     LearningInstance,
     LossKind,
-    QuadratureConfig,
     ValidationError,
     analytic_inequality_suite,
     asymptotics_inequality_check,
@@ -90,13 +89,6 @@ _TABLE = {
         lambda v: _instance().loss_sums(v, np.random.default_rng(0)), _NOT_INT
     ),
     "LearningInstance.posterior.n": (lambda v: _instance().posterior([0.5, 0.5], v), _NOT_INT),
-    "QuadratureConfig.half_width_in_sigma1": (
-        lambda v: QuadratureConfig(half_width_in_sigma1=v), (*_NOT_REAL, INF, -INF)
-    ),
-    "QuadratureConfig.rel_tol": (lambda v: QuadratureConfig(rel_tol=v), (*_NOT_REAL, INF, -INF)),
-    "QuadratureConfig.max_subdivisions": (
-        lambda v: QuadratureConfig(max_subdivisions=v), _NOT_INT
-    ),
     "renyi_discrete.alpha": (lambda v: renyi_discrete(_P, _Q, v), (*_NOT_REAL, INF, -INF)),
     "zcp_discrete.c": (lambda v: zcp_discrete(_P, _Q, v), (*_NOT_REAL, INF, -INF)),
     "little_kl.p_hat": (lambda v: little_kl(v, 0.5), (*_NOT_REAL, INF, -INF)),
@@ -172,9 +164,6 @@ _TABLE = {
     ),
     "analytic_inequality_suite.seed": (
         lambda v: analytic_inequality_suite(trials=10, seed=v), (*_NOT_INT, -1)
-    ),
-    "analytic_inequality_suite.tolerance": (
-        lambda v: analytic_inequality_suite(trials=10, tolerance=v), (*_NOT_REAL, -INF)
     ),
     "wilson_upper.failures": (lambda v: wilson_upper(v, 10), (*_NOT_INT, 1.5)),
     "wilson_upper.trials": (lambda v: wilson_upper(0, v), _NOT_INT),

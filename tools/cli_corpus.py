@@ -218,6 +218,12 @@ _OUT_OF_RANGE = (
     # flags the kind does not use
     ("divergence", "--kind", "kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2", "--c", "3"),
     ("divergence", "--kind", "little_kl", "--p", "0.2", "--q", "0.5", "--alpha", "2"),
+    # flags the chosen input does not use
+    ("divergence", "--kind", "kl", "--p", "0.5,0.5", "--q", "0.5,0.5", "--mixture-p", "0.1"),
+    ("betting", "--coins", "0.5,-0.5", "--n", "5"),
+    ("instance", "--kind", "multivariate", "--d", "8", "--u", "1", "--lna", "5", "--p", "0.3"),
+    ("instance", "--kind", "bernoulli", "--p", "0.1", "--lna", "5", "--d", "8"),
+    ("instance", "--kind", "gaussian", "--mixture-p", "0.1", "--p", "0.4"),
     ("betting", "--n", "5", "--out", _CONFIG_DIR),  # a directory
     ("betting", "--n", "5", "--out", f"{_CONFIG_DIR}/missing/x.csv"),
     ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
