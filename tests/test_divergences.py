@@ -673,15 +673,20 @@ class TestQuadratureOracle:
         assert any(exhausted for _, raw in outcomes for _, _, exhausted in raw)
 
     @pytest.mark.parametrize("exponent", [1.0, 0.75])
-    def test_same_bits_within_the_depth_limit_at_a_tiny_weight(self, monkeypatch, exponent):
+    @pytest.mark.parametrize("kind, kwargs", _QUADRATURE_KINDS)
+    def test_same_bits_within_the_depth_limit_at_a_tiny_weight(
+        self, monkeypatch, kind, kwargs, exponent
+    ):
         # TV at a mixture weight of 1e-6 halves intervals 57 levels deep at exponent 1 and 60 at
         # 0.75, so _MAX_DEPTH = 60 leaves no margin; a pass at the limit would be exhausted
         pair = gaussian_instance(1e-6, 1.0, exponent)
-        expected = _quadrature(monkeypatch, True, pair, "tv")
-        got = _quadrature(monkeypatch, False, pair, "tv")
+        expected = _quadrature(monkeypatch, True, pair, kind, **kwargs)
+        got = _quadrature(monkeypatch, False, pair, kind, **kwargs)
         assert got == expected
         assert isinstance(got[0], tuple)
-        assert [exhausted for _, _, exhausted in got[1]] == [False]
+        # one Simpson pass per finite value; Renyi past its threshold is +inf without one
+        finite = math.isfinite(float.fromhex(got[0][0]))
+        assert [exhausted for _, _, exhausted in got[1]] == [False] * finite
 
     @pytest.mark.parametrize("kind, kwargs", _QUADRATURE_KINDS)
     def test_same_refusal_when_the_evaluations_run_out(self, monkeypatch, kind, kwargs):
