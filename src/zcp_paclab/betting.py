@@ -10,7 +10,6 @@ log-space.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -159,153 +158,33 @@ def _wealth_quadratic_lower(arr: np.ndarray) -> float:
 
 
 def mean_zero_coins(n: int, seed: int, path: int = 0) -> np.ndarray:
-    """n coins from ``default_rng((seed, path))``: a fair sign times a Uniform[0, 1) magnitude.
+    """n coins of path ``path``: a fair sign times a Uniform[0, 1) magnitude.
 
-    The bits are those of ``integers(0, 2, n) * 2 - 1`` times ``random(n)``
-    from that generator, drawn by ``_coin_blocks`` as Ville draws its paths.
-    Ville and the coverage trials get their generators from one seeding
-    helper, ``_seeded_generators``.
+    Path p is the n raw words of ``PCG64(seed)`` from word p * n on, one per
+    coin, reached with ``advance`` alone; Ville reads paths 0, 1, ... as
+    consecutive rows of the same stream (``_coin_blocks``).
     """
     n, seed, path = _integer(n, "n", 1), _integer(seed, "seed", 0), _integer(path, "path", 0)
-    return next(_coin_blocks(n, seed, [path], 1))[0]
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(path * n)  # the stream's period is 2**128, and advance wraps
+    return _coins_from_words(bit_generator.random_raw(n))
 
 
-# NumPy's SeedSequence, whose streams NEP 19 keeps stable.  Each hashmix of
-# the entropy mixer reads a hash constant and multiplies it by _MULT_A, and
-# generate_state runs a chain of its own.  The chains do not depend on the
-# data, so they are precomputed as columns, and one array operation runs a
-# row of consecutive hashmixes.  uint32 constants keep every result uint32
-# under both numpy 1.x value-based casting and NEP 50 promotion.
-_POOL = 4  # the entropy pool, in uint32 words
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_SIGN_BIT = np.uint64(1 << 63)
-# Streams seeded at once: the array arithmetic costs a few dozen numpy calls
-# whatever the count, and per stream about 2 us of Python-int work.
-_SEEDING_PATHS = 512
+def _coin_blocks(n: int, seed: int, paths: int, rows: int) -> Iterator[np.ndarray]:
+    """Yield the coins of paths 0 .. paths - 1, ``rows`` at a time: row i of block k has
+    the bits of ``mean_zero_coins(n, seed, k * rows + i)``.  One PCG64 made for this call
+    is read in order, so concurrent calls cannot interleave draws."""
+    bit_generator = np.random.PCG64(seed)
+    for first in range(0, paths, rows):
+        yield _coins_from_words(bit_generator.random_raw((min(rows, paths - first), n)))
 
 
-def _hash_chain(init: int, mult: int, count: int) -> np.ndarray:
-    """(count, 1) uint32 column of init * mult**k mod 2**32, k = 0 .. count - 1."""
-    values = [init]
-    while len(values) < count:
-        values.append(values[-1] * mult & 0xFFFFFFFF)
-    return np.array(values, dtype=np.uint32)[:, None]
-
-
-# the pool's 16 hashmixes when the entropy fits it, and generate_state(4, uint64)'s 8 words
-_HASH_A = _hash_chain(_INIT_A, _MULT_A, 4 * _POOL + 1)
-_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 2 * _POOL + 1)
-
-
-def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """len(chain) - 1 consecutive hashmixes, one per row, from the chain's constants."""
-    values = (values ^ chain[:-1]) * chain[1:]
-    return values ^ values >> _SHIFT
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ out >> _SHIFT
-
-
-def _uint32_words(value: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence reads from a nonnegative int (0 is one word)."""
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
-def _pcg64_states(seed: int, paths) -> list[tuple[int, int]]:
-    """(state, inc) of ``PCG64(SeedSequence((seed, p)))`` for each p of paths.
-
-    SeedSequence's entropy mixing and ``generate_state(4, uint64)`` run as
-    uint32 array arithmetic over all paths at once.  PCG64 then takes
-    initstate and initseq from the four state words, high word first, and
-    steps its 128-bit LCG twice from state 0, in Python ints.
-    """
-    head = _uint32_words(seed)
-    rows = [head + _uint32_words(path) for path in paths]
-    lengths = np.array([len(row) for row in rows])
-    width = max(_POOL, int(lengths.max()))
-    entropy = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32).T
-    # each entropy word past the pool adds 4 hashmixes, after the pool's 16
-    chain = _HASH_A if width == _POOL else _hash_chain(_INIT_A, _MULT_A, 4 * width + 1)
-    pool = _hashmix(entropy[:_POOL], chain[: _POOL + 1])
-    for src in range(_POOL):  # every other pool word takes a hashmix of this one
-        others, k = [dst for dst in range(_POOL) if dst != src], _POOL + (_POOL - 1) * src
-        pool[others] = _mix(pool[others], _hashmix(pool[src], chain[k : k + _POOL]))
-    for word in range(_POOL, width):  # only the rows whose entropy has this word mix it in
-        k = _POOL * word
-        mixed = _mix(pool, _hashmix(entropy[word], chain[k : k + _POOL + 1]))
-        pool = np.where(lengths > word, mixed, pool)
-    words = _hashmix(pool[np.arange(2 * _POOL) % _POOL], _HASH_B).astype(np.uint64)
-    state_words = (words[0::2] | words[1::2] << np.uint64(32)).tolist()  # little-endian pairs
-    states = []
-    for high, low, seq_high, seq_low in zip(*state_words):
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        states.append((((inc + (high << 64 | low)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def _seeded_generators(seed: int, indices) -> Iterator[np.random.Generator]:
-    """Yield, for each index i of ``indices`` in order, a generator that draws what
-    ``default_rng((seed, i))`` draws until the next is yielded: one Generator over one
-    PCG64, both made for this call so that concurrent calls cannot interleave draws, set
-    to the state of ``PCG64(SeedSequence((seed, i)))`` with no buffered 32-bit half (the
-    Generator's binomial constants depend on (n, p) alone).  Up to _SEEDING_PATHS indices
-    are seeded at once."""
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    template = bit_generator.state
-    for first in range(0, len(indices), _SEEDING_PATHS):
-        for state, inc in _pcg64_states(seed, indices[first : first + _SEEDING_PATHS]):
-            template["state"] = {"state": state, "inc": inc}
-            bit_generator.state = template
-            yield generator
-
-
-def _coin_blocks(n: int, seed: int, paths, rows: int) -> Iterator[np.ndarray]:
-    """Yield the coins of paths, ``rows`` at a time: row i of block k has the
-    bits of ``mean_zero_coins(n, seed, paths[k * rows + i])``.
-
-    Each path's generator (``_seeded_generators``) gives ceil(n/2) raw words
-    for the signs and then n for the magnitudes.
-    """
-    generators = _seeded_generators(seed, paths)
-    for first in range(0, len(paths), rows):
-        count = min(rows, len(paths) - first)
-        signs = np.empty((count, (n + 1) // 2), dtype=np.uint64)
-        coins = np.empty((count, n))
-        magnitudes = coins.view(np.uint64)
-        for i, generator in enumerate(itertools.islice(generators, count)):
-            signs[i] = generator.bit_generator.random_raw(signs.shape[1])
-            magnitudes[i] = generator.bit_generator.random_raw(n)
-        _coins_from_words(signs, coins)
-        yield coins
-
-
-def _coins_from_words(signs: np.ndarray, coins: np.ndarray) -> None:
-    """Turn each row of coins, which holds raw words, into what
-    ``integers(0, 2, n) * 2 - 1`` times ``random(n)`` makes of the words
-    drawn after the sign words of the same row of signs.
-
-    ``integers(0, 2)`` is Lemire's method with range 2, which never rejects:
-    it returns bit 31 of a 32-bit draw, and PCG64 serves the low then the
-    high half of each word, so the signs come from bits 31 and 63 of the
-    sign words.  ``random()`` takes (word >> 11) 2**-53 from each word.  A
-    sign times a magnitude differs from the magnitude only in the sign bit,
-    set where the drawn bit is 0 (a zero magnitude included).  Both arrays
-    are overwritten.
-    """
-    bits = coins.view(np.uint64)
-    bits >>= np.uint64(11)
-    np.multiply(bits.view(np.int64), 2.0**-53, out=coins)  # below 2**53, so exact
-    np.invert(signs, out=signs)
-    bits[:, 1::2] |= (signs & _SIGN_BIT)[:, : coins.shape[1] // 2]  # bit 63: the high half's
-    signs <<= np.uint64(32)  # bit 31: the low half's
-    signs &= _SIGN_BIT
-    bits[:, 0::2] |= signs
+def _coins_from_words(words: np.ndarray) -> np.ndarray:
+    """The coins of raw 64-bit words, made in their memory: the magnitude (word >> 11) 2**-53
+    that ``random()`` makes, negative where bit 0, which the magnitude does not read, is 0."""
+    signs = ~words << np.uint64(63)
+    words >>= np.uint64(11)
+    coins = words.view(np.float64)
+    np.multiply(words.view(np.int64), 2.0**-53, out=coins)  # below 2**53, so exact
+    words |= signs
+    return coins

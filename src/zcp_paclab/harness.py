@@ -5,9 +5,10 @@ with a bounded loss, a prior, and a posterior rule (data-independent or
 Gibbs).  The harness draws i.i.d. samples, evaluates every bound on the
 realized (sample, posterior) pair, and PASSes a bound when the one-sided
 99% Wilson upper confidence bound on its failure frequency stays within
-the theoretical budget.  Trials draw from generators seeded by
-(master_seed, trial_index), so runs are reproducible and trials are
-independent of execution order.
+the theoretical budget.  A run reads one PCG64 stream seeded by its master
+seed, and each trial (and each Ville path) reads its own fixed span of that
+stream, which ``advance`` reaches directly: runs are reproducible, and any
+trial can be reproduced without the trials before it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Iterator
 import numpy as np
 
 from .betting import _coin_blocks, _kt_rows, _max_log_wealth, _wealth_quadratic_lower
-from .betting import _seeded_generators
 from .bounds import (
     BOUND_NAMES,
     BoundConfig,
@@ -286,9 +286,9 @@ _BLOCK_ENTRIES = 4096
 # Entries in one (paths, n) coin array of a Ville block: 8 paths at
 # n = 1000.  The allocator reuses arrays this small: at 16,384 entries each
 # block's arrays went back to the system, and `ville --n 1000 --paths 10000`
-# took about 77,000 page faults per run (none at 8,192 once warm).  The
-# seeding is shared by hundreds of paths (betting._SEEDING_PATHS), so a
-# small block does not pay for it.
+# took about 77,000 page faults per run (none at 8,192 once warm).  A block
+# is one read of the run's stream, with no seeding per path, so a small
+# block costs only its few numpy calls.
 _VILLE_BLOCK_ENTRIES = 8192
 
 
@@ -299,10 +299,10 @@ def _trial_block(
     """BoundReport field -> its value in each trial of ``trials``.
 
     Trial t draws its per-atom sums into one row of S1 and S2 from the next
-    of ``generators``, which draws what default_rng((seed, t)) draws (coverage
-    and Ville share one seeding helper, ``betting._seeded_generators``).  The
-    posteriors, divergences and bounds of all rows are then computed at once,
-    each row with the bits of a block of that row alone.
+    of ``generators``, which stands at the trial's first word of the run's
+    stream (``_trial_generators``).  The posteriors, divergences and bounds
+    of all rows are then computed at once, each row with the bits of a block
+    of that row alone.
     """
     n = _integer(config.n, "n", 2)  # the sample variance needs two draws
     rngs = itertools.islice(generators, len(trials))
@@ -352,11 +352,35 @@ def _trial_block(
     return fields
 
 
+def _trial_generators(instance: LearningInstance, seed: int) -> Iterator[np.random.Generator]:
+    """Trial 0, 1, ...'s generator in turn: one Generator over one ``PCG64(seed)`` made for
+    this call, so concurrent calls cannot interleave draws, at the trial's first word.
+
+    An ABS_DISTANCE trial reads n words with ``random(n)``, so the stream read
+    in order puts trial t at word t * n.  A BERNOULLI trial's ``binomial``
+    reads a varying number of words, so trial t starts at word t * 2**64, where
+    the bit generator advances from the run's first state (the Generator's
+    binomial constants depend on (n, p) alone).
+    """
+    generator = np.random.Generator(np.random.PCG64(seed))
+    if instance.loss_kind is LossKind.ABS_DISTANCE:
+        return itertools.repeat(generator)
+    bit_generator = generator.bit_generator
+    start = bit_generator.state
+
+    def at(trial: int) -> np.random.Generator:
+        bit_generator.state = start
+        bit_generator.advance(trial << 64)
+        return generator
+
+    return map(at, itertools.count())
+
+
 def _trial_blocks(
     instance: LearningInstance, config: BoundConfig, trials: int, seed: int
 ) -> Iterator[tuple[range, dict[str, np.ndarray]]]:
     """Each block of max(1, _BLOCK_ENTRIES // m) consecutive trials, and its fields."""
-    generators = _seeded_generators(seed, range(trials))
+    generators = _trial_generators(instance, seed)
     rows = max(1, _BLOCK_ENTRIES // instance.theta_count)
     for first in range(0, trials, rows):
         block = range(first, min(first + rows, trials))
@@ -368,9 +392,9 @@ def coverage_reports(
 ) -> Iterator[BoundReport]:
     """Yield one BoundReport per trial, in trial-index order.
 
-    Trial t draws what default_rng((seed, t)) draws, through the seeding helper
-    Ville uses too (``betting._seeded_generators``), so any subset of trials can
-    be reproduced independently.
+    Trial t reads its own span of one ``PCG64(seed)`` stream, from word t * n
+    for ABS_DISTANCE and from word t * 2**64 for BERNOULLI (``_trial_generators``),
+    so any subset of trials can be reproduced independently.
     """
     seed, trials = _integer(seed, "seed", 0), _integer(trials, "trials", 1)
     for _, block in _trial_blocks(instance, config, trials, seed):
@@ -576,17 +600,17 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
     Coins are Rademacher sign times Uniform[0, 1) magnitude, so the KT
     wealth is a nonnegative martingale started at 1 and Ville's inequality
     caps P(max_t W_t >= 1/delta) at delta.  PASS per delta: Wilson-99
-    upper bound on the crossing rate <= delta.  Path p draws the coins of
-    ``mean_zero_coins(n, seed, p)`` into one row of a block of up to
-    8,192 // n paths, and the KT wealth paths of a block are computed at
-    once, each with the bits of one path run alone.  The paths draw through
-    the seeding helper coverage uses too, ``betting._seeded_generators``.
+    upper bound on the crossing rate <= delta.  Path p is the coins of
+    ``mean_zero_coins(n, seed, p)``, the n words of one ``PCG64(seed)``
+    stream from word p * n on.  The stream is read in order, a block of up
+    to 8,192 // n paths at a time, and the KT wealth paths of a block are
+    computed at once, each with the bits of one path run alone.
     """
     n, paths, seed = _integer(n, "n", 1), _integer(paths, "paths", 1000), _integer(seed, "seed", 0)
     deltas = _floats(delta_values, "delta values", 0.0, 1.0, open_low=True, open_high=True, ndim=1)
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
-    for coins in _coin_blocks(n, seed, range(paths), max(1, _VILLE_BLOCK_ENTRIES // n)):
+    for coins in _coin_blocks(n, seed, paths, max(1, _VILLE_BLOCK_ENTRIES // n)):
         peaks = _kt_rows(coins)[1][:, 1:].max(axis=1)
         crossings += (peaks[:, None] >= thresholds).sum(axis=0)
     rows = []

@@ -8,6 +8,7 @@ import zcp_paclab.divergences as divergences
 from zcp_paclab import (
     BoundReport,
     DivergenceKind,
+    LossKind,
     NumericalError,
     complexity_term,
     empirical_bernstein_bound,
@@ -151,18 +152,29 @@ def masked_log1p_sq(ln_t, c):
     return out
 
 
+def _pcg64_at(seed, word):
+    """A fresh PCG64(seed) advanced to its word ``word``."""
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(word)
+    return bit_generator
+
+
 def oracle_coins(n, seed, path):
-    """Path ``path`` of Ville's coins, drawn from its own default_rng((seed, path))."""
-    rng = np.random.default_rng((seed, path))
-    signs = rng.integers(0, 2, n) * 2 - 1
-    return signs * rng.random(n)
+    """Path ``path`` of Ville's coins: the n words of PCG64(seed) from word path * n, read
+    twice, for the sign bits (bit 0, negative where it is 0) and for ``Generator.random``'s
+    magnitudes."""
+    odd = _pcg64_at(seed, path * n).random_raw(n) % 2 == 1
+    magnitudes = np.random.Generator(_pcg64_at(seed, path * n)).random(n)
+    return np.where(odd, magnitudes, -magnitudes)
 
 
 def oracle_report(instance, config, seed, trial):
-    """Trial ``trial`` of a coverage run, drawn from its own default_rng((seed, trial)) and
-    computed from public scalar functions only."""
+    """Trial ``trial`` of a coverage run, computed from public scalar functions only.  Its
+    losses read PCG64(seed) from word trial * n (``random(n)`` of the abs loss) or from word
+    trial * 2**64 (``binomial`` of the Bernoulli loss, which reads a varying number of words)."""
     n = config.n
-    s1, s2 = instance.loss_sums(n, np.random.default_rng((seed, trial)))
+    word = trial * n if instance.loss_kind is LossKind.ABS_DISTANCE else trial * 2**64
+    s1, s2 = instance.loss_sums(n, np.random.Generator(_pcg64_at(seed, word)))
     mu_hat = s1 / n
     post, prior = instance.posterior(mu_hat, n), instance.prior
     w, true_mu = post.weights, instance.true_means()

@@ -1,9 +1,9 @@
 """The coverage engine runs trials as (trials, m) blocks with the bits of one trial at a time.
 
 The oracle (``conftest.oracle_report``) builds one trial's BoundReport from
-public scalar functions only and its own default_rng((seed, trial)), the way
-trials were computed one by one; every engine report must equal it bit for
-bit.
+public scalar functions only and its own PCG64(seed) advanced to the trial's
+first word, the way trials were computed one by one; every engine report
+must equal it bit for bit.
 """
 
 import dataclasses
@@ -41,7 +41,7 @@ from zcp_paclab import (
     zcp_discrete,
 )
 from zcp_paclab import betting, bounds, cli, divergences, harness
-from zcp_paclab.betting import _seeded_generators, kt_bettor, mean_zero_coins
+from zcp_paclab.betting import kt_bettor, mean_zero_coins
 from zcp_paclab.distributions import _logsumexp, _normalized
 
 from conftest import masked_log1p_sq, masked_log_abs_expm1, oracle_coins, oracle_report
@@ -130,7 +130,7 @@ class TestBlocks:
         assert all(type(trial) is int for trial, _, _ in result.failure_events)
 
 
-# one and two uint32 words at their edges, and entropy longer than SeedSequence's 4-word pool
+# seeds of one to four 32-bit words
 _SEEDS = [0, 1, 2**32, 2**64 + 5, 10**30]
 _SEED_IDS = ["0", "1", "2**32", "2**64+5", "10**30"]
 
@@ -147,13 +147,13 @@ def _scaled_hoeffding(monkeypatch):
     monkeypatch.setattr(harness, "_hoeffding_zcp", scaled)
 
 
-class TestSharedSeeding:
-    """Coverage and Ville draw through ``betting._seeded_generators``; trial or path i still
-    draws what default_rng((seed, i)) draws."""
+class TestStreamSpans:
+    """Coverage and Ville read one PCG64(seed) per run; trial or path i reads its own span of
+    it, which the oracles reach alone with ``advance``."""
 
     @pytest.mark.parametrize("seed", _SEEDS, ids=_SEED_IDS)
     @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
-    def test_reports_and_counts_match_default_rng_per_trial(self, loss, seed, monkeypatch):
+    def test_reports_and_counts_match_the_oracle_trials(self, loss, seed, monkeypatch):
         _scaled_hoeffding(monkeypatch)
         instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
         rows = harness._BLOCK_ENTRIES // 50
@@ -169,15 +169,17 @@ class TestSharedSeeding:
         assert counts == {name: sum(n == name for _, n, _ in expected) for name in counts}
         assert counts["hoeffding_zcp"] > 0
 
-    @pytest.mark.parametrize("seed", [0, 2**64 + 5], ids=["0", "2**64+5"])
-    @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
-    @pytest.mark.parametrize("m, trials", [(50, 23), (2000, 9)])  # 81- and 2-trial blocks
-    def test_seeding_group_boundaries(self, m, trials, loss, seed, monkeypatch):
-        # groups of 3: one 81-trial block spans eight of them, and the 2-trial block [2, 3]
-        # straddles two
-        monkeypatch.setattr(betting, "_SEEDING_PATHS", 3)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200),
+        loss=st.sampled_from(["abs", "bernoulli"]),
+        m=st.integers(1, 2000),  # blocks of 4,096 // m trials: 2 to 4,096
+        trials=st.integers(1, 12),
+        n=st.integers(2, 300),
+    )
+    def test_a_trial_alone_is_its_row_of_any_block(self, seed, loss, m, trials, n):
         instance = learning_instance_from_dict({"m": m, "loss": loss, "eta": 5.0})
-        _assert_engine_matches_oracle(instance, _CONFIG, trials, seed)
+        _assert_engine_matches_oracle(instance, BoundConfig(n, 0.05, 2.0), trials, seed)
 
     @pytest.mark.parametrize("seed", _SEEDS, ids=_SEED_IDS)
     @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
@@ -191,11 +193,10 @@ class TestSharedSeeding:
         assert [float(v).hex() for v in printed.values()] == _bits(expected)
 
     @pytest.mark.parametrize("seed", [3, 2**64 + 5], ids=["3", "2**64+5"])
-    def test_ville_matches_default_rng_path_by_path(self, seed, monkeypatch):
-        monkeypatch.setattr(betting, "_SEEDING_PATHS", 7)  # groups that straddle 3-path blocks
+    def test_ville_matches_the_oracle_path_by_path(self, seed, monkeypatch):
         monkeypatch.setattr(harness, "_VILLE_BLOCK_ENTRIES", 30)
         n, deltas = 10, [0.5, 0.1]
-        coins = np.concatenate(list(betting._coin_blocks(n, seed, range(1000), 3)))
+        coins = np.concatenate(list(betting._coin_blocks(n, seed, 1000, 3)))
         expected = np.array([oracle_coins(n, seed, path) for path in range(1000)])
         assert coins.tobytes() == expected.tobytes()
         for path in (0, 6, 7, 999):
@@ -370,8 +371,8 @@ class TestBlockMemory:
             instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
             trials = range(81)
             # builds the cached grid
-            harness._trial_block(instance, _CONFIG, trials, _seeded_generators(1, trials))
-            generators = _seeded_generators(1, trials)  # seeds inside the traced call
+            harness._trial_block(instance, _CONFIG, trials, harness._trial_generators(instance, 1))
+            generators = harness._trial_generators(instance, 1)
             tracemalloc.start()
             try:
                 harness._trial_block(instance, _CONFIG, trials, generators)
@@ -381,7 +382,7 @@ class TestBlockMemory:
             assert peak <= 378_000, (loss, peak)
 
     def test_a_run_of_two_blocks_peaks_below_378_kb(self):
-        # the seeded states of all 200 trials and one block's arrays
+        # one block's arrays
         for loss in ("abs", "bernoulli"):
             instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
             run_coverage(instance, _CONFIG, 200, 1)  # builds the cached grid

@@ -557,16 +557,6 @@ class TestVilleEngine:
             1000, self.DELTAS, paths, 1
         )
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_seeding_group_boundary_matches_path_by_path(self, offset, monkeypatch):
-        group = 5 * (harness._VILLE_BLOCK_ENTRIES // 1000)  # 5 blocks at n = 1000
-        monkeypatch.setattr(betting, "_SEEDING_PATHS", group)
-        paths = (1000 // group + 1) * group + offset
-        rows = ville_experiment(1000, self.DELTAS, paths, seed=4)
-        assert [row.crossings for row in rows] == _path_by_path_crossings(
-            1000, self.DELTAS, paths, 4
-        )
-
     def test_one_path_per_block(self, monkeypatch):
         monkeypatch.setattr(harness, "_VILLE_BLOCK_ENTRIES", 1)
         rows = ville_experiment(50, self.DELTAS, 1000, seed=2)

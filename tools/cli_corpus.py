@@ -144,8 +144,8 @@ def _golden() -> list[tuple[str, ...]]:
         ("ville", "--n", "1000", "--paths", paths, "--seed", "1") for paths in ("1003", "1004", "1005")
     ]
     argvs.append(("ville", "--n", "5000", "--paths", "1000", "--seed", "1"))
-    # a Ville block of 8,192 entries holds 8 paths at n = 1000, and 512 paths are
-    # seeded at once: around a boundary of each, and paths longer than a block
+    # a Ville block of 8,192 entries holds 8 paths at n = 1000: around a block
+    # boundary and around 4,096 paths, and paths longer than a block
     argvs += [
         ("ville", "--n", "1000", "--paths", paths, "--seed", "1")
         for paths in ("1007", "1008", "1009", "4095", "4096", "4097")
