@@ -219,8 +219,18 @@ class LearningInstance:
         return DiscreteDistribution(self._gibbs_log_weights(mu_hat, n))
 
     def _gibbs_log_weights(self, mu_hat: np.ndarray, n: int) -> np.ndarray:
-        """Normalized Gibbs posterior log-weights for each row of empirical means."""
-        return _normalized(self.prior.log_weights - self.posterior_rule.eta * n * mu_hat)
+        """Normalized Gibbs posterior log-weights for each row of empirical means.
+
+        The exponent -eta n (mu_hat - min mu_hat), the minimum taken on the
+        prior's support, is 0 where a mean equals it, with no inf * 0.  So an
+        eta * n that overflows gives the eta -> inf limit: the prior on the
+        empirical minimizers.
+        """
+        lq = self.prior.log_weights
+        excess = mu_hat - np.min(mu_hat, axis=-1, keepdims=True, where=lq > -np.inf, initial=np.inf)
+        exponent = np.multiply(self.posterior_rule.eta * n, excess, out=np.zeros_like(excess),
+                               where=excess > 0.0)
+        return _normalized(lq - exponent)
 
 
 def learning_instance_from_dict(payload: dict) -> LearningInstance:

@@ -63,7 +63,7 @@ def _assert_engine_matches_oracle(instance, config, trials, seed):
 
 
 class TestEngineMatchesOracle:
-    @pytest.mark.parametrize("eta", [0.0, 5.0])
+    @pytest.mark.parametrize("eta", [0.0, 5.0, 500.0, 1e308])
     @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
     @pytest.mark.parametrize("m, trials", [(1, 5), (50, 5), (2000, 6), (10000, 2)])
     def test_gibbs_and_prior_posteriors(self, m, trials, loss, eta):
@@ -95,6 +95,21 @@ class TestEngineMatchesOracle:
         # as a 1-d call drops them, so the pairwise sums group the same way
         instance = learning_instance_from_dict({"m": 50, "eta": 5.0, "prior": [0.0] + [1.0] * 49})
         _assert_engine_matches_oracle(instance, BoundConfig(n, 0.05), 20, seed=11)
+
+
+class TestLargeEta:
+    @pytest.mark.parametrize("eta", ["500", "5000", "1e308"])
+    @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
+    @pytest.mark.parametrize("m", ["50", "2000"])
+    def test_coverage_runs_without_a_warning(self, m, loss, eta, capsys):
+        # the Gibbs weights used to sum to 1 only within about 1e-11 at eta = 500, and
+        # eta * n overflowed to inf * 0 at 1e308
+        argv = ["coverage", "--n", "200", "--m", m, "--loss", loss, "--eta", eta, "--trials", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) in (0, 2)
+        out, err = capsys.readouterr()
+        assert err == "" and "# all_passed=" in out
 
 
 class TestBlocks:

@@ -1,6 +1,7 @@
 """Distribution value objects and named instances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ class TestFromLogWeights:
     def test_all_minus_inf_rejected(self):
         with pytest.raises(ValidationError):
             from_log_weights([-math.inf, -math.inf])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        offset=st.floats(-1e300, 1e300),
+        raw=st.lists(st.one_of(st.floats(-50.0, 50.0), st.just(-math.inf)), min_size=1,
+                     max_size=50).filter(lambda lw: max(lw) > -math.inf),
+    )
+    @example(offset=-1e6, raw=[0.0, -0.3, -1.7])
+    @example(offset=-1e6, raw=[0.0, -0.3, -1.7, -2.2, -5.0, 0.1, -0.05])
+    @example(offset=-1.5e5, raw=[float(v) for v in np.linspace(0.0, -30.0, 50)])
+    def test_any_offset_normalizes(self, offset, raw):
+        # the weights' sum is checked within 1e-12, and an offset's ulp reaches 1.5e284
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = from_log_weights(offset + np.array(raw))
+        assert abs(dist.weights.sum() - 1.0) <= 1e-14
 
 
 class TestBernoulliInstance:

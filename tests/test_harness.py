@@ -133,6 +133,18 @@ class TestLearningInstance:
             last = weight
         assert last > 0.999
 
+    @pytest.mark.parametrize("eta", [1e305, 1e308])
+    def test_an_overflowing_eta_gives_the_prior_on_the_minimizers(self, eta):
+        # eta * n overflows to inf at n = 1000; the minimum is taken on the prior's support
+        prior = make_discrete([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        inst = LearningInstance(prior, LossKind.ABS_DISTANCE, GibbsPosterior(eta))
+        mu_hat = np.array([0.1, 0.3, 0.2, 0.9, 0.2, 0.5, 0.2, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = inst.posterior(mu_hat, 1000)
+        np.testing.assert_allclose(post.weights, [0, 0, 2 / 12, 0, 4 / 12, 0, 6 / 12, 0],
+                                   rtol=1e-15)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -87,6 +87,9 @@ def _golden() -> list[tuple[str, ...]]:
     argvs.append(("bound", "--n", "200", "--m", "2000", "--seed", "2"))
     argvs.append(("bound", "--n", "30", "--alpha", "1e308", "--loss", "bernoulli", "--eta", "0.05"))
     argvs.append(("bound", "--n", "100", "--m", "10", "--eta", "0", "--alpha", "1.0000000001"))
+    # Gibbs weights that summed to 1 only within about 1e-11, and an eta * n that overflowed
+    argvs.append(("coverage", "--m", "50", "--n", "200", "--eta", "500", "--trials", "2000"))
+    argvs += [("bound", "--n", "2", "--loss", loss, "--eta", "1e308") for loss in ("abs", "bernoulli")]
     for seed in ("1", "2", "3"):
         argvs.append(("self-check", "--seed", seed))
         argvs.append(("inequalities", "--seed", seed))
