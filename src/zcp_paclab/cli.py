@@ -187,7 +187,8 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
         else:
             _refuse_flag(args, flag, owner.upper(), kind)
     if args.p is not None or args.q is not None:
-        _refuse_flag(args, "mixture-p", "a mixture pair", "--p/--q weights")
+        for flag in _MIXTURE_FLAGS:
+            _refuse_flag(args, flag, "a mixture pair", "--p/--q weights")
 
     if kind == "little_kl":
         if args.p is None or args.q is None or len(args.p) != 1 or len(args.q) != 1:
@@ -206,7 +207,7 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
             value = zcp_discrete(p, q, args.c)
         abs_error = 0.0
     elif args.mixture_p is not None:
-        pair = gaussian_instance(args.mixture_p, args.sigma1, args.exponent)
+        pair = _mixture_pair(args)
         result = divergence_gaussian(pair, kind, alpha=args.alpha, c=args.c)
         value, abs_error = result.value, result.abs_error
     else:
@@ -217,8 +218,8 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
 
 
 def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
-    for flag, owner in {"p": "bernoulli", "lna": "bernoulli", "d": "multivariate",
-                        "u": "multivariate", "mixture-p": "gaussian"}.items():
+    owners = {"p": "bernoulli", "lna": "bernoulli", "d": "multivariate", "u": "multivariate"}
+    for flag, owner in {**owners, **dict.fromkeys(_MIXTURE_FLAGS, "gaussian")}.items():
         if owner != args.kind:
             _refuse_flag(args, flag, owner, args.kind)
     if args.kind == "bernoulli":
@@ -254,7 +255,7 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
         }
     else:
         _require_flags(args, "mixture-p")
-        pair = gaussian_instance(args.mixture_p, args.sigma1, args.exponent)
+        pair = _mixture_pair(args)
         row = {
             "kind": args.kind,
             "p": pair.p,
@@ -266,6 +267,14 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
             "zcp1": divergence_gaussian(pair, DivergenceKind.ZCP, c=1.0).value,
         }
     return _table([row]), {"seed": args.seed}, None
+
+
+def _mixture_pair(args):
+    """The pair of --mixture-p, --sigma1 and --exponent.  The last two default to 1 here, not in
+    the parser, so that ``_refuse_flag`` sees only a given value."""
+    sigma1 = 1.0 if args.sigma1 is None else args.sigma1
+    exponent = 1.0 if args.exponent is None else args.exponent
+    return gaussian_instance(args.mixture_p, sigma1, exponent)
 
 
 def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
@@ -367,7 +376,7 @@ def _cmd_self_check(args) -> tuple[dict, dict, bool | None]:
 # lives for the process.  _REQUIRED marks a flag that argv or --config must give.
 _REQUIRED = object()
 
-_MIXTURE_FLAGS = {"mixture-p": (float, None), "sigma1": (float, 1.0), "exponent": (float, 1.0)}
+_MIXTURE_FLAGS = {"mixture-p": (float, None), "sigma1": (float, None), "exponent": (float, None)}
 
 _BOUND_FLAGS = {
     "n": (int, _REQUIRED),

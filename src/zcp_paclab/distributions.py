@@ -97,12 +97,9 @@ def from_log_weights(log_weights) -> DiscreteDistribution:
 
 
 def _normalized(lw: np.ndarray) -> np.ndarray:
-    """Each row of log-weights minus its log-sum-exp, so that its weights sum to 1.
-
-    The row maximum is subtracted first, which is exact near it, and then the
-    log-sum-exp of the shifted row.  Subtracting the log-sum-exp at once would
-    round at the scale of the log-weights: near -1.5e5 their ulp is 3e-11.
-    """
+    """Each row of log-weights minus its log-sum-exp, so that its weights sum to 1: first the
+    row maximum, then the shifted row's log-sum-exp.  Subtracting the log-sum-exp at once would
+    round at the scale of the log-weights, and near -1.5e5 their ulp is 3e-11."""
     if np.isnan(lw).any() or (lw == np.inf).any():
         raise ValidationError("log_weights must be < +inf and not NaN")
     hi = lw.max(axis=-1, keepdims=True)

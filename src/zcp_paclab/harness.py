@@ -219,13 +219,9 @@ class LearningInstance:
         return DiscreteDistribution(self._gibbs_log_weights(mu_hat, n))
 
     def _gibbs_log_weights(self, mu_hat: np.ndarray, n: int) -> np.ndarray:
-        """Normalized Gibbs posterior log-weights for each row of empirical means.
-
-        The exponent -eta n (mu_hat - min mu_hat), the minimum taken on the
-        prior's support, is 0 where a mean equals it, with no inf * 0.  So an
-        eta * n that overflows gives the eta -> inf limit: the prior on the
-        empirical minimizers.
-        """
+        """Normalized Gibbs posterior log-weights for each row of empirical means.  The exponent
+        -eta n (mu_hat - min mu_hat), the minimum on the prior's support, is 0 where a mean equals
+        it, so an eta * n that overflows gives the prior on the empirical minimizers, not inf * 0."""
         lq = self.prior.log_weights
         excess = mu_hat - np.min(mu_hat, axis=-1, keepdims=True, where=lq > -np.inf, initial=np.inf)
         exponent = np.multiply(self.posterior_rule.eta * n, excess, out=np.zeros_like(excess),
@@ -296,9 +292,7 @@ _BLOCK_ENTRIES = 4096
 # Entries in one (paths, n) coin array of a Ville block: 8 paths at
 # n = 1000.  The allocator reuses arrays this small: at 16,384 entries each
 # block's arrays went back to the system, and `ville --n 1000 --paths 10000`
-# took about 77,000 page faults per run (none at 8,192 once warm).  A block
-# is one read of the run's stream, with no seeding per path, so a small
-# block costs only its few numpy calls.
+# took about 77,000 page faults per run (none at 8,192 once warm).
 _VILLE_BLOCK_ENTRIES = 8192
 
 
@@ -368,9 +362,9 @@ def _trial_generators(instance: LearningInstance, seed: int) -> Iterator[np.rand
 
     An ABS_DISTANCE trial reads n words with ``random(n)``, so the stream read
     in order puts trial t at word t * n.  A BERNOULLI trial's ``binomial``
-    reads a varying number of words, so trial t starts at word t * 2**64, where
-    the bit generator advances from the run's first state (the Generator's
-    binomial constants depend on (n, p) alone).
+    reads a varying number of words, so the bit generator advances from the
+    run's first state to word t * 2**64 (the binomial constants depend on
+    (n, p) alone).
     """
     generator = np.random.Generator(np.random.PCG64(seed))
     if instance.loss_kind is LossKind.ABS_DISTANCE:

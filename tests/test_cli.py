@@ -173,6 +173,14 @@ class TestDivergenceCommand:
              "d is only meaningful for multivariate, not bernoulli"),
             ("instance --kind gaussian --mixture-p 0.1 --p 0.4",
              "p is only meaningful for bernoulli, not gaussian"),
+            ("divergence --kind kl --p 0.5,0.5 --q 0.5,0.5 --sigma1 3",
+             "sigma1 is only meaningful for a mixture pair, not --p/--q weights"),
+            ("divergence --kind little_kl --p 0.3 --q 0.6 --exponent 1",
+             "exponent is only meaningful for a mixture pair, not --p/--q weights"),
+            ("instance --kind bernoulli --p 0.1 --exponent 0.75",
+             "exponent is only meaningful for gaussian, not bernoulli"),
+            ("instance --kind multivariate --d 8 --u 1 --sigma1 1",
+             "sigma1 is only meaningful for gaussian, not multivariate"),
         ],
     )
     def test_flags_the_input_ignores_are_refused(self, capsys, argv, message):
