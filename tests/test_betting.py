@@ -271,11 +271,23 @@ class TestMartingaleProperty:
         assert abs(wealth.mean() - 1.0) <= 5.0 * standard_error
 
 
+# seeds of one to seven uint32 words at their edges, beyond SeedSequence's 4-word pool; as
+# paths, offsets path * n below 2**32, past 2**64 and past the stream's 2**128 period
+_WORD_COUNT_EDGES = [0, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**200]
+_EDGE_IDS = ["0", "2**32-1", "2**32", "2**64+5", "10**30", "2**200"]
+
+
 class TestMeanZeroCoins:
     def test_stream_is_sign_times_uniform(self):
         # pins the random stream that `betting --n` and `ville` both draw
         for seed, path in [(0, 0), (4, 0), (1, 999)]:
             np.testing.assert_array_equal(mean_zero_coins(50, seed, path), oracle_coins(50, seed, path))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 1001])
+    @pytest.mark.parametrize("seed", _WORD_COUNT_EDGES, ids=_EDGE_IDS)
+    def test_stream_bit_for_bit_at_word_count_edges(self, n, seed):
+        for path in _WORD_COUNT_EDGES:
+            assert mean_zero_coins(n, seed, path).tobytes() == oracle_coins(n, seed, path).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

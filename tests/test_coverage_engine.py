@@ -196,6 +196,14 @@ class TestStreamSpans:
         instance = learning_instance_from_dict({"m": m, "loss": loss, "eta": 5.0})
         _assert_engine_matches_oracle(instance, BoundConfig(n, 0.05, 2.0), trials, seed)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 + 5], ids=["0", "2**64+5"])
+    @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
+    @pytest.mark.parametrize("m, trials", [(50, 83), (2000, 9)])  # 81- and 2-trial blocks
+    def test_block_boundaries_match_the_oracle_trials(self, m, trials, loss, seed):
+        # the run's one generator carries on, or is reset and advanced, across each boundary
+        instance = learning_instance_from_dict({"m": m, "loss": loss, "eta": 5.0})
+        _assert_engine_matches_oracle(instance, _CONFIG, trials, seed)
+
     @pytest.mark.parametrize("seed", _SEEDS, ids=_SEED_IDS)
     @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
     def test_bound_prints_the_oracle_trial(self, loss, seed, capsys):
