@@ -22,6 +22,8 @@ import math
 import os
 import sys
 import tempfile
+import types
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -133,23 +135,291 @@ def _table(rows) -> dict[str, list]:
     return {key: [row[key] for row in rows] for key in rows[0]}
 
 
+# The array path writes a table of float64 and integer columns a chunk of rows at a time in
+# numpy, with no Python call per cell.  Each cell gets a field of _FIELD bytes,
+#     -0.000DDDDDDDDDDDDDDDDD.DDDDDDDDDDDDDDDDDe+000,
+# a sign, a "0.000" prefix, its 17 significant digits twice around a point, the exponent's sign
+# and three digits, and the cell's separator.  A layout is the boolean mask of the bytes that
+# ``%g`` prints, and one boolean index per chunk gives the rows' text.
+_FIELD_TEXT = b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+000,"
+_FIELD = len(_FIELD_TEXT)  # 47
+_DIGITS, _POINT, _FRACTION, _EXPONENT = 6, 23, 24, 42  # the first byte of each part
+_K_LOW, _K_HIGH = -280, 290  # the decimal exponents that the scale table covers
+_TIE_TOLERANCE = 1e-6
+_CHUNK_ROWS = 4096
+# Layout rows: 782 float layouts, (exponent class * 17 + last nonzero digit) * 2 + sign, with
+# classes 0-20 for the exponents -4 to 16 printed in fixed notation and 21 and 22 for two and
+# three exponent digits; then an int's digit count, 1 to 17; then a text's length, 0 to 46.
+_INT_LAYOUT = 23 * 17 * 2 - 1  # + the digit count
+_TEXT_LAYOUT = _INT_LAYOUT + 18  # + the text's length
+
+
+def _split(a):
+    """(high, low) with high + low == a, each of at most 26 significant bits (Veltkamp)."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _product_error(p, a, b):
+    """a * b - p, exactly, for p = fl(a * b) and a, b given as their _split halves (Dekker)."""
+    (a_high, a_low), (b_high, b_low) = a, b
+    return ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+
+
+def _normalized(high, low):
+    """The double-double high + low with |low| at most half an ulp of high."""
+    total = high + low
+    return total, low - (total - high)
+
+
+def _times(high, low, b):
+    """The double-double (high + low) * b."""
+    p = high * b
+    return _normalized(p, _product_error(p, _split(high), _split(b)) + low * b)
+
+
+def _ascii(codes) -> np.ndarray:
+    """The rows of four byte values as 4-byte items whose bytes are those values in order;
+    the words are little-endian whatever the host, since the code reads them as bytes."""
+    words = (np.asarray(codes) << np.array([0, 8, 16, 24])).sum(axis=-1).astype("<u4")
+    return words.view("V4")
+
+
+@functools.cache
+def _format_tables() -> types.SimpleNamespace:
+    """The array path's tables, built with numpy on its first use:
+
+    - scale: (4, k) hi, lo and hi's _split halves of 10**(16 - k), for k from _K_LOW;
+    - k_layout: 34 * the exponent class of each k;
+    - k_exponent: the 4 exponent bytes of each k, sign first;
+    - group_text: the 4 digits of each group 0000 to 9999;
+    - last_digit: (5, 10**4), 2 * the index among the 17 digits of a group's last nonzero
+      digit, for the group in each of the 5 places (0 for the group 0000);
+    - masks: (layouts, _FIELD), the bytes each layout keeps;
+    - powers: 10**1 to 10**16.
+
+    10**e for e up to 296 is the double-double product 10**(22 q) * 10**(e mod 22), with
+    10**(22 q) from a chain of products by 10**22; 10**-e is the reciprocal, corrected by the
+    exact residual of 1 - hi * 10**e.  Each entry is within 2**-104 of 10**(16 - k), relative
+    (``tests/test_cli.py`` checks it against exact rationals).
+    """
+    e = np.arange(max(16 - _K_LOW, _K_HIGH - 16) + 1)
+    exact = np.cumprod(np.full(22, 10.0)) / 10.0  # 10**0 to 10**21, each exact
+    big_hi, big_lo = np.ones(e[-1] // 22 + 1), np.zeros(e[-1] // 22 + 1)
+    for q in range(1, big_hi.size):
+        big_hi[q], big_lo[q] = _times(big_hi[q - 1], big_lo[q - 1], 1e22)
+    up_hi, up_lo = _times(big_hi[e // 22], big_lo[e // 22], exact[e % 22])
+    down_hi = 1.0 / up_hi
+    p = down_hi * up_hi
+    residual = (1.0 - p) - _product_error(p, _split(down_hi), _split(up_hi)) - down_hi * up_lo
+    down_hi, down_lo = _normalized(down_hi, residual / up_hi)
+    k = np.arange(_K_LOW, _K_HIGH + 1)
+    s, up = np.abs(16 - k), 16 - k >= 0
+    hi = np.where(up, up_hi[s], down_hi[s])
+    scale = np.stack([hi, np.where(up, up_lo[s], down_lo[s]), *_split(hi)])
+    exponent_class = np.where((k >= -4) & (k <= 16), k + 4, 21 + (np.abs(k) >= 100))
+
+    group = np.arange(10_000)
+    digits = np.stack([48 + group // 10**d % 10 for d in (3, 2, 1, 0)], axis=1)
+    trailing = np.select([group % 10**d != 0 for d in (1, 2, 3, 4)], [0, 1, 2, 3], 4)
+    last_digit = np.where(group != 0, 2 * (4 * np.arange(5)[:, None] - trailing), 0).astype(np.int8)
+    sign = np.where(k < 0, ord("-"), ord("+"))
+
+    i = np.arange(_FIELD)
+    a, b = i - _DIGITS, i - _FRACTION  # the digit a byte of either copy holds
+    in_a, in_b = (a >= 0) & (a <= 16), (b >= 0) & (b <= 16)
+    cls = np.arange(23)[:, None, None, None]
+    x = cls - 4  # the exponent of a fixed-notation class
+    last = np.arange(17)[:, None, None]
+    fixed = np.where(
+        x >= 0,  # the integer digits, then a point and the fraction digits if any
+        (in_a & (a <= x)) | ((i == _POINT) & (last > x)) | (in_b & (b > x) & (b <= last)),
+        ((i >= 1) & (i < 2 - x)) | (in_a & (a <= last)),  # "0.", -x - 1 zeros, the digits
+    )
+    scientific = (  # a digit, a point and the fraction digits if any, "e", the exponent
+        (a == 0) | ((i == _POINT) & (last > 0)) | (in_b & (b > 0) & (b <= last))
+    ) | ((i >= _EXPONENT - 1) & ((i != _EXPONENT + 1) | (cls == 22)))  # 3 digits in class 22
+    floats = np.where(cls <= 20, fixed, scientific) | ((i == 0) & (np.arange(2)[:, None] == 1))
+    ints = in_a & (a >= 17 - np.arange(1, 18)[:, None])  # the last count digits
+    texts = i < np.arange(_FIELD)[:, None]  # a fallback text's length
+    masks = np.concatenate([floats.reshape(-1, _FIELD), ints, texts])
+    masks[:, -1] = True  # the separator
+    return types.SimpleNamespace(
+        scale=scale,
+        k_layout=34 * exponent_class,
+        k_exponent=_ascii(np.column_stack([sign, digits[np.abs(k), 1:]])),
+        group_text=_ascii(digits),
+        last_digit=last_digit,
+        masks=masks,
+        powers=10 ** np.arange(1, 17, dtype=np.int64),
+    )
+
+
+def _put_digits(field, values, tables):
+    """Write "000" and the 17 digits of each int64 value in [0, 10**17) at field[..., 3:23];
+    returns the value's base-10**4 groups, most significant first, along a first axis."""
+    groups = np.empty((5, values.size), np.intp)
+    q = values // 10_000
+    groups[4] = values - 10_000 * q
+    values = q // 10_000
+    groups[3] = q - 10_000 * values
+    q = values // 10_000
+    groups[2] = values - 10_000 * q
+    groups[0] = q // 10_000
+    groups[1] = q - 10_000 * groups[0]
+    field[..., _DIGITS - 3 : _POINT].view("V4")[...] = tables.group_text[groups].T
+    return groups
+
+
+def _float_fields(x, field, layout, tables) -> None:
+    """Fill the fields and layouts of a chunk of float64 cells.
+
+    With k = floor(log10|x|), v = |x| * 10**(16 - k) lies in [10**16, 10**17), and its 17
+    digits are v rounded to an integer.  Dekker's product splits |x| * hi into head + tail
+    exactly; head >= 2**53 is an integer, so the digits are head + rint(tail + |x| * lo).  That
+    remainder is within 1e-14 of v - head: fl(|x| * lo) and the sum round by at most 2**-50
+    and 2**-49, and the table's error adds at most 2**-104 * 10**17 < 5e-15.  A cell is
+    written by ``format(x, ".17g")`` instead when x is 0, not finite or outside the table;
+    when the remainder lies within _TIE_TOLERANCE of a tie; or when the digits fall outside
+    (10**16, 10**17), as they do when log10 misjudges k next to a power of ten or v rounds up
+    to 10**17.
+    """
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        k = np.floor(np.log10(ax))
+    ok = (k >= _K_LOW) & (k <= _K_HIGH)  # False for 0, inf and nan
+    index = np.where(ok, k, 0.0).astype(np.intp) - _K_LOW
+    ax = np.where(ok, ax, 1.0)
+    hi, lo, hi_high, hi_low = (row[index] for row in tables.scale)
+    head = ax * hi
+    tail = _product_error(head, _split(ax), (hi_high, hi_low)) + ax * lo
+    rounded = np.rint(tail)
+    digits = head.astype(np.int64) + rounded.astype(np.int64)
+    ok &= np.abs(tail - rounded) < 0.5 - _TIE_TOLERANCE
+    ok &= (digits > 10**16) & (digits < 10**17)
+    groups = _put_digits(field, digits, tables)
+    copy = field[..., _DIGITS:_POINT].view("V17")[..., 0]  # one 17-byte item per cell
+    field[..., _FRACTION : _FRACTION + 17].view("V17")[..., 0] = copy
+    field[..., _EXPONENT:-1].view("V4")[..., 0] = tables.k_exponent[index]
+    last = tables.last_digit[4][groups[4]]
+    for row, group in zip(tables.last_digit[1:4], groups[1:4]):  # group 0's is always 0
+        np.maximum(last, row[group], out=last)
+    layout[...] = tables.k_layout[index] + last + (x < 0)
+    (bad,) = np.nonzero(~ok)
+    if bad.size:
+        texts = [format(value, ".17g") for value in x[bad].tolist()]
+        field[bad, :-1] = np.array(texts, f"S{_FIELD - 1}").view(np.uint8).reshape(bad.size, -1)
+        layout[bad] = _TEXT_LAYOUT + np.array([len(text) for text in texts])
+
+
+def _int_fields(values, field, layout, tables) -> None:
+    """Fill the fields and layouts of a chunk of int64 cells in [0, 10**16)."""
+    _put_digits(field, values, tables)
+    layout[...] = _INT_LAYOUT + 1 + np.searchsorted(tables.powers, values, side="right")
+
+
+def _array_columns(table: dict) -> list | None:
+    """The columns, as float64 arrays, int64 arrays and ranges of one length, if each is a 1-d
+    float64 array or a range or 1-d integer array of values in [0, 10**16); otherwise None."""
+    columns = []
+    for values in table.values():
+        if isinstance(values, range):
+            if values and (min(values[0], values[-1]) < 0 or max(values[0], values[-1]) >= 10**16):
+                return None
+        elif not isinstance(values, np.ndarray) or values.ndim != 1:
+            return None
+        elif values.dtype.kind in "iu":
+            if values.size and (values.min() < 0 or values.max() >= 10**16):
+                return None
+            values = values.astype(np.int64, copy=False)
+        elif values.dtype != np.float64:
+            return None
+        columns.append(values)
+    return columns if columns and len(set(map(len, columns))) == 1 else None
+
+
+def _array_csv(columns: list, head: str, tail: str) -> str:
+    """head, the CSV rows of ``_array_columns`` and tail: each float as ``format(x, ".17g")``
+    and each int as ``%d``, the bytes the %-format path writes."""
+    tables = _format_tables()
+    template = np.tile(np.frombuffer(_FIELD_TEXT, np.uint8), (len(columns), 1))
+    template[-1, -1] = ord("\n")
+    head, tail = head.encode(), tail.encode()
+    # a cell takes at most 24 characters and a separator for a float ("-1.2345678901234567e-308"),
+    # 16 digits and one for an int
+    width = sum(25 if getattr(column, "dtype", None) == np.float64 else 17 for column in columns)
+    text = np.empty(len(head) + len(columns[0]) * width + len(tail), np.uint8)
+    text[: len(head)] = np.frombuffer(head, np.uint8)
+    end = len(head)
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        cells = [column[start : start + _CHUNK_ROWS] for column in columns]
+        field = np.empty((len(cells[0]), len(cells), _FIELD), np.uint8)
+        field[...] = template
+        layout = np.empty(field.shape[:2], np.intp)
+        for c, values in enumerate(cells):
+            if isinstance(values, range):  # made an array a chunk at a time
+                values = np.arange(values.start, values.stop, values.step, dtype=np.int64)
+            fill = _float_fields if values.dtype == np.float64 else _int_fields
+            fill(values, field[:, c], layout[:, c], tables)
+        kept = field[np.take(tables.masks, layout, axis=0)]
+        text[end : end + kept.size] = kept
+        end += kept.size
+    text[end : end + len(tail)] = np.frombuffer(tail, np.uint8)
+    return str(text[: end + len(tail)], "utf-8")
+
+
 def _render_csv(table: dict, summary: dict) -> str:
+    head = ",".join(table) + "\n"
+    tail = "".join(["# summary\n", *(f"# {key}={_fmt(value)}\n" for key, value in summary.items())])
+    columns = _array_columns(table)
+    if columns is not None:
+        return _array_csv(columns, head, tail)
     formats, columns = zip(*map(_column_csv, table.values()))
-    lines = [",".join(table)]
-    lines += map(",".join(formats).__mod__, zip(*columns))  # one % per row
-    lines.append("# summary")
-    for key, value in summary.items():
-        lines.append(f"# {key}={_fmt(value)}")
-    return "\n".join(lines) + "\n"
+    rows = map((",".join(formats) + "\n").__mod__, zip(*columns))  # one % per row
+    return "".join([head, *rows, tail])
+
+
+def _json_scalar(value) -> str:
+    """The text ``json.dumps`` gives one plain value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    raise TypeError(f"not a plain JSON value: {value!r}")
+
+
+def _json_column(values) -> list[str]:
+    """The JSON text of each cell of a column, a non-finite float as its quoted CSV text."""
+    if isinstance(values, range):
+        return list(map(int.__repr__, values))
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and np.isfinite(values).all():
+        return list(map(float.__repr__, values.tolist()))
+    return [_json_scalar(_json_value(value)) for value in _cells(values)]
+
+
+def _json_object(keys, indent: str) -> str:
+    """A %-format with one %s per value: the object of ``keys`` as ``json.dumps(...,
+    indent=2)`` lays it out when its opening brace is indented by ``indent``."""
+    if not keys:
+        return "{}"
+    members = (f"\n{indent}  {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    return "{" + ",".join(members) + f"\n{indent}}}"
 
 
 def _render_json(table: dict, summary: dict) -> str:
-    columns = ([_json_value(v) for v in _cells(values)] for values in table.values())
-    payload = {
-        "rows": [dict(zip(table, row)) for row in zip(*columns)],
-        "summary": {k: _json_value(v) for k, v in summary.items()},
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(payload, indent=2, allow_nan=False)`` of ``{"rows": [...], "summary":
+    {...}}``, built from the scalar texts json writes: with an indent, ``json.dumps`` runs its
+    pure-Python encoder, which costs several times the CSV on the 100,000-row trace."""
+    row = "    " + _json_object(table, "    ")
+    rows = ",\n".join(map(row.__mod__, zip(*map(_json_column, table.values()))))
+    values = tuple(_json_scalar(_json_value(value)) for value in summary.values())
+    rows = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{{\n  "rows": {rows},\n  "summary": {_json_object(summary, "  ") % values}\n}}\n'
 
 
 def _write_output(text: str, out_path: str | None) -> None:

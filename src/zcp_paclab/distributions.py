@@ -236,5 +236,8 @@ def gaussian_instance(p: float, sigma1: float, exponent: float) -> GaussianMixtu
 
 
 def _log_normal_pdf(x, mu: float, sigma: float):
-    z = (np.asarray(x, dtype=float) - mu) / sigma
+    x = np.asarray(x, dtype=float)
+    if mu == 0.0 and sigma == 1.0:  # standard units: (x - 0) / 1 and - ln 1 change no bit
+        return -0.5 * x * x - 0.5 * _LOG_2PI
+    z = (x - mu) / sigma
     return -0.5 * z * z - math.log(sigma) - 0.5 * _LOG_2PI

@@ -10,6 +10,7 @@ from zcp_paclab import (
     DivergenceKind,
     LossKind,
     NumericalError,
+    cli,
     complexity_term,
     empirical_bernstein_bound,
     hoeffding_zcp_bound,
@@ -287,3 +288,15 @@ def oracle_adaptive_simpson(f, edges, budget, max_depth):
         for start in range(0, halves[0].size, divergences._BATCH):
             stack.append((*(h[start : start + divergences._BATCH] for h in halves), depth - 1))
     return value, err, exhausted
+
+
+def oracle_render_csv(table, summary):
+    """The CSV renderer as first written: one %-format per row, each float64 array cell through
+    ``%.17g`` and each int through ``%d``; the array path must write the same bytes."""
+    formats, columns = zip(*map(cli._column_csv, table.values()))
+    lines = [",".join(table)]
+    lines += map(",".join(formats).__mod__, zip(*columns))  # one % per row
+    lines.append("# summary")
+    for key, value in summary.items():
+        lines.append(f"# {key}={cli._fmt(value)}")
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,8 @@
 """Exit codes, output formats, atomic writes, and config handling of the CLI."""
 
+import argparse
 import importlib.metadata
+import itertools
 import json
 import math
 import os
@@ -9,12 +11,17 @@ import subprocess
 import sys
 import sysconfig
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zcp_paclab
+from conftest import oracle_render_csv
 from zcp_paclab import cli, harness
 from zcp_paclab.bounds import CheckRow
 
@@ -317,6 +324,156 @@ class TestColumnRenderer:
         assert self._csv_cells(table) == [
             ["1", "0.5", "true"], ["2", "-0.25", ""], ["3", "1", "false"]
         ]
+
+
+def _tie_cases():
+    """Doubles whose exact value has 18 significant digits ending in 5, m * 2**-e with m odd
+    (the three smallest m for each e), and doubles whose digits past the 17th are within
+    16 * 2**-53 of one half of a unit of the 17th, at scales 10**(16 - k) past 10**22."""
+    ties = []
+    for e in range(2, 26):
+        m = -(-(10**17) // 5**e) | 1
+        ties += [math.ldexp(n, -e) for n in (m, m + 2, m + 4) if n * 5**e < 10**18 and n < 2**53]
+    near = []
+    for s in range(23, 40):
+        for f in range(53, 60):
+            for j in range(-16, 17):
+                # x = m * 2**(-f - s) gives x * 10**s = m * 5**s / 2**f = 1/2 + j / 2**f, mod 1
+                m = (2 ** (f - 1) + j) * pow(5**s, -1, 2**f) % 2**f
+                x = math.ldexp(m, -f - s)
+                if j and 2**52 <= m < 2**53 and 10**16 <= Fraction(x) * 10**s < 10**17:
+                    near.append(x)
+    return ties, near
+
+
+def _powers_of_ten():
+    """10**k for every k in [-323, 308], read as the nearest double, and both neighbours."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+
+
+def _trace_table(n, seed=3):
+    return cli._cmd_betting(argparse.Namespace(coins=None, n=n, seed=seed))[:2]
+
+
+_FLOAT_BITS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item()),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+def _first_difference(got, want):
+    """None, or (line number, got, wanted) at the first line where two texts differ; a short
+    message where pytest would diff two long texts."""
+    for number, lines in enumerate(itertools.zip_longest(got.splitlines(), want.splitlines())):
+        if lines[0] != lines[1]:
+            return number, *lines
+    return None
+
+
+class TestArrayRenderer:
+    """The array path against ``oracle_render_csv``, the %-format renderer it replaces for
+    tables of float64 and integer columns."""
+
+    @staticmethod
+    def _same(table, summary=None):
+        summary = {} if summary is None else summary
+        assert cli._array_columns(table) is not None
+        text = cli._render_csv(table, summary)
+        assert _first_difference(text, oracle_render_csv(table, summary)) is None
+        return text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_FLOAT_BITS, st.integers(0, 10**16 - 1)), min_size=1, max_size=40))
+    def test_any_float64_bits_render_as_the_oracle(self, cells):
+        floats, ints = zip(*cells)
+        self._same({"i": np.array(ints), "x": np.array(floats), "y": -np.array(floats)})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
+    def test_any_int_column_renders_as_the_oracle(self, ints):
+        for column in (np.array(ints, dtype=np.int64), np.array(ints, dtype=np.uint64)):
+            table = {"i": column, "x": np.full(len(ints), 0.5)}
+            text = cli._render_csv(table, {})
+            assert _first_difference(text, oracle_render_csv(table, {})) is None
+            # a value of 10**16 or more sends the table to the %-format path
+            assert (cli._array_columns(table) is None) == (max(ints) >= 10**16)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = _powers_of_ten()
+        self._same({"x": powers, "minus": -powers})
+
+    def test_digits_that_round_up_to_a_power_of_ten(self):
+        # doubles below 10**k whose 17 digits are 10**k: their digits integer rounds to 10**17
+        ups = []
+        for x in _powers_of_ten().tolist():
+            text = Decimal(format(x, ".17g"))
+            if text.normalize().as_tuple().digits == (1,) and Fraction(x) < Fraction(text):
+                ups.append(x)
+        assert len(ups) > 10  # the window is 5e-18 of 10**k wide, so few doubles fall in it
+        self._same({"x": np.array(ups)})
+
+    def test_exact_and_near_ties(self):
+        ties, near = _tie_cases()
+        for x in ties:
+            digits = Decimal(x).normalize().as_tuple().digits  # Decimal(x) is exact
+            assert len(digits) == 18 and digits[-1] == 5, x
+        assert len(ties) > 60 and len(near) > 20
+        cells = np.array(ties + near)
+        self._same({"x": cells, "minus": -cells})
+
+    def test_special_and_dyadic_values(self):
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 0.1, 1e-5, 1e-4]
+        special += [9.9999999999999995e-5, 1e16, 1e17, 2.2250738585072014e-308]
+        special += [1.7976931348623157e308, -1.7976931348623157e308]
+        exponents = np.arange(-1074, 1023)
+        self._same({"x": np.array(special * 3), "t": range(len(special) * 3)})
+        self._same({"x": np.ldexp(1.0, exponents), "y": np.ldexp(-3.0, exponents)})
+
+    @pytest.mark.parametrize(
+        "n", [1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 1]
+    )
+    def test_trace_lengths_around_a_chunk(self, n):
+        table, summary = _trace_table(n)
+        text = self._same(table, summary)
+        assert text.count("\n") == n + 2 + len(summary)
+
+    def test_every_cell_through_the_fallback(self, monkeypatch):
+        table, summary = _trace_table(3000)
+        expected = oracle_render_csv(table, summary)
+        monkeypatch.setattr(cli, "_TIE_TOLERANCE", 0.5)  # no remainder certifies
+        calls = []
+        spy = lambda value, spec: calls.append(value) or format(value, spec)  # noqa: E731
+        monkeypatch.setattr(cli, "format", spy, raising=False)
+        assert _first_difference(cli._render_csv(table, summary), expected) is None
+        # every float cell, and the summary's floats through _fmt
+        assert len(calls) == 3 * 3000 + sum(isinstance(v, float) for v in summary.values())
+
+    def test_only_array_tables_take_the_array_path(self):
+        floats = np.linspace(0.0, 1.0, 4)
+        assert cli._array_columns({"t": range(1, 5), "x": floats, "i": np.arange(4)}) is not None
+        for column in ([0.0, 1.0, 2.0, 3.0], floats.astype(np.float32), floats > 0.5, range(-1, 3),
+                       np.arange(4) - 1, floats[:3], floats.reshape(2, 2)):
+            assert cli._array_columns({"x": floats, "c": column}) is None
+
+    def test_scale_table_against_exact_powers(self):
+        scale = cli._format_tables().scale
+        for k, (hi, lo, high, low) in zip(range(cli._K_LOW, cli._K_HIGH + 1), scale.T.tolist()):
+            exact = Fraction(10) ** (16 - k)
+            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104, k
+            assert high + low == hi and abs(lo) <= math.ulp(hi), k
+
+    def test_trace_json_is_json_dumps(self):
+        table, summary = _trace_table(3 * cli._CHUNK_ROWS)
+        got, want = cli._render_json(table, summary), _row_by_row_json(table, summary)
+        assert _first_difference(got, want) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_FLOAT_BITS, min_size=0, max_size=20), st.text(max_size=5))
+    def test_json_of_any_floats_and_names_is_json_dumps(self, floats, name):
+        table = {name: np.array(floats, dtype=np.float64), "list": floats, "t": range(len(floats))}
+        summary = {name: floats[0] if floats else None, "%s": name, "%": True}
+        assert cli._render_json(table, summary) == _row_by_row_json(table, summary)
 
 
 class TestAtomicOutput:
