@@ -529,9 +529,7 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
         row = {
             "kind": args.kind,
             "p": pair.p,
-            "sigma1": pair.sigma1,
             "sigma2": pair.sigma2,
-            "mu": pair.mu,
             "kl": divergence_gaussian(pair, DivergenceKind.KL).value,
             "tv": divergence_gaussian(pair, DivergenceKind.TV).value,
             "zcp1": divergence_gaussian(pair, DivergenceKind.ZCP, c=1.0).value,
@@ -540,11 +538,9 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
 
 
 def _mixture_pair(args):
-    """The pair of --mixture-p, --sigma1 and --exponent.  The last two default to 1 here, not in
-    the parser, so that ``_refuse_flag`` sees only a given value."""
-    sigma1 = 1.0 if args.sigma1 is None else args.sigma1
-    exponent = 1.0 if args.exponent is None else args.exponent
-    return gaussian_instance(args.mixture_p, sigma1, exponent)
+    """The pair of --mixture-p and --exponent.  The exponent defaults to 1 here, not in the
+    parser, so that ``_refuse_flag`` sees only a given value."""
+    return gaussian_instance(args.mixture_p, 1.0 if args.exponent is None else args.exponent)
 
 
 def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
@@ -646,7 +642,7 @@ def _cmd_self_check(args) -> tuple[dict, dict, bool | None]:
 # lives for the process.  _REQUIRED marks a flag that argv or --config must give.
 _REQUIRED = object()
 
-_MIXTURE_FLAGS = {"mixture-p": (float, None), "sigma1": (float, None), "exponent": (float, None)}
+_MIXTURE_FLAGS = {"mixture-p": (float, None), "exponent": (float, None)}
 
 _BOUND_FLAGS = {
     "n": (int, _REQUIRED),
@@ -715,7 +711,6 @@ _FLAG_HELP = {
     "c": "ZCP scale parameter",
     "alpha": "Renyi order (divergence) or complexity order (bounds, > 1)",
     "mixture-p": "Gaussian mixture weight of the narrow component",
-    "sigma1": "Gaussian mixture base standard deviation",
     "exponent": "variance-decay exponent of the mixture pair (1 or 0.75)",
     "lna": "log likelihood-ratio scale of the Bernoulli instance",
     "d": "dimension (even) or comma-separated dimension sweep",

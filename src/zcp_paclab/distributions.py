@@ -185,20 +185,21 @@ def _multivariate_ln_a(d: int, u: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianMixturePair:
-    """P = p*N(mu, sigma1^2) + (1-p)*N(mu, sigma2^2) against Q = N(mu, sigma2^2).
+    """P = p*N(0, 1) + (1-p)*N(0, sigma2^2) against Q = N(0, sigma2^2).
 
+    The pair is held on the standard scale: every divergence of it is an
+    f-divergence, unchanged by a shift and rescaling of x, so a pair of any
+    mean and wide scale has the divergences of (p, sigma2 / wide scale).
     Immutable value object; densities are evaluated in log-space so the
     ratio dP/dQ stays usable even when it spans thousands of e-folds.
     """
 
-    mu: float
-    sigma1: float
     sigma2: float
     p: float
 
     def __post_init__(self) -> None:
-        for name, low in (("mu", -math.inf), ("sigma1", 0.0), ("sigma2", 0.0)):
-            _real(getattr(self, name), name, low, math.inf, open_low=True, open_high=True)
+        sigma2 = _real(self.sigma2, "sigma2", 0.0, math.inf, open_low=True, open_high=True)
+        object.__setattr__(self, "sigma2", sigma2)  # a float, as an int's square may overflow one
         _real(self.p, "p", 0.0, 1.0)
 
     def log_pdf_p(self, x):
@@ -207,7 +208,8 @@ class GaussianMixturePair:
 
     def log_pdf_q(self, x):
         """Log-density of the reference component Q at x (a number or an array)."""
-        return _log_normal_pdf(x, self.mu, self.sigma2)
+        z = np.asarray(x, dtype=float) / self.sigma2
+        return -0.5 * z * z - math.log(self.sigma2) - 0.5 * _LOG_2PI
 
     def _log_pdfs(self, x):
         """(ln p, ln q) at x, with ln q computed once and shared by ln p; at p = 0 they are the
@@ -215,29 +217,21 @@ class GaussianMixturePair:
         lq = self.log_pdf_q(x)
         if self.p == 0.0:
             return lq, lq
-        l1 = _log_normal_pdf(x, self.mu, self.sigma1)
+        x = np.asarray(x, dtype=float)
+        l1 = -0.5 * x * x - 0.5 * _LOG_2PI
         if self.p == 1.0:
             return l1, lq
         return np.logaddexp(math.log(self.p) + l1, math.log1p(-self.p) + lq), lq
 
 
-def gaussian_instance(p: float, sigma1: float, exponent: float) -> GaussianMixturePair:
-    """Mixture pair with sigma2 = sigma1 * p**exponent, exponent in {1, 0.75}.
+def gaussian_instance(p: float, exponent: float) -> GaussianMixturePair:
+    """Mixture pair with sigma2 = p**exponent, exponent in {1, 0.75}.
 
     exponent 1 realizes TV*KL <= 1/2 with KL >= 1/(2p) - 1.3; exponent 0.75
     realizes KL*sqrt(TV) <= 1/2 with KL >= 1/(2 sqrt(p)) - 1.22.
     """
     p = _real(p, "p", 0.0, 1.0, open_low=True, open_high=True)
-    sigma1 = _real(sigma1, "sigma1", 0.0, math.inf, open_low=True, open_high=True)
     exponent = _real(exponent, "exponent")
     if exponent not in (1.0, 0.75):
         raise ValidationError("exponent must be 1 or 0.75")
-    return GaussianMixturePair(mu=0.0, sigma1=sigma1, sigma2=sigma1 * p**exponent, p=p)
-
-
-def _log_normal_pdf(x, mu: float, sigma: float):
-    x = np.asarray(x, dtype=float)
-    if mu == 0.0 and sigma == 1.0:  # standard units: (x - 0) / 1 and - ln 1 change no bit
-        return -0.5 * x * x - 0.5 * _LOG_2PI
-    z = (x - mu) / sigma
-    return -0.5 * z * z - math.log(sigma) - 0.5 * _LOG_2PI
+    return GaussianMixturePair(sigma2=p**exponent, p=p)

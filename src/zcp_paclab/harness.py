@@ -559,7 +559,7 @@ def gaussian_instance_check(p_values, exponent: float) -> list[GaussianCheckRow]
     ps = _floats(p_values, "p values", 0.005, 0.5, open_low=True, open_high=True, ndim=1).tolist()
     rows = []
     for p in ps:
-        pair = gaussian_instance(p, 1.0, exponent)
+        pair = gaussian_instance(p, exponent)
         kl = divergence_gaussian(pair, DivergenceKind.KL).value
         tv = divergence_gaussian(pair, DivergenceKind.TV).value
         if exponent == 1.0:

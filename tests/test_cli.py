@@ -142,6 +142,32 @@ class TestDivergenceCommand:
         assert row["value"] > 0.0
         assert 0.0 <= row["abs_error_estimate"] < 1e-6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "divergence --kind kl --mixture-p 0.1 --sigma1 3",
+            "divergence --kind kl --p 0.5,0.5 --q 0.5,0.5 --sigma1 3",
+            "instance --kind gaussian --mixture-p 0.1 --sigma1 1",
+            "instance --kind multivariate --d 8 --u 1 --sigma1 1",
+        ],
+    )
+    def test_sigma1_is_not_a_flag(self, capsys, argv):
+        # the mixture pair is held on the standard scale, so no flag sets its wide scale
+        code, out, err = _run(capsys, argv.split())
+        assert code == 1
+        assert out == ""
+        assert err == f"zcp-paclab: error: unrecognized arguments: {' '.join(argv.split()[-2:])}\n"
+
+    @pytest.mark.parametrize("exponent", ["1", "0.75"])
+    def test_gaussian_instance_row_is_the_standard_pair(self, capsys, exponent):
+        argv = ["instance", "--kind", "gaussian", "--mixture-p", "0.05", "--exponent", exponent]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        header, row = out.splitlines()[:2]
+        assert header == "kind,p,sigma2,kl,tv,zcp1"
+        sigma2 = format(0.05 ** float(exponent), ".17g")
+        assert row.split(",")[:3] == ["gaussian", "0.050000000000000003", sigma2]
+
     def test_divergent_mixture_renyi_prints_inf(self, capsys):
         argv = ["divergence", "--mixture-p", "0.2", "--exponent", "1", "--kind", "renyi"]
         code, out, _ = _run(capsys, [*argv, "--alpha", "1.05"])
@@ -180,14 +206,10 @@ class TestDivergenceCommand:
              "d is only meaningful for multivariate, not bernoulli"),
             ("instance --kind gaussian --mixture-p 0.1 --p 0.4",
              "p is only meaningful for bernoulli, not gaussian"),
-            ("divergence --kind kl --p 0.5,0.5 --q 0.5,0.5 --sigma1 3",
-             "sigma1 is only meaningful for a mixture pair, not --p/--q weights"),
             ("divergence --kind little_kl --p 0.3 --q 0.6 --exponent 1",
              "exponent is only meaningful for a mixture pair, not --p/--q weights"),
             ("instance --kind bernoulli --p 0.1 --exponent 0.75",
              "exponent is only meaningful for gaussian, not bernoulli"),
-            ("instance --kind multivariate --d 8 --u 1 --sigma1 1",
-             "sigma1 is only meaningful for gaussian, not multivariate"),
         ],
     )
     def test_flags_the_input_ignores_are_refused(self, capsys, argv, message):

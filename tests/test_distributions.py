@@ -1,5 +1,6 @@
 """Distribution value objects and named instances."""
 
+import dataclasses
 import math
 import warnings
 
@@ -186,7 +187,7 @@ class TestMultivariateInstance:
 
 class TestGaussianMixturePair:
     def test_log_pdfs_integrate_to_one(self):
-        pair = gaussian_instance(0.3, 1.0, 1.0)
+        pair = gaussian_instance(0.3, 1.0)
         xs = np.linspace(-12.0, 12.0, 40_001)
         w = xs[1] - xs[0]
         mass_p = w * sum(math.exp(pair.log_pdf_p(x)) for x in xs)
@@ -194,22 +195,20 @@ class TestGaussianMixturePair:
         np.testing.assert_allclose([mass_p, mass_q], [1.0, 1.0], rtol=1e-8)
 
     def test_density_ratio_far_tail_asymptote(self):
-        pair = gaussian_instance(0.1, 1.0, 1.0)  # sigma2 = 0.1
+        pair = gaussian_instance(0.1, 1.0)  # sigma2 = 0.1
         x = 50.0
         expected = (
-            math.log(pair.p)
-            + math.log(pair.sigma2 / pair.sigma1)
-            + 0.5 * x * x * (1.0 / pair.sigma2**2 - 1.0 / pair.sigma1**2)
+            math.log(pair.p) + math.log(pair.sigma2) + 0.5 * x * x * (1.0 / pair.sigma2**2 - 1.0)
         )
         np.testing.assert_allclose(pair.log_pdf_p(x) - pair.log_pdf_q(x), expected, rtol=1e-12)
 
     def test_sigma2_from_exponent(self):
-        assert gaussian_instance(0.25, 2.0, 1.0).sigma2 == 0.5
-        np.testing.assert_allclose(gaussian_instance(0.0625, 1.0, 0.75).sigma2, 0.125)
+        assert gaussian_instance(0.25, 1.0).sigma2 == 0.25
+        np.testing.assert_allclose(gaussian_instance(0.0625, 0.75).sigma2, 0.125)
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
     def test_densities_take_arrays(self, p):
-        pair = GaussianMixturePair(mu=0.5, sigma1=1.3, sigma2=0.4, p=p)
+        pair = GaussianMixturePair(sigma2=0.4, p=p)
         xs = np.array([[-30.0, -2.0, 0.5], [0.51, 3.0, 45.0]])
         for f in (pair.log_pdf_p, pair.log_pdf_q):
             values = f(xs)
@@ -217,52 +216,48 @@ class TestGaussianMixturePair:
             np.testing.assert_array_equal(values, [[f(x) for x in row] for row in xs])
 
     def test_degenerate_mixture_weights(self):
-        pair = GaussianMixturePair(mu=0.0, sigma1=1.0, sigma2=0.5, p=0.0)
+        pair = GaussianMixturePair(sigma2=0.5, p=0.0)
         assert pair.log_pdf_p(3.0) - pair.log_pdf_q(3.0) == 0.0
         np.testing.assert_allclose(pair.log_pdf_p(0.7), pair.log_pdf_q(0.7))
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mu": 0.0, "sigma1": 0.0, "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": -1.0, "p": 0.5},
-            {"mu": math.inf, "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": 1.5},
-            {"mu": "x", "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
-            {"mu": math.nan, "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": math.inf, "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": math.nan, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": math.nan},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": "x"},
-            {"mu": None, "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
-            {"mu": [0.0], "sigma1": 1.0, "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": "x", "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": math.nan, "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": None, "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": [1.0], "sigma2": 1.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": 0.0, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": math.inf, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": "x", "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": None, "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": [1.0], "p": 0.5},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": -0.1},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": None},
-            {"mu": 0.0, "sigma1": 1.0, "sigma2": 1.0, "p": [0.5]},
+            {"sigma2": -1.0, "p": 0.5},
+            {"sigma2": 1.0, "p": 1.5},
+            {"sigma2": math.nan, "p": 0.5},
+            {"sigma2": 1.0, "p": math.nan},
+            {"sigma2": 1.0, "p": "x"},
+            {"sigma2": 0.0, "p": 0.5},
+            {"sigma2": math.inf, "p": 0.5},
+            {"sigma2": "x", "p": 0.5},
+            {"sigma2": None, "p": 0.5},
+            {"sigma2": [1.0], "p": 0.5},
+            {"sigma2": 1.0, "p": -0.1},
+            {"sigma2": 1.0, "p": None},
+            {"sigma2": 1.0, "p": [0.5]},
         ],
     )
     def test_invalid_pairs(self, kwargs):
         with pytest.raises(ValidationError):
             GaussianMixturePair(**kwargs)
 
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.inf, math.nan])
+    def test_sigma2_outside_the_positive_reals_is_refused(self, sigma2):
+        with pytest.raises(ValidationError, match=r"sigma2 must lie in \(0, inf\)"):
+            GaussianMixturePair(sigma2=sigma2, p=0.5)
+
+    def test_fields_are_sigma2_and_p(self):
+        assert [field.name for field in dataclasses.fields(GaussianMixturePair)] == ["sigma2", "p"]
+        assert type(GaussianMixturePair(sigma2=10**300, p=0.5).sigma2) is float
+
     @pytest.mark.parametrize(
-        "p,sigma1,exponent",
-        [(0.5, 1.0, 0.5), (0.0, 1.0, 1.0), (0.5, 0.0, 1.0), ("x", 1.0, 1.0), (math.nan, 1.0, 1.0),
-         (math.inf, 1.0, 1.0), (0.5, "x", 1.0), (0.5, math.inf, 1.0), (0.5, math.nan, 1.0),
-         (0.5, 1.0, math.nan)],
+        "p,exponent",
+        [(0.5, 0.5), (0.0, 1.0), ("x", 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan)],
     )
-    def test_invalid_instance_parameters(self, p, sigma1, exponent):
+    def test_invalid_instance_parameters(self, p, exponent):
         with pytest.raises(ValidationError):
-            gaussian_instance(p, sigma1, exponent)
+            gaussian_instance(p, exponent)
 
 
 # Unnormalized log-weights spanning far more than float64 weights can hold:

@@ -64,7 +64,7 @@ from zcp_paclab.errors import _floats, _integer, _real
 INF, NAN = math.inf, math.nan
 _P = make_discrete([0.5, 0.3, 0.2])
 _Q = make_discrete([0.2, 0.3, 0.5])
-_PAIR = gaussian_instance(0.1, 1.0, 1.0)
+_PAIR = gaussian_instance(0.1, 1.0)
 _CONFIG = BoundConfig(100, 0.05)
 
 
@@ -183,7 +183,7 @@ _TABLE = {
         lambda v: tightness_comparison(1.0, [v], _CONFIG), (*_NOT_INT, 4.5)
     ),
     "gaussian_instance.exponent": (
-        lambda v: gaussian_instance(0.1, 1.0, v), (np.array([1.0, 0.75]),)
+        lambda v: gaussian_instance(0.1, v), (np.array([1.0, 0.75]),)
     ),
     "gaussian_instance_check.exponent": (
         lambda v: gaussian_instance_check([0.1], v), (np.array([1.0, 0.75]),)
