@@ -801,8 +801,9 @@ def run(argv: list[str]) -> int:
         _write_output(text, args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValidationError, NumericalError) as exc:
-        print(f"zcp-paclab {command}: error: {exc}", file=sys.stderr)
+    except (ValidationError, NumericalError, MemoryError) as exc:
+        reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
+        print(f"zcp-paclab {command}: error: {reason}", file=sys.stderr)
         return 1
     return 0 if passed is None or passed else 2
 

@@ -229,6 +229,9 @@ class LearningInstance:
         return _normalized(lq - exponent)
 
 
+_INSTANCE_KEYS = ("m", "loss", "posterior", "eta", "prior", "fixed_weights", "bernoulli_means")
+
+
 def learning_instance_from_dict(payload: dict) -> LearningInstance:
     """Build a LearningInstance from its JSON-config form.
 
@@ -238,6 +241,10 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     """
     if not isinstance(payload, dict):
         raise ValidationError("instance config must be a JSON object")
+    for key in payload:
+        if key not in _INSTANCE_KEYS:
+            keys = ", ".join(_INSTANCE_KEYS)
+            raise ValidationError(f"instance config key {key!r} is not one of {keys}")
     if "m" not in payload:
         raise ValidationError("instance config requires an integer 'm'")
     m = _integer(payload["m"], "m", 1, _MAX_ATOMS)

@@ -100,6 +100,19 @@ class TestExitCodes:
         assert err.startswith("zcp-paclab divergence: error: --kind must be one of")
         assert "kl, tv, renyi, zcp, little_kl" in err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys, message):
+        # bound --n 100000000000 --m 2 asks numpy for 745 GiB of losses; raising stands in for
+        # the allocation, which a host that overcommits memory may grant
+        def out_of_memory(args):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli._COMMANDS, "bound", (out_of_memory, cli._COMMANDS["bound"][1]))
+        code, out, err = _run(capsys, ["bound", "--n", "100000000000", "--m", "2"])
+        assert code == 1
+        assert out == ""
+        assert err == f"zcp-paclab bound: error: out of memory: {message}\n"
+
     def test_failed_verification_exits_two(self, capsys):
         # wilson_upper(0, 1000) is about 0.005, so delta = 0.001 cannot PASS
         code, out, _ = _run(
@@ -650,6 +663,20 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err == f"zcp-paclab bound: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["bound", "coverage"])
+    def test_unknown_instance_key_is_refused(self, command, tmp_path, capsys):
+        # a misspelt fixed_weights used to leave the prior as the posterior, and d_kl at 0
+        instance = {"m": 3, "prior": [1, 2, 3], "posterior": "fixed", "fixed_weigths": [0, 0, 1]}
+        config = tmp_path / "inst.json"
+        config.write_text(json.dumps({"n": 200, "instance": instance}))
+        code, out, err = _run(capsys, [command, "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"zcp-paclab {command}: error: instance config key 'fixed_weigths' is not one of "
+            "m, loss, posterior, eta, prior, fixed_weights, bernoulli_means\n"
+        )
 
     def test_config_supplies_required_flag(self, tmp_path, capsys):
         config = tmp_path / "c.json"

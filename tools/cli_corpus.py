@@ -56,6 +56,9 @@ CONFIGS = {
     # a prior weight beyond the float range, and weights written as strings
     "huge.json": '{"n": 200, "instance": {"m": 2, "prior": [1%s, 1]}}' % ("0" * 400),
     "strings.json": '{"n": 200, "instance": {"m": 2, "prior": ["1", "3"]}}',
+    # a misspelt fixed_weights, which left the prior as the posterior
+    "typo.json": '{"n": 200, "instance": {"m": 3, "prior": [1, 2, 3], "posterior": "fixed", '
+    '"fixed_weigths": [0, 0, 1]}}',
 }
 _CONFIG_DIR = "<config-dir>"
 
@@ -213,6 +216,7 @@ _OUT_OF_RANGE = (
     ("bound", *_config("mismatch.json")),  # the prior has 3 atoms, m is 4
     ("bound", *_config("huge.json")),
     ("bound", *_config("strings.json")),
+    ("bound", *_config("typo.json")),
     # flags the kind does not use
     ("divergence", "--kind", "kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2", "--c", "3"),
     ("divergence", "--kind", "little_kl", "--p", "0.2", "--q", "0.5", "--alpha", "2"),
