@@ -214,10 +214,10 @@ class GaussianMixturePair:
     def _log_pdfs(self, x):
         """(ln p, ln q) at x, with ln q computed once and shared by ln p; at p = 0 they are the
         same array, which no caller may write into."""
+        x = np.asarray(x, dtype=float)
         lq = self.log_pdf_q(x)
         if self.p == 0.0:
             return lq, lq
-        x = np.asarray(x, dtype=float)
         l1 = -0.5 * x * x - 0.5 * _LOG_2PI
         if self.p == 1.0:
             return l1, lq
