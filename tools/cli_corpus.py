@@ -226,7 +226,6 @@ _OUT_OF_RANGE = (
     ("instance", "--kind", "multivariate", "--d", "8", "--u", "1", "--lna", "5", "--p", "0.3"),
     ("instance", "--kind", "bernoulli", "--p", "0.1", "--lna", "5", "--d", "8"),
     ("instance", "--kind", "gaussian", "--mixture-p", "0.1", "--p", "0.4"),
-    ("divergence", "--kind", "kl", "--p", "0.5,0.5", "--q", "0.5,0.5", "--sigma1", "3"),
     ("instance", "--kind", "bernoulli", "--p", "0.1", "--exponent", "0.75"),
     ("betting", "--n", "5", "--out", _CONFIG_DIR),  # a directory
     ("betting", "--n", "5", "--out", f"{_CONFIG_DIR}/missing/x.csv"),
@@ -240,6 +239,7 @@ _OUT_OF_RANGE = (
     *(("divergence", "--mixture-p", "0.2", "--sigma1", sigma1, "--kind", "renyi",
        "--alpha", "0.5") for sigma1 in ("1e-300", "1e200")),
     ("divergence", "--mixture-p", "0.2", "--sigma1", "1e307", "--kind", "kl"),
+    ("divergence", "--kind", "kl", "--p", "0.5,0.5", "--q", "0.5,0.5", "--sigma1", "3"),
 )
 
 
