@@ -378,7 +378,7 @@ def _check_chain_args(kl: float, tv: float, c: float) -> tuple[float, float, flo
 # ---------------------------------------------------------------------------
 
 
-# Half-width of the domain in standard units, and the relative part of the error target.
+# Half-width of the domain in units of the wider scale, and the relative part of the error target.
 _HALF_WIDTH = 20.0
 _REL_TOL = 1e-8
 # Simpson steps per panel of the rough pass that sizes the error budget.
@@ -478,11 +478,13 @@ def _adaptive_simpson(f, edges: np.ndarray, budget: float, max_depth: int):
 
 
 def _panel_edges(pair: GaussianMixturePair) -> np.ndarray:
-    """Breakpoints over +/- _HALF_WIDTH that always bracket the narrow component's spike."""
-    offsets = {0.0, _HALF_WIDTH}
+    """Breakpoints over +/- _HALF_WIDTH times the wider scale that always bracket the narrow
+    component's spike."""
+    width = _HALF_WIDTH * max(1.0, pair.sigma2)
+    offsets = {0.0, width}
     for scale in (pair.sigma2, 1.0):
         for k in (1.0, 2.0, 5.0, 10.0):
-            offsets.add(min(k * scale, _HALF_WIDTH))
+            offsets.add(min(k * scale, width))
     one_sided = sorted(offsets)
     return np.array([-o for o in reversed(one_sided[1:])] + one_sided)
 
@@ -506,6 +508,7 @@ def divergence_gaussian(
 
     Supports KL, TV, ZCP (requires c >= 0) and RENYI (requires alpha > 0,
     alpha != 1).  The defining integrand is integrated over +/- _HALF_WIDTH
+    times max(1, sigma2), so a Q wider than P's unit component keeps its mass,
     with panel edges seeded at multiples of both component scales, so the
     narrow spike cannot be stepped over.  RENYI is +inf, without
     integrating, when p > 0 and the integrand's tail exponent, a positive

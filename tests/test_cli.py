@@ -223,6 +223,12 @@ class TestDivergenceCommand:
              "exponent is only meaningful for a mixture pair, not --p/--q weights"),
             ("instance --kind bernoulli --p 0.1 --exponent 0.75",
              "exponent is only meaningful for gaussian, not bernoulli"),
+            ("divergence --kind tv --p 0.5,0.5 --q 0.5,0.5 --exponent 1",
+             "exponent is only meaningful for a mixture pair, not --p/--q weights"),
+            ("instance --kind multivariate --d 8 --u 1 --exponent 1",
+             "exponent is only meaningful for gaussian, not multivariate"),
+            ("instance --kind bernoulli --p 0.1 --mixture-p 0.1",
+             "mixture-p is only meaningful for gaussian, not bernoulli"),
         ],
     )
     def test_flags_the_input_ignores_are_refused(self, capsys, argv, message):

@@ -236,6 +236,15 @@ class TestGaussianMixturePair:
             {"sigma2": 1.0, "p": -0.1},
             {"sigma2": 1.0, "p": None},
             {"sigma2": 1.0, "p": [0.5]},
+            {"sigma2": -math.inf, "p": 0.5},
+            {"sigma2": -0.0, "p": 0.5},
+            {"sigma2": 10**400, "p": 0.5},  # an int beyond the float range counts as inf
+            {"sigma2": 1j, "p": 0.5},
+            {"sigma2": "0.5", "p": 0.5},
+            {"sigma2": 1.0, "p": math.inf},
+            {"sigma2": 1.0, "p": -math.inf},
+            {"sigma2": 1.0, "p": math.nextafter(1.0, 2.0)},
+            {"sigma2": 1.0, "p": -(10**400)},
         ],
     )
     def test_invalid_pairs(self, kwargs):
@@ -253,7 +262,8 @@ class TestGaussianMixturePair:
 
     @pytest.mark.parametrize(
         "p,exponent",
-        [(0.5, 0.5), (0.0, 1.0), ("x", 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan)],
+        [(0.5, 0.5), (0.0, 1.0), ("x", 1.0), (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+         (1.0, 1.0), (-0.1, 1.0), (0.5, 2.0), (0.5, "x")],
     )
     def test_invalid_instance_parameters(self, p, exponent):
         with pytest.raises(ValidationError):

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -566,6 +567,38 @@ class TestQuadrature:
         degenerate = GaussianMixturePair(sigma2=0.5, p=0.0)
         assert divergence_gaussian(degenerate, "kl").value == pytest.approx(0.0, abs=1e-12)
         assert divergence_gaussian(degenerate, "tv").value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("sigma2", [0.25, 0.5, 2.0, 4.0, 100.0])
+    def test_unit_weight_matches_the_closed_forms(self, sigma2):
+        # at p = 1 the pair is N(0, 1) against N(0, sigma2^2), whose KL, TV and Renyi have closed
+        # forms; sigma2 > 1 puts Q's mass beyond x = 20
+        pair = GaussianMixturePair(sigma2=sigma2, p=1.0)
+        kl = math.log(sigma2) + 0.5 / (sigma2 * sigma2) - 0.5
+        assert divergence_gaussian(pair, "kl").value == pytest.approx(kl, rel=1e-8)
+        # the densities cross at +/- x, and TV is the mass between the crossings' CDF values
+        x = sigma2 * math.sqrt(2.0 * math.log(sigma2) / (sigma2 * sigma2 - 1.0))
+        tv = 2.0 * abs(NormalDist().cdf(x) - NormalDist(0.0, sigma2).cdf(x))
+        assert divergence_gaussian(pair, "tv").value == pytest.approx(tv, rel=1e-8)
+        for alpha in (0.5, 0.9, 1.04, 1.5):
+            # finite iff the mixed variance alpha sigma2^2 + 1 - alpha is positive
+            mixed = alpha * sigma2 * sigma2 + 1.0 - alpha
+            renyi = (
+                math.log(sigma2) + math.log(sigma2 * sigma2 / mixed) / (2.0 * (alpha - 1.0))
+                if mixed > 0.0
+                else math.inf
+            )
+            got = divergence_gaussian(pair, "renyi", alpha=alpha).value
+            assert got == pytest.approx(renyi, rel=1e-8), alpha
+
+    def test_wide_reference_keeps_its_mass(self):
+        # with the domain fixed at +/- 20 this gave 0.27632 with abs_error 2.4e-10
+        pair = GaussianMixturePair(sigma2=100.0, p=0.5)
+        # P - Q = p (N(0, 1) - Q), so TV is p times the closed form at p = 1
+        x = 100.0 * math.sqrt(2.0 * math.log(100.0) / (100.0 * 100.0 - 1.0))
+        tv = 0.5 * 2.0 * (NormalDist().cdf(x) - NormalDist(0.0, 100.0).cdf(x))
+        result = divergence_gaussian(pair, "tv")
+        assert result.value == pytest.approx(tv, rel=1e-8)
+        assert result.value == pytest.approx(0.48669, abs=1e-5)
 
     def test_kind_coercion_and_rejection(self):
         pair = gaussian_instance(0.4, 1.0)
