@@ -23,7 +23,6 @@ import os
 import sys
 import tempfile
 import types
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -113,20 +112,6 @@ def _json_value(value):
 def _cells(values):
     """A table column as a sequence of plain Python values (an array becomes a list)."""
     return values.tolist() if isinstance(values, np.ndarray) else values
-
-
-def _column_csv(values) -> tuple[str, object]:
-    """(%-format, values) of one column: each value formats to the text ``_fmt`` gives it.
-
-    A float64 array, or a column of Python ints only, is formatted as it is;
-    any other column is formatted by ``_fmt`` first.
-    """
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        return "%.17g", values
-    values = _cells(values)
-    if set(map(type, values)) == {int}:
-        return "%d", values
-    return "%s", [_fmt(value) for value in values]
 
 
 def _table(rows) -> dict[str, list]:
@@ -340,8 +325,8 @@ def _array_columns(table: dict) -> list | None:
 
 
 def _array_csv(columns: list, head: str, tail: str) -> str:
-    """head, the CSV rows of ``_array_columns`` and tail: each float as ``format(x, ".17g")``
-    and each int as ``%d``, the bytes the %-format path writes."""
+    """head, the CSV rows of ``_array_columns`` and tail: each cell as the text ``_fmt`` gives
+    it, the bytes the list path writes."""
     tables = _format_tables()
     template = np.tile(np.frombuffer(_FIELD_TEXT, np.uint8), (len(columns), 1))
     template[-1, -1] = ord("\n")
@@ -375,22 +360,8 @@ def _render_csv(table: dict, summary: dict) -> str:
     columns = _array_columns(table)
     if columns is not None:
         return _array_csv(columns, head, tail)
-    formats, columns = zip(*map(_column_csv, table.values()))
-    rows = map((",".join(formats) + "\n").__mod__, zip(*columns))  # one % per row
+    rows = (",".join(map(_fmt, row)) + "\n" for row in zip(*map(_cells, table.values())))
     return "".join([head, *rows, tail])
-
-
-def _json_scalar(value) -> str:
-    """The text ``json.dumps`` gives one plain value."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    raise TypeError(f"not a plain JSON value: {value!r}")
 
 
 def _json_column(values) -> list[str]:
@@ -399,7 +370,7 @@ def _json_column(values) -> list[str]:
         return list(map(int.__repr__, values))
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and np.isfinite(values).all():
         return list(map(float.__repr__, values.tolist()))
-    return [_json_scalar(_json_value(value)) for value in _cells(values)]
+    return [json.dumps(_json_value(value), allow_nan=False) for value in _cells(values)]
 
 
 def _json_object(keys, indent: str) -> str:
@@ -407,7 +378,7 @@ def _json_object(keys, indent: str) -> str:
     indent=2)`` lays it out when its opening brace is indented by ``indent``."""
     if not keys:
         return "{}"
-    members = (f"\n{indent}  {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    members = (f"\n{indent}  {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
     return "{" + ",".join(members) + f"\n{indent}}}"
 
 
@@ -417,7 +388,7 @@ def _render_json(table: dict, summary: dict) -> str:
     pure-Python encoder, which costs several times the CSV on the 100,000-row trace."""
     row = "    " + _json_object(table, "    ")
     rows = ",\n".join(map(row.__mod__, zip(*map(_json_column, table.values()))))
-    values = tuple(_json_scalar(_json_value(value)) for value in summary.values())
+    values = tuple(json.dumps(_json_value(value), allow_nan=False) for value in summary.values())
     rows = f"[\n{rows}\n  ]" if rows else "[]"
     return f'{{\n  "rows": {rows},\n  "summary": {_json_object(summary, "  ") % values}\n}}\n'
 
@@ -572,9 +543,12 @@ def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
 def _bound_inputs(args):
     """The bound config, the learning instance, and summary entries that name both."""
     config = BoundConfig(n=args.n, delta=args.delta, alpha=args.alpha)
-    # a config instance's m, loss and eta were read as flags, so explicit flags win
-    flags = {"m": args.m, "loss": args.loss, "eta": args.eta}
-    instance = learning_instance_from_dict({**(args.instance or {}), **flags})
+    # a config instance's m, loss and eta were read as flags, so explicit flags win.  --eta
+    # defaults to 5 here, not in the parser, so that a fixed posterior refuses only a given value
+    payload = {**(args.instance or {}), "m": args.m, "loss": args.loss}
+    if args.eta is not None or payload.get("posterior", "gibbs") == "gibbs":
+        payload["eta"] = 5.0 if args.eta is None else args.eta
+    instance = learning_instance_from_dict(payload)
     rule = instance.posterior_rule
     named = {"m": instance.theta_count, "loss": instance.loss_kind.value}
     named.update({"eta": rule.eta} if isinstance(rule, GibbsPosterior) else {})
@@ -650,7 +624,7 @@ _BOUND_FLAGS = {
     "alpha": (float, 2.0),
     "m": (int, 50),
     "loss": (("abs", "bernoulli"), "abs"),
-    "eta": (float, 5.0),
+    "eta": (float, None),
 }
 
 _COMMANDS = {

@@ -236,8 +236,9 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     """Build a LearningInstance from its JSON-config form.
 
     Keys: m (int), loss ("abs" | "bernoulli"), posterior ("gibbs" |
-    "fixed"), eta (gibbs), prior / fixed_weights (optional weight lists,
-    uniform by default), bernoulli_means (optional).
+    "fixed"), eta (gibbs only, 1 by default), prior (optional weight list,
+    uniform by default), fixed_weights (fixed only, the prior by default),
+    bernoulli_means (optional).  A key the chosen posterior ignores is refused.
     """
     if not isinstance(payload, dict):
         raise ValidationError("instance config must be a JSON object")
@@ -257,13 +258,16 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     if prior.support_size != m:
         raise ValidationError("prior support must equal m")
     rule_name = payload.get("posterior", "gibbs")
+    if rule_name not in ("gibbs", "fixed"):
+        raise ValidationError(f"unknown posterior rule {rule_name!r}")
+    ignored = "fixed_weights" if rule_name == "gibbs" else "eta"
+    if ignored in payload:
+        raise ValidationError(f"{ignored!r} does not apply to a {rule_name} posterior")
     if rule_name == "gibbs":
         rule: FixedPosterior | GibbsPosterior = GibbsPosterior(payload.get("eta", 1.0))
-    elif rule_name == "fixed":
+    else:
         weights = payload.get("fixed_weights")
         rule = FixedPosterior(make_discrete(weights) if weights is not None else prior)
-    else:
-        raise ValidationError(f"unknown posterior rule {rule_name!r}")
     return LearningInstance(
         prior=prior,
         loss_kind=loss,
@@ -430,12 +434,12 @@ class CoverageRow:
 class CoverageReport:
     """One CoverageRow per bound, in BOUND_NAMES order.
 
-    ``failure_events`` retains every (trial index, bound name, full
-    BoundReport) triple for post-mortem inspection; counting is exact.
+    A run keeps counts only: trial t's BoundReport is the t-th that
+    ``coverage_reports`` yields for the same arguments, and it failed a bound
+    where its ``failures()`` is true.
     """
 
     rows: tuple[CoverageRow, ...]
-    failure_events: tuple[tuple[int, str, BoundReport], ...]
 
     @property
     def all_passed(self) -> bool:
@@ -453,26 +457,16 @@ def run_coverage(
     """
     trials, seed = _integer(trials, "trials", 100), _integer(seed, "seed", 0)
     counts = dict.fromkeys(BOUND_NAMES, 0)
-    events = []
-    for trial_range, block in _trial_blocks(instance, config, trials, seed):
-        failed = _failures(**block)
-        # a BoundReport only for a trial that some bound fails
-        for row in np.flatnonzero(np.logical_or.reduce(list(failed.values()))):
-            report = BoundReport(**{name: float(values[row]) for name, values in block.items()})
-            trial = trial_range[row]
-            for name, mask in failed.items():
-                if mask[row]:
-                    counts[name] += 1
-                    events.append((trial, name, report))
-                    logger.warning(
-                        "coverage failure: bound=%s trial=%d report=%r", name, trial, report)
+    for _, block in _trial_blocks(instance, config, trials, seed):
+        for name, mask in _failures(**block).items():
+            counts[name] += int(np.count_nonzero(mask))
     budget = 2.0 * config.delta
     rows = []
     for name, count in counts.items():
         upper = wilson_upper(count, trials)
         rows.append(
             CoverageRow(name, count, trials, count / trials, upper, budget, upper <= budget))
-    return CoverageReport(tuple(rows), tuple(events))
+    return CoverageReport(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

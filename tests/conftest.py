@@ -290,10 +290,21 @@ def oracle_adaptive_simpson(f, edges, budget, max_depth):
     return value, err, exhausted
 
 
+def _oracle_column(values):
+    """(%-format, values) of one column: a float64 array as it is through ``%.17g``, a column of
+    Python ints only through ``%d``, and any other column through ``cli._fmt`` first."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return "%.17g", values
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if set(map(type, values)) == {int}:
+        return "%d", values
+    return "%s", [cli._fmt(value) for value in values]
+
+
 def oracle_render_csv(table, summary):
     """The CSV renderer as first written: one %-format per row, each float64 array cell through
     ``%.17g`` and each int through ``%d``; the array path must write the same bytes."""
-    formats, columns = zip(*map(cli._column_csv, table.values()))
+    formats, columns = zip(*map(_oracle_column, table.values()))
     lines = [",".join(table)]
     lines += map(",".join(formats).__mod__, zip(*columns))  # one % per row
     lines.append("# summary")

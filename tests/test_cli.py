@@ -437,7 +437,7 @@ class TestArrayRenderer:
             table = {"i": column, "x": np.full(len(ints), 0.5)}
             text = cli._render_csv(table, {})
             assert _first_difference(text, oracle_render_csv(table, {})) is None
-            # a value of 10**16 or more sends the table to the %-format path
+            # a value of 10**16 or more sends the table to the list path
             assert (cli._array_columns(table) is None) == (max(ints) >= 10**16)
 
     def test_powers_of_ten_and_their_neighbours(self):
@@ -684,6 +684,28 @@ class TestConfigFile:
             "m, loss, posterior, eta, prior, fixed_weights, bernoulli_means\n"
         )
 
+    @pytest.mark.parametrize(
+        "instance, flags, message",
+        [
+            # --eta used to be read and dropped for a fixed posterior, even as nan
+            ({"m": 3, "prior": [1, 2, 3], "posterior": "fixed", "fixed_weights": [0, 0, 1]},
+             ["--eta", "nan"], "'eta' does not apply to a fixed posterior"),
+            ({"m": 3, "posterior": "fixed", "eta": 5}, [],
+             "'eta' does not apply to a fixed posterior"),
+            ({"m": 3, "fixed_weights": [0, 0, 1]}, [],
+             "'fixed_weights' does not apply to a gibbs posterior"),
+        ],
+    )
+    def test_instance_keys_the_posterior_ignores_are_refused(
+        self, instance, flags, message, tmp_path, capsys
+    ):
+        config = tmp_path / "inst.json"
+        config.write_text(json.dumps({"instance": instance}))
+        code, out, err = _run(capsys, ["bound", "--n", "200", "--config", str(config), *flags])
+        assert code == 1
+        assert out == ""
+        assert err == f"zcp-paclab bound: error: {message}\n"
+
     def test_config_supplies_required_flag(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"n": 200, "m": 8, "trials": 100}))
@@ -734,6 +756,24 @@ class TestVerificationCommands:
         assert lines[0] == "bound,failures,trials,failure_rate,wilson_upper_99,budget,passed"
         assert len(lines) == 1 + 4 + 1 + 9  # header, bounds, marker, summary keys
         assert "# all_passed=true" in out
+
+    def test_failing_coverage_run_keeps_counts_and_writes_no_stderr(
+        self, capsys, caplog, monkeypatch
+    ):
+        # a zero Hoeffding bound fails every trial with a positive gap
+        monkeypatch.setattr(harness, "_hoeffding_zcp", lambda d_zcp, config: np.zeros_like(d_zcp))
+        argv = ["coverage", "--n", "100", "--m", "8", "--trials", "100", "--seed", "3"]
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert err == ""
+        assert caplog.records == []
+        rows = [line.split(",") for line in out.splitlines()[1:5]]
+        failures = {row[0]: int(row[1]) for row in rows}
+        instance = harness.learning_instance_from_dict({"m": 8, "eta": 5.0})
+        config = zcp_paclab.BoundConfig(n=100, delta=0.05, alpha=2.0)
+        reports = list(harness.coverage_reports(instance, config, trials=100, seed=3))
+        assert failures == {name: sum(r.failures()[name] for r in reports) for name in failures}
+        assert failures["hoeffding_zcp"] > 0
 
     def test_coverage_names_its_instance(self, capsys):
         argv = ["coverage", "--n", "100", "--m", "8", "--trials", "100", "--seed", "3"]

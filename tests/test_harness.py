@@ -303,6 +303,9 @@ class TestInstanceFromDict:
             {"m": None},
             {"m": 4, "eta": None},
             {"m": 4, "prior": None},
+            # keys the chosen posterior ignores
+            {"m": 3, "posterior": "fixed", "eta": math.nan},
+            {"m": 3, "posterior": "gibbs", "fixed_weights": [0, 0, 1]},
         ],
     )
     def test_rejects_malformed_payloads(self, payload):
@@ -379,7 +382,9 @@ class TestCoverage:
             "emp_bernstein",
             "little_kl",
         ]
-        assert len(report.failure_events) == sum(row.failures for row in report.rows)
+        reports = list(coverage_reports(inst, BoundConfig(n=50, delta=0.05), 100, 3))
+        for row in report.rows:
+            assert row.failures == sum(r.failures()[row.bound] for r in reports)
         for row in report.rows:
             assert row.failure_rate == row.failures / 100
             assert row.wilson_upper_99 == wilson_upper(row.failures, 100)
@@ -397,8 +402,8 @@ class TestCoverage:
             CoverageRow("a", 0, 1000, 0.0, 0.005, 0.1, True),
             CoverageRow("b", 500, 1000, 0.5, 0.54, 0.1, False),
         )
-        assert CoverageReport(rows[:1], ()).all_passed
-        assert not CoverageReport(rows, ()).all_passed
+        assert CoverageReport(rows[:1]).all_passed
+        assert not CoverageReport(rows).all_passed
 
     def test_trials_floor(self):
         with pytest.raises(ValidationError):

@@ -22,9 +22,10 @@ directory, and ``--out`` cases write under it; their argvs and stderr print
 that directory as ``<config-dir>``.
 
 ``--check`` also exits 1 when the corpus shows a fault on its own: a case
-that raised, a GOLDEN argv that exits nonzero or prints a Python warning
-(a ``<Category>: <message>`` line on stderr), or an INVALID argv that exits
-0 or prints to stdout.  A continuous-integration job runs it that way:
+that raised, a GOLDEN argv that exits nonzero or prints anything to stderr
+(a log line, or a Python warning shown as a ``<Category>: <message>`` line),
+or an INVALID argv that exits 0 or prints to stdout.  A continuous-integration
+job runs it that way:
 
     python tools/cli_corpus.py --src src --check > /dev/null
 """
@@ -59,6 +60,11 @@ CONFIGS = {
     # a misspelt fixed_weights, which left the prior as the posterior
     "typo.json": '{"n": 200, "instance": {"m": 3, "prior": [1, 2, 3], "posterior": "fixed", '
     '"fixed_weigths": [0, 0, 1]}}',
+    # keys the chosen posterior ignores: --eta for a fixed one, fixed_weights for a Gibbs one
+    "fixed.json": '{"instance": {"m": 3, "prior": [1, 2, 3], "posterior": "fixed", '
+    '"fixed_weights": [0, 0, 1]}}',
+    "fixed_eta.json": '{"n": 200, "instance": {"m": 3, "posterior": "fixed", "eta": 5}}',
+    "gibbs_weights.json": '{"n": 200, "instance": {"m": 3, "fixed_weights": [0, 0, 1]}}',
 }
 _CONFIG_DIR = "<config-dir>"
 
@@ -217,6 +223,9 @@ _OUT_OF_RANGE = (
     ("bound", *_config("huge.json")),
     ("bound", *_config("strings.json")),
     ("bound", *_config("typo.json")),
+    *(("bound", "--n", "200", *_config("fixed.json"), "--eta", eta) for eta in ("nan", "5")),
+    ("bound", *_config("fixed_eta.json")),
+    ("coverage", "--trials", "100", *_config("gibbs_weights.json")),
     # flags the kind does not use
     ("divergence", "--kind", "kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2", "--c", "3"),
     ("divergence", "--kind", "little_kl", "--p", "0.2", "--q", "0.5", "--alpha", "2"),
@@ -252,19 +261,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _run(cli, argv: tuple[str, ...], config_dir: str) -> tuple[str, str, str, bool]:
-    """(exit code, stdout, stderr, whether a warning was shown) of one argv.
+def _run(cli, argv: tuple[str, ...], config_dir: str) -> tuple[str, str, str]:
+    """(exit code, stdout, stderr) of one argv.
 
     stderr names the config directory as the argvs do.
     """
     argv = tuple(arg.replace(_CONFIG_DIR, config_dir) for arg in argv)
     out, err = io.StringIO(), io.StringIO()
-    shown = []
 
     def show_warning(message, category, filename, lineno, file=None, line=None):
         # no file path or line number, so both checkouts print the same text
         print(f"{category.__name__}: {message}", file=sys.stderr)
-        shown.append(category)
 
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("always")  # a warning shows on every run, whatever ran before
@@ -274,7 +281,7 @@ def _run(cli, argv: tuple[str, ...], config_dir: str) -> tuple[str, str, str, bo
         except Exception as exc:  # an escaped exception is what the corpus must show
             code = f"raised:{type(exc).__name__}"
             print(exc, file=sys.stderr)
-    return code, out.getvalue(), err.getvalue().replace(config_dir, _CONFIG_DIR), bool(shown)
+    return code, out.getvalue(), err.getvalue().replace(config_dir, _CONFIG_DIR)
 
 
 def main() -> None:
@@ -293,11 +300,11 @@ def main() -> None:
         for golden, argvs in ((True, _golden()), (False, _invalid())):
             for argv in argvs:
                 for fmt in ((), ("--format", "json")):
-                    code, out, err, warned = _run(cli, (*argv, *fmt), config_dir)
+                    code, out, err = _run(cli, (*argv, *fmt), config_dir)
                     shown = repr(err) if args.show_stderr else _sha(err)
                     line = f"{code} {_sha(out)} {shown} {' '.join((*argv, *fmt))}"
                     print(line)
-                    fault = code != "0" or warned if golden else code == "0" or out
+                    fault = code != "0" or err if golden else code == "0" or out
                     if code.startswith("raised:") or fault:
                         faults.append(line)
     if args.check and faults:
