@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -85,8 +84,6 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 10_000
-
-logger = logging.getLogger(__name__)
 
 
 class LossKind(enum.Enum):
@@ -235,17 +232,19 @@ _INSTANCE_KEYS = ("m", "loss", "posterior", "eta", "prior", "fixed_weights", "be
 def learning_instance_from_dict(payload: dict) -> LearningInstance:
     """Build a LearningInstance from its JSON-config form.
 
-    Keys: m (int), loss ("abs" | "bernoulli"), posterior ("gibbs" |
-    "fixed"), eta (gibbs only, 1 by default), prior (optional weight list,
-    uniform by default), fixed_weights (fixed only, the prior by default),
-    bernoulli_means (optional).  A key the chosen posterior ignores is refused.
+    Keys: m (int), loss ("abs" | "bernoulli"), posterior ("gibbs" | "fixed"), eta (gibbs
+    only, 1 by default), prior (optional weight list, uniform by default), fixed_weights
+    (fixed only, the prior by default), bernoulli_means (optional).  A key the chosen
+    posterior ignores is refused, and so is a None value: only an absent key takes a default.
     """
     if not isinstance(payload, dict):
         raise ValidationError("instance config must be a JSON object")
-    for key in payload:
+    for key, value in payload.items():
         if key not in _INSTANCE_KEYS:
             keys = ", ".join(_INSTANCE_KEYS)
             raise ValidationError(f"instance config key {key!r} is not one of {keys}")
+        if value is None:
+            raise ValidationError(f"instance config key {key!r} cannot be null")
     if "m" not in payload:
         raise ValidationError("instance config requires an integer 'm'")
     m = _integer(payload["m"], "m", 1, _MAX_ATOMS)
@@ -720,13 +719,14 @@ def _betting_fuzz(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 
 def _fuzz_row(check: str, slack: np.ndarray, violated: np.ndarray, where) -> CheckRow:
     """The check row of per-draw slacks and violations; a violation logs ``where(i)`` of the
-    first draw i with the smallest finite slack."""
+    first draw i with the smallest finite slack, importing ``logging`` only then."""
     finite = np.flatnonzero(np.isfinite(slack))
     first = finite[np.argmin(slack[finite])] if finite.size else None
     worst_slack, worst_at = (math.inf, "") if first is None else (float(slack[first]), where(first))
     violations = int(np.count_nonzero(violated))
     if violations:
-        logger.warning("self-check: %s violated at %s", check, worst_at)
+        import logging
+        logging.getLogger(__name__).warning("self-check: %s violated at %s", check, worst_at)
     return CheckRow(check, worst_slack, violations, violations == 0)
 
 

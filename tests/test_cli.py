@@ -501,7 +501,8 @@ class TestArrayRenderer:
         scale = cli._format_tables().scale
         for k, (hi, lo, high, low) in zip(range(cli._K_LOW, cli._K_HIGH + 1), scale.T.tolist()):
             exact = Fraction(10) ** (16 - k)
-            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**104, k
+            assert hi == float(exact), k
+            assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106, k
             assert high + low == hi and abs(lo) <= math.ulp(hi), k
 
     def test_trace_json_is_json_dumps(self):
@@ -706,6 +707,32 @@ class TestConfigFile:
         assert out == ""
         assert err == f"zcp-paclab bound: error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "instance, refused",
+        [
+            # the first two used to run with the prior as the posterior and the default means
+            ({"m": 3, "posterior": "fixed", "fixed_weights": None},
+             "'fixed_weights' cannot be null"),
+            ({"m": 3, "loss": "bernoulli", "bernoulli_means": None},
+             "'bernoulli_means' cannot be null"),
+            # these reached argparse as the text "None", and a null prior the weight check
+            ({"m": 3, "loss": None}, "'loss' cannot be null"),
+            ({"m": None}, "'m' cannot be null"),
+            ({"m": 3, "eta": None}, "'eta' cannot be null"),
+            ({"m": 3, "prior": None}, "'prior' cannot be null"),
+            ({"m": 3, "eta": True}, "'eta' cannot be true"),
+        ],
+    )
+    def test_null_or_boolean_instance_values_are_refused(
+        self, instance, refused, tmp_path, capsys
+    ):
+        config = tmp_path / "inst.json"
+        config.write_text(json.dumps({"instance": instance}))
+        code, out, err = _run(capsys, ["bound", "--n", "200", "--config", str(config)])
+        assert code == 1
+        assert out == ""
+        assert err == f"zcp-paclab bound: error: instance config key {refused}\n"
+
     def test_config_supplies_required_flag(self, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"n": 200, "m": 8, "trials": 100}))
@@ -903,6 +930,20 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["summary"]["beta_star"] == 1.0
+
+    def test_importing_the_cli_leaves_logging_unloaded(self):
+        src = str(Path(zcp_paclab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, zcp_paclab.cli; print('logging' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 # One small run of each subcommand

@@ -306,6 +306,11 @@ class TestInstanceFromDict:
             # keys the chosen posterior ignores
             {"m": 3, "posterior": "fixed", "eta": math.nan},
             {"m": 3, "posterior": "gibbs", "fixed_weights": [0, 0, 1]},
+            # a null value is not an absent key: these two used to take the key's default
+            {"m": 3, "posterior": "fixed", "fixed_weights": None},
+            {"m": 3, "loss": "bernoulli", "bernoulli_means": None},
+            {"m": 3, "loss": None},
+            {"m": 3, "posterior": None},
         ],
     )
     def test_rejects_malformed_payloads(self, payload):

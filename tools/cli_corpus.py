@@ -65,6 +65,12 @@ CONFIGS = {
     '"fixed_weights": [0, 0, 1]}}',
     "fixed_eta.json": '{"n": 200, "instance": {"m": 3, "posterior": "fixed", "eta": 5}}',
     "gibbs_weights.json": '{"n": 200, "instance": {"m": 3, "fixed_weights": [0, 0, 1]}}',
+    # null instance values: the first two ran with the key's default, and a null loss or m
+    # reached argparse as the text "None"
+    "null_weights.json": '{"instance": {"m": 3, "posterior": "fixed", "fixed_weights": null}}',
+    "null_means.json": '{"instance": {"m": 3, "loss": "bernoulli", "bernoulli_means": null}}',
+    "null_loss.json": '{"instance": {"m": 3, "loss": null}}',
+    "null_m.json": '{"instance": {"m": null}}',
 }
 _CONFIG_DIR = "<config-dir>"
 
@@ -226,6 +232,8 @@ _OUT_OF_RANGE = (
     *(("bound", "--n", "200", *_config("fixed.json"), "--eta", eta) for eta in ("nan", "5")),
     ("bound", *_config("fixed_eta.json")),
     ("coverage", "--trials", "100", *_config("gibbs_weights.json")),
+    *(("bound", "--n", "200", *_config(f"null_{name}.json"))
+      for name in ("weights", "means", "loss", "m")),
     # flags the kind does not use
     ("divergence", "--kind", "kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2", "--c", "3"),
     ("divergence", "--kind", "little_kl", "--p", "0.2", "--q", "0.5", "--alpha", "2"),
