@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError, _floats, _integer
+from .errors import _MAX_COUNT, ValidationError, _floats, _integer
 
 __all__ = [
     "WealthTrace",
@@ -164,7 +164,8 @@ def mean_zero_coins(n: int, seed: int, path: int = 0) -> np.ndarray:
     coin, reached with ``advance`` alone; Ville reads paths 0, 1, ... as
     consecutive rows of the same stream (``_coin_blocks``).
     """
-    n, seed, path = _integer(n, "n", 1), _integer(seed, "seed", 0), _integer(path, "path", 0)
+    n, seed = _integer(n, "n", 1, _MAX_COUNT), _integer(seed, "seed", 0)
+    path = _integer(path, "path", 0)
     bit_generator = np.random.PCG64(seed)
     bit_generator.advance(path * n)  # the stream's period is 2**128, and advance wraps
     return _coins_from_words(bit_generator.random_raw(n))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .divergences import _little_kl_inverse_upper, _pair_logs, _renyi_rows, _tv_zcp_rows
-from .errors import ValidationError, _floats, _integer, _real
+from .errors import _MAX_COUNT, ValidationError, _floats, _integer, _real
 
 __all__ = [
     "BoundConfig",
@@ -49,9 +49,12 @@ class BoundConfig:
     alpha: float = 2.0
 
     def __post_init__(self) -> None:
-        _integer(self.n, "n", 1)
+        _integer(self.n, "n", 1, _MAX_COUNT)
         _real(self.delta, "delta", 0.0, 1.0, open_low=True, open_high=True)
         _real(self.alpha, "alpha", 1.0, math.inf, open_low=True, open_high=True)
+        # Comp_n's constant overflows first: 2 e^2 sqrt(n) (1 + 4 n^2/delta) > thm2_c >= thm1_c
+        if not math.isfinite(_complexity(0.0, 0.0, self)):
+            raise ValidationError(f"delta={self.delta:g} is too small for n={self.n}")
 
     @property
     def thm1_c(self) -> float:
@@ -120,7 +123,7 @@ def _mcallester(d_kl, config: BoundConfig):
 
 
 def _complexity(d_alpha, d_zcp, config: BoundConfig):
-    n, delta, alpha = config.n, config.delta, config.alpha
+    n, delta, alpha = map(float, (config.n, config.delta, config.alpha))  # no overflow warning
     log_sum = math.log(4.0 * n * n / delta) + alpha / (alpha - 1.0) * math.log(n) + d_alpha
     # log_sum may be +inf where d_zcp = 0, and main is 0 there
     main = math.sqrt(0.5) * np.sqrt(np.where(d_zcp == 0.0, 0.0, log_sum)) * d_zcp
@@ -323,7 +326,7 @@ def analytic_inequality_suite(trials: int = 100_000, seed: int = 0) -> list[Chec
     lemma holds); a violation is slack < -_LEMMA_TOLERANCE.  One CheckRow per
     lemma, passed when it has no violation.
     """
-    trials = _integer(trials, "trials", 1)
+    trials = _integer(trials, "trials", 1, _MAX_COUNT)
     rng = np.random.default_rng(_integer(seed, "seed", 0))
 
     beta = rng.uniform(-1.0, 1.0, trials)

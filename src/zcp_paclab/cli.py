@@ -120,8 +120,8 @@ def _table(rows) -> dict[str, list]:
     return {key: [row[key] for row in rows] for key in rows[0]}
 
 
-# The array path writes a table of float64 and integer columns a chunk of rows at a time in
-# numpy, with no Python call per cell.  Each cell gets a field of _FIELD bytes,
+# The array path writes a table of float64 columns a chunk of rows at a time in numpy, with no
+# Python call per cell.  Each cell gets a field of _FIELD bytes,
 #     -0.000DDDDDDDDDDDDDDDDD.DDDDDDDDDDDDDDDDDe+000,
 # a sign, a "0.000" prefix, its 17 significant digits twice around a point, the exponent's sign
 # and three digits, and the cell's separator.  A layout is the boolean mask of the bytes that
@@ -134,9 +134,8 @@ _TIE_TOLERANCE = 1e-6
 _CHUNK_ROWS = 4096
 # Layout rows: 782 float layouts, (exponent class * 17 + last nonzero digit) * 2 + sign, with
 # classes 0-20 for the exponents -4 to 16 printed in fixed notation and 21 and 22 for two and
-# three exponent digits; then an int's digit count, 1 to 17; then a text's length, 0 to 46.
-_INT_LAYOUT = 23 * 17 * 2 - 1  # + the digit count
-_TEXT_LAYOUT = _INT_LAYOUT + 18  # + the text's length
+# three exponent digits; then a text's length, 0 to 46.
+_TEXT_LAYOUT = 23 * 17 * 2  # + the text's length
 
 
 def _split(a):
@@ -162,8 +161,7 @@ def _format_tables() -> types.SimpleNamespace:
     - group_text: the 4 digits of each group 0000 to 9999;
     - last_digit: (5, 10**4), 2 * the index among the 17 digits of a group's last nonzero
       digit, for the group in each of the 5 places (0 for the group 0000);
-    - masks: (layouts, _FIELD), the bytes each layout keeps;
-    - powers: 10**1 to 10**16.
+    - masks: (layouts, _FIELD), the bytes each layout keeps.
 
     With e = 16 - k, hi is the exact quotient a / b of the integers (10**e, 1) or (1, 10**-e)
     rounded once, and lo is the exact residual a / b - hi rounded once.  Each pair is within
@@ -199,9 +197,8 @@ def _format_tables() -> types.SimpleNamespace:
         (a == 0) | ((i == _POINT) & (last > 0)) | (in_b & (b > 0) & (b <= last))
     ) | ((i >= _EXPONENT - 1) & ((i != _EXPONENT + 1) | (cls == 22)))  # 3 digits in class 22
     floats = np.where(cls <= 20, fixed, scientific) | ((i == 0) & (np.arange(2)[:, None] == 1))
-    ints = in_a & (a >= 17 - np.arange(1, 18)[:, None])  # the last count digits
     texts = i < np.arange(_FIELD)[:, None]  # a fallback text's length
-    masks = np.concatenate([floats.reshape(-1, _FIELD), ints, texts])
+    masks = np.concatenate([floats.reshape(-1, _FIELD), texts])
     masks[:, -1] = True  # the separator
     return types.SimpleNamespace(
         scale=scale,
@@ -210,21 +207,7 @@ def _format_tables() -> types.SimpleNamespace:
         group_text=np.frombuffer(("%04d" * 10_000 % tuple(range(10_000))).encode(), "V4"),
         last_digit=last_digit,
         masks=masks,
-        powers=10 ** np.arange(1, 17, dtype=np.int64),
     )
-
-
-def _put_digits(field, values, tables):
-    """Write "000" and the 17 digits of each int64 value in [0, 10**17) at field[..., 3:23];
-    returns the value's base-10**4 groups, most significant first, along a first axis."""
-    groups = np.empty((5, values.size), np.intp)
-    for place in (4, 3, 2, 1):
-        q = values // 10_000  # 1.5 times np.divmod's speed (numpy 2.4, x86-64)
-        groups[place] = values - 10_000 * q
-        values = q
-    groups[0] = values
-    field[..., _DIGITS - 3 : _POINT].view("V4")[...] = tables.group_text[groups].T
-    return groups
 
 
 def _float_fields(x, field, layout, tables) -> None:
@@ -253,7 +236,13 @@ def _float_fields(x, field, layout, tables) -> None:
     digits = head.astype(np.int64) + rounded.astype(np.int64)
     ok &= np.abs(tail - rounded) < 0.5 - _TIE_TOLERANCE
     ok &= (digits > 10**16) & (digits < 10**17)
-    groups = _put_digits(field, digits, tables)
+    groups = np.empty((5, digits.size), np.intp)  # base-10**4 groups, most significant first
+    for place in (4, 3, 2, 1):
+        q = digits // 10_000  # 1.5 times np.divmod's speed (numpy 2.4, x86-64)
+        groups[place] = digits - 10_000 * q
+        digits = q
+    groups[0] = digits
+    field[..., _DIGITS - 3 : _POINT].view("V4")[...] = tables.group_text[groups].T  # "000", digits
     copy = field[..., _DIGITS:_POINT].view("V17")[..., 0]  # one 17-byte item per cell
     field[..., _FRACTION : _FRACTION + 17].view("V17")[..., 0] = copy
     field[..., _EXPONENT:-1].view("V4")[..., 0] = tables.k_exponent[index]
@@ -268,29 +257,16 @@ def _float_fields(x, field, layout, tables) -> None:
         layout[bad] = _TEXT_LAYOUT + np.array([len(text) for text in texts])
 
 
-def _int_fields(values, field, layout, tables) -> None:
-    """Fill the fields and layouts of a chunk of int64 cells in [0, 10**16)."""
-    _put_digits(field, values, tables)
-    layout[...] = _INT_LAYOUT + 1 + np.searchsorted(tables.powers, values, side="right")
-
-
 def _array_columns(table: dict) -> list | None:
-    """The columns, as float64 arrays, int64 arrays and ranges of one length, if each is a 1-d
-    float64 array or a range or 1-d integer array of values in [0, 10**16); otherwise None."""
-    columns = []
-    for values in table.values():
+    """The columns, if they have one length and each is a 1-d float64 array or a range of
+    values in [0, 2**53), whose float64 text under ``%.17g`` is ``str``'s; otherwise None."""
+    columns = list(table.values())
+    for values in columns:
         if isinstance(values, range):
-            if values and (min(values[0], values[-1]) < 0 or max(values[0], values[-1]) >= 10**16):
+            if values and (min(values[0], values[-1]) < 0 or max(values[0], values[-1]) >= 2**53):
                 return None
-        elif not isinstance(values, np.ndarray) or values.ndim != 1:
+        elif not isinstance(values, np.ndarray) or values.ndim != 1 or values.dtype != np.float64:
             return None
-        elif values.dtype.kind in "iu":
-            if values.size and (values.min() < 0 or values.max() >= 10**16):
-                return None
-            values = values.astype(np.int64, copy=False)
-        elif values.dtype != np.float64:
-            return None
-        columns.append(values)
     return columns if columns and len(set(map(len, columns))) == 1 else None
 
 
@@ -301,10 +277,8 @@ def _array_csv(columns: list, head: str, tail: str) -> str:
     template = np.tile(np.frombuffer(_FIELD_TEXT, np.uint8), (len(columns), 1))
     template[-1, -1] = ord("\n")
     head, tail = head.encode(), tail.encode()
-    # a cell takes at most 24 characters and a separator for a float ("-1.2345678901234567e-308"),
-    # 16 digits and one for an int
-    width = sum(25 if getattr(column, "dtype", None) == np.float64 else 17 for column in columns)
-    text = np.empty(len(head) + len(columns[0]) * width + len(tail), np.uint8)
+    # a cell takes at most 24 characters and a separator ("-1.2345678901234567e-308,")
+    text = np.empty(len(head) + len(columns[0]) * len(columns) * 25 + len(tail), np.uint8)
     text[: len(head)] = np.frombuffer(head, np.uint8)
     end = len(head)
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
@@ -314,9 +288,8 @@ def _array_csv(columns: list, head: str, tail: str) -> str:
         layout = np.empty(field.shape[:2], np.intp)
         for c, values in enumerate(cells):
             if isinstance(values, range):  # made an array a chunk at a time
-                values = np.arange(values.start, values.stop, values.step, dtype=np.int64)
-            fill = _float_fields if values.dtype == np.float64 else _int_fields
-            fill(values, field[:, c], layout[:, c], tables)
+                values = np.arange(values.start, values.stop, values.step, dtype=np.float64)
+            _float_fields(values, field[:, c], layout[:, c], tables)
         kept = field[np.take(tables.masks, layout, axis=0)]
         text[end : end + kept.size] = kept
         end += kept.size

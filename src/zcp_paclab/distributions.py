@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _floats, _integer, _real
+from .errors import _MAX_COUNT, ValidationError, _floats, _integer, _real
 
 __all__ = [
     "DiscreteDistribution",
@@ -150,7 +150,7 @@ def multivariate_instance(d: int, u: float) -> tuple[DiscreteDistribution, Discr
     like d**(u/2), total variation like d**(-u), and the c=1 ZCP divergence
     like d**(-u/4).
     """
-    d = _integer(d, "d", 2)
+    d = _integer(d, "d", 2, _MAX_COUNT)
     if d % 2 != 0:
         raise ValidationError("d must be an even integer >= 2")
     u = _real(u, "u", 0.0, math.inf, open_low=True, open_high=True)

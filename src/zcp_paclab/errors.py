@@ -6,6 +6,10 @@ import numpy as np
 
 __all__ = ["ValidationError", "NumericalError"]
 
+# The largest count that may size an array: at eight bytes an entry, an array of that many
+# entries stays under sys.maxsize bytes, so a count up to it runs or raises MemoryError.
+_MAX_COUNT = 10**18
+
 
 class ValidationError(ValueError):
     """Raised when inputs or configuration violate a documented precondition."""
@@ -46,6 +50,8 @@ def _integer(value, name: str, low, high=math.inf) -> int:
     """``value`` as an int in [low, high]; integral floats and numpy integers count."""
     if not _real(value, name, low, high, open_high=high == math.inf).is_integer():
         raise ValidationError(f"{name} must be an integer")
+    if int(value) > high:  # an int just above high whose float rounds to it
+        _real(math.inf, name, low, high)  # refused in _real's words
     return int(value)
 
 

@@ -58,7 +58,7 @@ from .divergences import (
     tv_discrete,
     zcp_discrete,
 )
-from .errors import ValidationError, _floats, _integer, _real
+from .errors import _MAX_COUNT, ValidationError, _floats, _integer, _real
 
 __all__ = [
     "LossKind",
@@ -169,7 +169,7 @@ class LearningInstance:
         Coverage trials use ``loss_sums`` instead; this matrix is the
         reference its sums are tested against.
         """
-        n = _integer(n, "n", 1)
+        n = _integer(n, "n", 1, _MAX_COUNT)
         if self.loss_kind is LossKind.ABS_DISTANCE:
             x = rng.random(n)
             return np.abs(self.atom_positions[None, :] - x[:, None])
@@ -190,7 +190,7 @@ class LearningInstance:
         clipped to [0, n] and S2 to [0, S1], so rounding never pushes a
         mean out of [0, 1].
         """
-        n = _integer(n, "n", 1)
+        n = _integer(n, "n", 1, _MAX_COUNT)
         if self.loss_kind is LossKind.BERNOULLI:
             counts = rng.binomial(n, self.bernoulli_means).astype(float)
             return counts, counts
@@ -500,7 +500,7 @@ class ScalingTable:
 
 def divergence_scaling_table(u: float, d_values) -> ScalingTable:
     """Exact KL / TV / ZCP(1) for the two-block instance along d_values."""
-    ds = [_integer(d, "d_values", 4) for d in d_values]
+    ds = [_integer(d, "d_values", 4, _MAX_COUNT) for d in d_values]
     if len(ds) < 2 or any(d % 2 for d in ds) or any(b <= a for a, b in zip(ds, ds[1:])):
         raise ValidationError("d_values must be >= 4, even, strictly increasing, length >= 2")
     rows = []
@@ -610,7 +610,8 @@ def ville_experiment(n: int, delta_values, paths: int, seed: int) -> list[VilleR
     to 8,192 // n paths at a time, and the KT wealth paths of a block are
     computed at once, each with the bits of one path run alone.
     """
-    n, paths, seed = _integer(n, "n", 1), _integer(paths, "paths", 1000), _integer(seed, "seed", 0)
+    n, paths = _integer(n, "n", 1, _MAX_COUNT), _integer(paths, "paths", 1000)
+    seed = _integer(seed, "seed", 0)
     deltas = _floats(delta_values, "delta values", 0.0, 1.0, open_low=True, open_high=True, ndim=1)
     thresholds = np.array([-math.log(d) for d in deltas])
     crossings = np.zeros(len(deltas), dtype=int)
@@ -747,7 +748,7 @@ def tightness_comparison(u: float, d_values, config: BoundConfig) -> list[Tightn
     """Hoeffding-ZCP vs McAllester when the posterior/prior pair is the
     two-block instance: the ratio decays as d grows because ZCP scales like
     d**(-u/4) while KL grows like d**(u/2)."""
-    ds = [_integer(d, "d_values", 2) for d in d_values]
+    ds = [_integer(d, "d_values", 2, _MAX_COUNT) for d in d_values]
     if not ds or any(d % 2 for d in ds):
         raise ValidationError("d_values must be even integers >= 2")
     rows = []

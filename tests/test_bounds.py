@@ -1,6 +1,7 @@
 """Generalization bounds, the asymptotic surrogate, and the lemma fuzz suite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,11 +53,25 @@ class TestBoundConfig:
             {"n": math.nan, "delta": 0.05},
             {"n": 10, "delta": math.inf},
             {"n": 10, "delta": 0.1, "alpha": "x"},
+            # the complexity term's constant 2 e^2 sqrt(n) (1 + 4 n^2/delta) overflows
+            {"n": 1000, "delta": 1e-300},
+            {"n": 1000, "delta": 1e-305},
+            {"n": 2, "delta": 1e-308},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
             BoundConfig(**kwargs)
+
+    def test_a_delta_too_small_for_n_names_both(self):
+        with pytest.raises(ValidationError, match=r"^delta=1e-300 is too small for n=1000$"):
+            BoundConfig(n=1000, delta=1e-300)
+        with warnings.catch_warnings():  # numpy scalars overflow with no warning either
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                BoundConfig(n=np.int64(1000), delta=np.float64(1e-300))
+        config = BoundConfig(n=1000, delta=1e-290)
+        assert math.isfinite(config.thm2_c) and math.isfinite(complexity_term(0.0, 0.0, config))
 
 
 class TestHoeffdingZcp:

@@ -414,7 +414,7 @@ def _first_difference(got, want):
 
 class TestArrayRenderer:
     """The array path against ``oracle_render_csv``, the %-format renderer it replaces for
-    tables of float64 and integer columns."""
+    tables of float64 arrays and ranges."""
 
     @staticmethod
     def _same(table, summary=None):
@@ -425,10 +425,30 @@ class TestArrayRenderer:
         return text
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(_FLOAT_BITS, st.integers(0, 10**16 - 1)), min_size=1, max_size=40))
-    def test_any_float64_bits_render_as_the_oracle(self, cells):
-        floats, ints = zip(*cells)
-        self._same({"i": np.array(ints), "x": np.array(floats), "y": -np.array(floats)})
+    @given(st.lists(_FLOAT_BITS, min_size=1, max_size=40), st.integers(0, 2**53 - 41))
+    def test_any_float64_bits_render_as_the_oracle(self, floats, start):
+        t = range(start, start + len(floats))
+        self._same({"t": t, "x": np.array(floats), "y": -np.array(floats)})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**53 - 1),
+        st.one_of(st.integers(1, 3), st.integers(1, 2**53)),
+        st.booleans(),
+        st.integers(0, 50),
+    )
+    def test_any_range_renders_as_the_oracle(self, start, step, down, count):
+        # as many of count values as stay in [0, 2**53)
+        fit = start // step + 1 if down else -(-(2**53 - start) // step)
+        step = -step if down else step
+        t = range(start, start + min(count, fit) * step, step)
+        self._same({"t": t, "x": np.sqrt(np.arange(len(t), dtype=np.float64))})
+
+    def test_ranges_next_to_2_to_the_53(self):
+        self._same({"t": range(2**53 - 3, 2**53), "x": np.full(3, 0.5)})
+        table = {"t": range(2**53 - 1, 2**53 + 1), "x": np.full(2, 0.5)}
+        assert cli._array_columns(table) is None  # 2**53 + 1 is not a float64
+        assert _first_difference(cli._render_csv(table, {}), oracle_render_csv(table, {})) is None
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=40))
@@ -437,8 +457,8 @@ class TestArrayRenderer:
             table = {"i": column, "x": np.full(len(ints), 0.5)}
             text = cli._render_csv(table, {})
             assert _first_difference(text, oracle_render_csv(table, {})) is None
-            # a value of 10**16 or more sends the table to the list path
-            assert (cli._array_columns(table) is None) == (max(ints) >= 10**16)
+            # an integer array sends the table to the list path
+            assert cli._array_columns(table) is None
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = _powers_of_ten()
@@ -487,14 +507,15 @@ class TestArrayRenderer:
         spy = lambda value, spec: calls.append(value) or format(value, spec)  # noqa: E731
         monkeypatch.setattr(cli, "format", spy, raising=False)
         assert _first_difference(cli._render_csv(table, summary), expected) is None
-        # every float cell, and the summary's floats through _fmt
-        assert len(calls) == 3 * 3000 + sum(isinstance(v, float) for v in summary.values())
+        # every cell, and the summary's floats through _fmt
+        assert len(calls) == 4 * 3000 + sum(isinstance(v, float) for v in summary.values())
 
     def test_only_array_tables_take_the_array_path(self):
         floats = np.linspace(0.0, 1.0, 4)
-        assert cli._array_columns({"t": range(1, 5), "x": floats, "i": np.arange(4)}) is not None
+        assert cli._array_columns({"t": range(1, 5), "x": floats}) is not None
         for column in ([0.0, 1.0, 2.0, 3.0], floats.astype(np.float32), floats > 0.5, range(-1, 3),
-                       np.arange(4) - 1, floats[:3], floats.reshape(2, 2)):
+                       np.arange(4), np.arange(4) - 1, range(2**53 - 3, 2**53 + 1), floats[:3],
+                       floats.reshape(2, 2)):
             assert cli._array_columns({"x": floats, "c": column}) is None
 
     def test_scale_table_against_exact_powers(self):

@@ -77,16 +77,19 @@ def _instance():
 _NOT_REAL = ("x", NAN, None)
 # An integer argument also refuses infinities and 2.5
 _NOT_INT = ("x", NAN, None, INF, -INF, 2.5)
+# A count that sizes an array also refuses values above errors._MAX_COUNT, 10**18 + 1 among
+# them though its float is 1e18
+_NOT_COUNT = (*_NOT_INT, 10**18 + 1, 2**63)
 
 # name -> (call taking the value under test, values it must refuse)
 _TABLE = {
     "GibbsPosterior.eta": (GibbsPosterior, (*_NOT_REAL, INF, -INF)),
     "learning_instance_from_dict.m": (lambda v: learning_instance_from_dict({"m": v}), _NOT_INT),
     "LearningInstance.draw_losses.n": (
-        lambda v: _instance().draw_losses(v, np.random.default_rng(0)), _NOT_INT
+        lambda v: _instance().draw_losses(v, np.random.default_rng(0)), _NOT_COUNT
     ),
     "LearningInstance.loss_sums.n": (
-        lambda v: _instance().loss_sums(v, np.random.default_rng(0)), _NOT_INT
+        lambda v: _instance().loss_sums(v, np.random.default_rng(0)), _NOT_COUNT
     ),
     "LearningInstance.posterior.n": (lambda v: _instance().posterior([0.5, 0.5], v), _NOT_INT),
     "renyi_discrete.alpha": (lambda v: renyi_discrete(_P, _Q, v), (*_NOT_REAL, INF, -INF)),
@@ -128,13 +131,14 @@ _TABLE = {
     "divergence_gaussian.c": (
         lambda v: divergence_gaussian(_PAIR, "zcp", c=v), (*_NOT_REAL, INF, -INF)
     ),
-    "mean_zero_coins.n": (lambda v: mean_zero_coins(v, 0), _NOT_INT),
+    "mean_zero_coins.n": (lambda v: mean_zero_coins(v, 0), _NOT_COUNT),
     "mean_zero_coins.seed": (lambda v: mean_zero_coins(4, v), (*_NOT_INT, -1)),
     "mean_zero_coins.path": (lambda v: mean_zero_coins(4, 0, v), (*_NOT_INT, -1)),
     "hoeffding_zcp_bound.d_zcp": (lambda v: hoeffding_zcp_bound(v, _CONFIG), (*_NOT_REAL, -INF)),
     "mcallester_baseline.d_kl": (lambda v: mcallester_baseline(v, _CONFIG), (*_NOT_REAL, -INF)),
     "complexity_term.d_alpha": (lambda v: complexity_term(v, 0.1, _CONFIG), (*_NOT_REAL, -INF)),
     "complexity_term.d_zcp": (lambda v: complexity_term(0.1, v, _CONFIG), (*_NOT_REAL, -INF)),
+    "BoundConfig.n": (lambda v: BoundConfig(v, 0.05), _NOT_COUNT),
     "complexity_term.config.n": (
         lambda v: complexity_term(0.1, 0.1, BoundConfig(v, 0.05)), (2.5, INF, 1)
     ),
@@ -160,7 +164,7 @@ _TABLE = {
     "fenchel_dual_bound.b": (lambda v: fenchel_dual_bound(1.0, v, 1.0), (*_NOT_REAL, INF, -INF)),
     "fenchel_dual_bound.y": (lambda v: fenchel_dual_bound(1.0, 1.0, v), (*_NOT_REAL, INF, -INF)),
     "analytic_inequality_suite.trials": (
-        lambda v: analytic_inequality_suite(trials=v), _NOT_INT
+        lambda v: analytic_inequality_suite(trials=v), _NOT_COUNT
     ),
     "analytic_inequality_suite.seed": (
         lambda v: analytic_inequality_suite(trials=10, seed=v), (*_NOT_INT, -1)
@@ -175,13 +179,18 @@ _TABLE = {
     ),
     "run_coverage.trials": (lambda v: run_coverage(_instance(), _CONFIG, v, 0), _NOT_INT),
     "run_coverage.seed": (lambda v: run_coverage(_instance(), _CONFIG, 100, v), (*_NOT_INT, -1)),
+    "ville_experiment.n": (lambda v: ville_experiment(v, [0.1], 1000, 0), _NOT_COUNT),
     "ville_experiment.seed": (lambda v: ville_experiment(10, [0.1], 1000, v), (*_NOT_INT, -1)),
     "tightness_comparison.u": (
         lambda v: tightness_comparison(v, [4], _CONFIG), (*_NOT_REAL, INF, -INF)
     ),
     "tightness_comparison.d_values": (
-        lambda v: tightness_comparison(1.0, [v], _CONFIG), (*_NOT_INT, 4.5)
+        lambda v: tightness_comparison(1.0, [v], _CONFIG), (*_NOT_COUNT, 4.5)
     ),
+    "divergence_scaling_table.d_values": (
+        lambda v: harness.divergence_scaling_table(1.0, [4, v]), _NOT_COUNT
+    ),
+    "multivariate_instance.d": (lambda v: multivariate_instance(v, 1.0), _NOT_COUNT),
     "gaussian_instance.exponent": (
         lambda v: gaussian_instance(0.1, v), (np.array([1.0, 0.75]),)
     ),
@@ -222,6 +231,11 @@ class TestScalarChecks:
             result = _integer(value, "d", 2)
             assert result == 4 and type(result) is int
         assert _integer(2**60 + 1, "seed", 0) == 2**60 + 1
+
+    def test_an_int_whose_float_rounds_to_high_is_out_of_range(self):
+        with pytest.raises(ValidationError, match=r"^n must lie in \[1, 1e\+18\]$"):
+            _integer(10**18 + 1, "n", 1, 10**18)
+        assert _integer(10**18, "n", 1, 10**18) == 10**18
 
     def test_an_int_beyond_float_range_is_out_of_range(self):
         with pytest.raises(ValidationError, match=r"must lie in \[1, inf\)"):

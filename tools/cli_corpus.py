@@ -1,15 +1,15 @@
 """Golden CLI corpus: one line of hashes per argv and output format.
 
 Runs a fixed list of ``zcp-paclab`` argvs in-process against the package
-sources under ``--src`` and prints one line for each argv in CSV and again
-with ``--format json``: the exit code, the sha256 of stdout, the sha256 of
-stderr and the argv.  Run it on a checkout of the parent commit and on the
-change, then diff the two outputs; a refactor that keeps the CLI
-byte-identical shows no difference:
+sources under ``--src`` and prints a header line, ``# numpy <version> python
+<major.minor>``, then one line for each argv in CSV and again with
+``--format json``: the exit code, the sha256 of stdout, the sha256 of stderr
+and the argv.  The output is committed as ``tools/cli_corpus.txt``, and
+``tests/test_workflow.py`` checks that a run still prints it; a change that
+means to alter some output regenerates the file, and its diff names every
+argv whose output changed:
 
-    python3 tools/cli_corpus.py --src /path/to/parent/src > before.txt
-    python3 tools/cli_corpus.py --src src > after.txt
-    diff before.txt after.txt
+    python3 tools/cli_corpus.py --src src > tools/cli_corpus.txt
 
 ``--show-stderr`` prints the text of stderr instead of its hash, to read
 what a reworded message now says.  An exception that escapes ``cli.run``
@@ -24,8 +24,8 @@ that directory as ``<config-dir>``.
 ``--check`` also exits 1 when the corpus shows a fault on its own: a case
 that raised, a GOLDEN argv that exits nonzero or prints anything to stderr
 (a log line, or a Python warning shown as a ``<Category>: <message>`` line),
-or an INVALID argv that exits 0 or prints to stdout.  A continuous-integration
-job runs it that way:
+or an INVALID argv that exits 0 or prints to stdout.  The test and the
+numpy-floor continuous-integration job run it that way:
 
     python tools/cli_corpus.py --src src --check > /dev/null
 """
@@ -44,6 +44,7 @@ from pathlib import Path
 _COVERAGE = ("--n", "1000", "--eta", "5", "--delta", "0.05", "--alpha", "2")
 _P, _Q = ("--p", "0.5,0.3,0.2,0"), ("--q", "0.25,0.25,0.25,0.25")
 _EQUAL = ("--p", "0.1,0.2,0.3,0.4", "--q", "0.1,0.2,0.3,0.4")
+_HUGE = str(10**20)
 
 # --config file name -> its text
 CONFIGS = {
@@ -257,6 +258,16 @@ _OUT_OF_RANGE = (
        "--alpha", "0.5") for sigma1 in ("1e-300", "1e200")),
     ("divergence", "--mixture-p", "0.2", "--sigma1", "1e307", "--kind", "kl"),
     ("divergence", "--kind", "kl", "--p", "0.5,0.5", "--q", "0.5,0.5", "--sigma1", "3"),
+    # counts past 10**18 that sized an array and raised numpy's ValueError or OverflowError
+    ("bound", "--n", _HUGE, "--m", "2"),
+    ("bound", "--n", _HUGE, "--m", "2", "--loss", "bernoulli"),
+    ("betting", "--n", str(2**63 - 1)),
+    *((command, "--n", _HUGE) for command in ("coverage", "ville", "betting")),
+    *((command, "--trials", _HUGE) for command in ("inequalities", "self-check")),
+    ("instance", "--kind", "multivariate", "--d", _HUGE, "--u", "1"),
+    ("scaling", "--d", f"4,{_HUGE}"),
+    # a delta so small that the complexity term's constant overflowed and printed inf
+    *(("bound", "--n", n, "--delta", delta) for n, delta in (("1000", "1e-300"), ("2", "1e-308"))),
 )
 
 
@@ -299,8 +310,10 @@ def main() -> None:
     parser.add_argument("--check", action="store_true", help="exit 1 when a case shows a fault")
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy as np
     from zcp_paclab import cli
 
+    print(f"# numpy {np.__version__} python {sys.version_info.major}.{sys.version_info.minor}")
     faults = []
     with tempfile.TemporaryDirectory(prefix="cli-corpus-") as config_dir:
         for name, text in CONFIGS.items():
