@@ -137,7 +137,7 @@ def kt_bettor(coins) -> WealthTrace:
     """
     arr = _floats(coins, "coins", -1.0, 1.0, ndim=1)
     bets, log_wealth = _kt_rows(arr)
-    beta_star, log_wealth_star = max_log_wealth(arr)
+    beta_star, log_wealth_star = _max_log_wealth(arr)
     return WealthTrace(
         coins=arr.copy(),
         bets=bets,

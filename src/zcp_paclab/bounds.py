@@ -27,7 +27,6 @@ __all__ = [
     "mcallester_baseline",
     "complexity_term",
     "empirical_bernstein_bound",
-    "expected_sample_variance",
     "sample_variance_from_sums",
     "little_kl_mean_bound",
     "AsymptoticsCheck",
@@ -151,22 +150,6 @@ def sample_variance_from_sums(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndar
 
 def _sample_variance(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(n * s2 - s1 * s1, 0.0) / (n * (n - 1.0))
-
-
-def expected_sample_variance(losses: np.ndarray, posterior: DiscreteDistribution) -> float:
-    """Posterior average of the per-atom unbiased sample variance.
-
-    Equals (1/(n(n-1))) sum_{i<j} E_posterior[(f(theta, X_i) -
-    f(theta, X_j))^2], computed from the column sums of the losses and of
-    their squares (``sample_variance_from_sums``) rather than the
-    quadratic double sum.
-    """
-    arr = _floats(losses, "losses", 0.0, 1.0, ndim=2)
-    n, m = arr.shape
-    if m != posterior.support_size:
-        raise ValidationError("losses column count must match the posterior support")
-    per_atom = sample_variance_from_sums(arr.sum(axis=0), (arr * arr).sum(axis=0), n)
-    return float(posterior.weights @ per_atom)
 
 
 def little_kl_mean_bound(p_hat_mean: float, comp: float, n: int) -> float:

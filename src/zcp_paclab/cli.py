@@ -9,7 +9,7 @@ then rename).  Identical argv and seed produce byte-identical output.
 
 Exit codes: 0 success, 1 usage or validation error, 2 when a verification
 subcommand (coverage, gaussian-check, ville, inequalities, self-check)
-finds a failed PASS criterion.
+finds a failed PASS criterion and so writes ``all_passed=false`` in its summary.
 """
 
 from __future__ import annotations
@@ -354,13 +354,13 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (table, summary, passed), where the table
-# maps each column name to its values, a list or a 1-d array.  ``passed`` is
-# None for purely computational commands and drives exit code 2 otherwise.
+# Subcommand handlers: each returns (table, summary), where the table maps each
+# column name to its values, a list or a 1-d array.  A verification command's
+# summary holds its verdict as "all_passed", which drives exit code 2.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
+def _cmd_divergence(args) -> tuple[dict, dict]:
     kind = args.kind
     kinds = [k.value for k in DivergenceKind] + ["little_kl"]  # little_kl takes two numbers
     if kind not in kinds:
@@ -398,10 +398,10 @@ def _cmd_divergence(args) -> tuple[dict, dict, bool | None]:
         raise ValidationError("divergence needs either --p/--q weights or --mixture-p")
 
     row = dict(kind=kind, alpha=args.alpha, c=args.c, value=value, abs_error_estimate=abs_error)
-    return _table([row]), {"seed": args.seed}, None
+    return _table([row]), {"seed": args.seed}
 
 
-def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
+def _cmd_instance(args) -> tuple[dict, dict]:
     owners = {"p": "bernoulli", "lna": "bernoulli", "d": "multivariate", "u": "multivariate"}
     for flag, owner in {**owners, **dict.fromkeys(_MIXTURE_FLAGS, "gaussian")}.items():
         if owner != args.kind:
@@ -448,7 +448,7 @@ def _cmd_instance(args) -> tuple[dict, dict, bool | None]:
             "tv": divergence_gaussian(pair, DivergenceKind.TV).value,
             "zcp1": divergence_gaussian(pair, DivergenceKind.ZCP, c=1.0).value,
         }
-    return _table([row]), {"seed": args.seed}, None
+    return _table([row]), {"seed": args.seed}
 
 
 def _mixture_pair(args):
@@ -457,7 +457,7 @@ def _mixture_pair(args):
     return gaussian_instance(args.mixture_p, 1.0 if args.exponent is None else args.exponent)
 
 
-def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
+def _cmd_betting(args) -> tuple[dict, dict]:
     if args.coins is not None:
         _refuse_flag(args, "n", "sampled coins", "--coins")
         coins = args.coins
@@ -480,17 +480,17 @@ def _cmd_betting(args) -> tuple[dict, dict, bool | None]:
         "quadratic_lower": wealth_quadratic_lower(coins),
         "seed": args.seed,
     }
-    return table, summary, None
+    return table, summary
 
 
 def _bound_inputs(args):
     """The bound config, the learning instance, and summary entries that name both."""
     config = BoundConfig(n=args.n, delta=args.delta, alpha=args.alpha)
-    # a config instance's m, loss and eta were read as flags, so explicit flags win.  --eta
-    # defaults to 5 here, not in the parser, so that a fixed posterior refuses only a given value
+    # a config instance's m, loss and eta were read as flags, so explicit flags win.  --eta has
+    # no parser default, so that a fixed posterior refuses only a given value
     payload = {**(args.instance or {}), "m": args.m, "loss": args.loss}
-    if args.eta is not None or payload.get("posterior", "gibbs") == "gibbs":
-        payload["eta"] = 5.0 if args.eta is None else args.eta
+    if args.eta is not None:
+        payload["eta"] = args.eta
     instance = learning_instance_from_dict(payload)
     rule = instance.posterior_rule
     named = {"m": instance.theta_count, "loss": instance.loss_kind.value}
@@ -498,57 +498,56 @@ def _bound_inputs(args):
     return config, instance, {**dataclasses.asdict(config), **named}
 
 
-def _cmd_bound(args) -> tuple[dict, dict, bool | None]:
+def _cmd_bound(args) -> tuple[dict, dict]:
     config, instance, summary = _bound_inputs(args)
     report = next(iter(coverage_reports(instance, config, trials=1, seed=args.seed)))
-    return _table([report]), {**summary, "seed": args.seed}, None
+    return _table([report]), {**summary, "seed": args.seed}
 
 
-def _cmd_coverage(args) -> tuple[dict, dict, bool | None]:
+def _cmd_coverage(args) -> tuple[dict, dict]:
     config, instance, summary = _bound_inputs(args)
-    report = run_coverage(instance, config, args.trials, args.seed)
-    summary.update(trials=args.trials, seed=args.seed, all_passed=report.all_passed)
-    return _table(report.rows), summary, report.all_passed
+    rows = run_coverage(instance, config, args.trials, args.seed)
+    summary.update(trials=args.trials, seed=args.seed, all_passed=all(row.passed for row in rows))
+    return _table(rows), summary
 
 
-def _cmd_scaling(args) -> tuple[dict, dict, bool | None]:
+def _cmd_scaling(args) -> tuple[dict, dict]:
     table = divergence_scaling_table(args.u, args.d)
     summary = {"u": args.u}
     for name in ("kl", "tv", "zcp1"):
         summary[f"slope_{name}"] = table.slopes[name]
         summary[f"expected_slope_{name}"] = table.expected_slopes[name]
-    return _table(table.rows), summary, None
+    return _table(table.rows), summary
 
 
-def _cmd_gaussian_check(args) -> tuple[dict, dict, bool | None]:
-    checks = gaussian_instance_check(args.p, args.exponent)
-    all_ok = all(r.kl_ok and r.product_ok for r in checks)
-    return _table(checks), {"exponent": args.exponent, "all_passed": all_ok}, all_ok
+def _cmd_gaussian_check(args) -> tuple[dict, dict]:
+    rows = gaussian_instance_check(args.p, args.exponent)
+    summary = {"exponent": args.exponent, "all_passed": all(r.kl_ok and r.product_ok for r in rows)}
+    return _table(rows), summary
 
 
-def _cmd_ville(args) -> tuple[dict, dict, bool | None]:
+def _cmd_ville(args) -> tuple[dict, dict]:
     rows = ville_experiment(args.n, args.delta, args.paths, args.seed)
-    all_ok = all(r.passed for r in rows)
-    summary = {"n": args.n, "paths": args.paths, "seed": args.seed, "all_passed": all_ok}
-    return _table(rows), summary, all_ok
+    summary = {"n": args.n, "paths": args.paths, "seed": args.seed,
+               "all_passed": all(r.passed for r in rows)}
+    return _table(rows), summary
 
 
-def _cmd_inequalities(args) -> tuple[dict, dict, bool | None]:
+def _cmd_inequalities(args) -> tuple[dict, dict]:
     rows = analytic_inequality_suite(trials=args.trials, seed=args.seed)
-    passed = all(row.passed for row in rows)
-    summary = {"trials": args.trials, "tolerance": _LEMMA_TOLERANCE, "all_passed": passed}
-    return _table(rows), summary, passed
+    summary = {"trials": args.trials, "tolerance": _LEMMA_TOLERANCE,
+               "all_passed": all(row.passed for row in rows)}
+    return _table(rows), summary
 
 
-def _cmd_self_check(args) -> tuple[dict, dict, bool | None]:
+def _cmd_self_check(args) -> tuple[dict, dict]:
     rows = self_check_suite(trials=args.trials, seed=args.seed)
-    all_ok = all(row.passed for row in rows)
     for row in rows:
         if not row.passed:
             message = f"self-check failure: {row.check} worst_slack={_fmt(row.worst_slack)}"
             print(message, file=sys.stderr)
-    summary = {"trials": args.trials, "seed": args.seed, "all_passed": all_ok}
-    return _table(rows), summary, all_ok
+    summary = {"trials": args.trials, "seed": args.seed, "all_passed": all(r.passed for r in rows)}
+    return _table(rows), summary
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +715,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args([command, *flags, *argv[1:]], namespace)
         if args.config != config:
             raise ValidationError("write --config in full; it cannot be abbreviated")
-        table, summary, passed = _COMMANDS[command][0](args)
+        table, summary = _COMMANDS[command][0](args)
         render = _render_json if args.format == "json" else _render_csv
         text = render(table, summary)
         _write_output(text, args.out)
@@ -726,7 +725,7 @@ def run(argv: list[str]) -> int:
         reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
         print(f"zcp-paclab {command}: error: {reason}", file=sys.stderr)
         return 1
-    return 0 if passed is None or passed else 2
+    return 0 if summary.get("all_passed", True) else 2
 
 
 def main() -> None:

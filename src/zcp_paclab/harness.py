@@ -67,7 +67,6 @@ __all__ = [
     "LearningInstance",
     "learning_instance_from_dict",
     "CoverageRow",
-    "CoverageReport",
     "coverage_reports",
     "run_coverage",
     "wilson_upper",
@@ -163,30 +162,18 @@ class LearningInstance:
         means.setflags(write=False)
         return means
 
-    def draw_losses(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(n, m) loss matrix for one i.i.d. sample of size n.
-
-        Coverage trials use ``loss_sums`` instead; this matrix is the
-        reference its sums are tested against.
-        """
-        n = _integer(n, "n", 1, _MAX_COUNT)
-        if self.loss_kind is LossKind.ABS_DISTANCE:
-            x = rng.random(n)
-            return np.abs(self.atom_positions[None, :] - x[:, None])
-        return (rng.random((n, self.theta_count)) < self.bernoulli_means[None, :]).astype(float)
-
     def loss_sums(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """Per-atom sums (S1, S2) of the losses and squared losses of one
         i.i.d. sample of size n, without building the (n, m) loss matrix.
 
-        ABS_DISTANCE makes the same draw as ``draw_losses`` and sorts it:
+        ABS_DISTANCE draws the sample as ``random(n)`` and sorts it:
         with prefix sums C of the sorted sample and k = #{X_i < t_j},
         S1_j = t_j k - C[k] + (C[n] - C[k]) - t_j (n - k)
         = t_j (2k - n) + C[n] - 2 C[k] and
         S2_j = n t_j^2 - 2 t_j sum X + sum X^2, in O(n log n + m log n).
-        BERNOULLI draws the per-atom counts as Binomial(n, mean_j), which
-        has the law of ``draw_losses`` column sums but not its random
-        stream; bits square to themselves, so S2 = S1, in O(m).  S1 is
+        BERNOULLI draws the per-atom counts as Binomial(n, mean_j), the law
+        of the column sums of an (n, m) matrix of Bernoulli(mean_j) bits;
+        bits square to themselves, so S2 = S1, in O(m).  S1 is
         clipped to [0, n] and S2 to [0, S1], so rounding never pushes a
         mean out of [0, 1].
         """
@@ -233,9 +220,10 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     """Build a LearningInstance from its JSON-config form.
 
     Keys: m (int), loss ("abs" | "bernoulli"), posterior ("gibbs" | "fixed"), eta (gibbs
-    only, 1 by default), prior (optional weight list, uniform by default), fixed_weights
+    only, 5 by default), prior (optional weight list, uniform by default), fixed_weights
     (fixed only, the prior by default), bernoulli_means (optional).  A key the chosen
     posterior ignores is refused, and so is a None value: only an absent key takes a default.
+    A bool, or a list holding one, is refused rather than read as the number 0 or 1.
     """
     if not isinstance(payload, dict):
         raise ValidationError("instance config must be a JSON object")
@@ -245,6 +233,9 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
             raise ValidationError(f"instance config key {key!r} is not one of {keys}")
         if value is None:
             raise ValidationError(f"instance config key {key!r} cannot be null")
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, bool):
+                raise ValidationError(f"instance config key {key!r} cannot be {str(item).lower()}")
     if "m" not in payload:
         raise ValidationError("instance config requires an integer 'm'")
     m = _integer(payload["m"], "m", 1, _MAX_ATOMS)
@@ -263,7 +254,7 @@ def learning_instance_from_dict(payload: dict) -> LearningInstance:
     if ignored in payload:
         raise ValidationError(f"{ignored!r} does not apply to a {rule_name} posterior")
     if rule_name == "gibbs":
-        rule: FixedPosterior | GibbsPosterior = GibbsPosterior(payload.get("eta", 1.0))
+        rule: FixedPosterior | GibbsPosterior = GibbsPosterior(payload.get("eta", 5.0))
     else:
         weights = payload.get("fixed_weights")
         rule = FixedPosterior(make_discrete(weights) if weights is not None else prior)
@@ -429,30 +420,17 @@ class CoverageRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """One CoverageRow per bound, in BOUND_NAMES order.
-
-    A run keeps counts only: trial t's BoundReport is the t-th that
-    ``coverage_reports`` yields for the same arguments, and it failed a bound
-    where its ``failures()`` is true.
-    """
-
-    rows: tuple[CoverageRow, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
-
-
 def run_coverage(
     instance: LearningInstance, config: BoundConfig, trials: int, seed: int
-) -> CoverageReport:
-    """Monte Carlo coverage check of every bound on one instance.
+) -> list[CoverageRow]:
+    """Monte Carlo coverage check of every bound on one instance: one CoverageRow per bound,
+    in BOUND_NAMES order.
 
     PASS criterion per bound: the one-sided 99% Wilson upper bound on the
     failure rate is at most 2*delta (both theorems spend at most 2*delta
-    of failure probability).
+    of failure probability).  A run keeps counts only: trial t's BoundReport
+    is the t-th that ``coverage_reports`` yields for the same arguments, and
+    it failed a bound where its ``failures()`` is true.
     """
     trials, seed = _integer(trials, "trials", 100), _integer(seed, "seed", 0)
     counts = dict.fromkeys(BOUND_NAMES, 0)
@@ -465,7 +443,7 @@ def run_coverage(
         upper = wilson_upper(count, trials)
         rows.append(
             CoverageRow(name, count, trials, count / trials, upper, budget, upper <= budget))
-    return CoverageReport(tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,26 @@ def oracle_coins(n, seed, path):
     return np.where(odd, magnitudes, -magnitudes)
 
 
+def oracle_losses(instance, n, rng):
+    """The (n, m) loss matrix of one i.i.d. sample of size n, the reference ``loss_sums`` is
+    tested against.  The abs loss reads the sample as ``rng.random(n)``, as ``loss_sums`` does;
+    the Bernoulli loss draws (n, m) bits, whose column sums have the law of ``loss_sums``'
+    counts but not its random stream."""
+    if instance.loss_kind is LossKind.ABS_DISTANCE:
+        x = rng.random(n)
+        return np.abs(instance.atom_positions[None, :] - x[:, None])
+    return (rng.random((n, instance.theta_count)) < instance.bernoulli_means[None, :]).astype(float)
+
+
+def oracle_expected_sample_variance(losses, posterior):
+    """Posterior average of the per-atom unbiased sample variance of an (n, m) loss matrix:
+    (1/(n(n-1))) sum_{i<j} E_posterior[(f(theta, X_i) - f(theta, X_j))^2], computed from the
+    column sums of the losses and of their squares rather than the quadratic double sum."""
+    n = losses.shape[0]
+    per_atom = sample_variance_from_sums(losses.sum(axis=0), (losses * losses).sum(axis=0), n)
+    return float(posterior.weights @ per_atom)
+
+
 def oracle_report(instance, config, seed, trial):
     """Trial ``trial`` of a coverage run, computed from public scalar functions only.  Its
     losses read PCG64(seed) from word trial * n (``random(n)`` of the abs loss) or from word

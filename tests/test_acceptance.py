@@ -254,17 +254,17 @@ def test_criterion_08_coverage(capsys):
             {"m": 50, "loss": "abs", "posterior": "gibbs", "eta": 5.0}
         )
         abs_report = run_coverage(abs_instance, config, trials=2000, seed=3)
-        abs_rows = {row.bound: row for row in abs_report.rows}
+        abs_rows = {row.bound: row for row in abs_report}
         for name in ("hoeffding_zcp", "mcallester", "emp_bernstein"):
             assert abs_rows[name].passed, (name, abs_rows[name].wilson_upper_99)
         bern_instance = learning_instance_from_dict(
             {"m": 50, "loss": "bernoulli", "posterior": "gibbs", "eta": 5.0}
         )
         bern_report = run_coverage(bern_instance, config, trials=2000, seed=3)
-        bern_kl = {row.bound: row for row in bern_report.rows}["little_kl"]
+        bern_kl = {row.bound: row for row in bern_report}["little_kl"]
         assert bern_kl.passed, bern_kl.wilson_upper_99
         elapsed = time.perf_counter() - start
-        failures = sum(row.failures for row in (*abs_report.rows, *bern_report.rows))
+        failures = sum(row.failures for row in (*abs_report, *bern_report))
         note = f"2x2000 trials, {failures} bound failures total; {elapsed:.0f}s"
         assert elapsed < 600.0
         ok = True

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import zcp_paclab
 from conftest import oracle_render_csv
-from zcp_paclab import cli, harness
+from zcp_paclab import CoverageRow, GaussianCheckRow, VilleRow, cli, harness
 from zcp_paclab.bounds import CheckRow
 
 
@@ -1006,3 +1006,35 @@ def test_every_subcommand_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"loaded": [], "codes": [0] * len(_SMALL_RUNS)}
+
+
+# Each verification command: the library call its handler makes, and one row of that call's
+# result, passing or failing
+_VERDICTS = {
+    "coverage": ("run_coverage", lambda ok: CoverageRow("mcallester", 0, 100, 0.0, 0.05, 0.1, ok)),
+    "gaussian-check": (
+        "gaussian_instance_check", lambda ok: GaussianCheckRow(0.2, 1.0, 2.0, 0.1, 1.2, ok, 0.2, ok)
+    ),
+    "ville": ("ville_experiment", lambda ok: VilleRow(0.1, 0, 1000, 0.0, 0.005, ok)),
+    "inequalities": ("analytic_inequality_suite", lambda ok: CheckRow("fenchel_dual", 0.0, 0, ok)),
+    "self-check": ("self_check_suite", lambda ok: CheckRow("betting_invariants", 0.0, 0, ok)),
+}
+
+
+@pytest.mark.parametrize("passed", [True, False])
+@pytest.mark.parametrize("argv", [argv for argv in _SMALL_RUNS if argv[0] in _VERDICTS],
+                         ids=lambda argv: argv[0])
+def test_the_summary_verdict_sets_the_exit_code(capsys, monkeypatch, argv, passed):
+    name, row = _VERDICTS[argv[0]]
+    monkeypatch.setattr(cli, name, lambda *args, **kwargs: [row(passed)])
+    code, out, _ = _run(capsys, argv)
+    assert code == (0 if passed else 2)
+    assert f"# all_passed={str(passed).lower()}" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [argv for argv in _SMALL_RUNS if argv[0] not in _VERDICTS],
+                         ids=lambda argv: argv[0])
+def test_only_a_verification_command_has_a_verdict(capsys, argv):
+    code, out, _ = _run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert "all_passed" not in json.loads(out)["summary"]

@@ -132,7 +132,7 @@ class TestBlocks:
         reports = list(coverage_reports(instance, _CONFIG, 200, 3))
         with caplog.at_level(logging.WARNING, logger="zcp_paclab.harness"):
             result = run_coverage(instance, _CONFIG, 200, 3)
-        failures = {row.bound: row.failures for row in result.rows}
+        failures = {row.bound: row.failures for row in result}
         assert failures == {
             name: sum(report.failures()[name] for report in reports) for name in failures}
         assert 0 < failures["hoeffding_zcp"] < 200
@@ -171,7 +171,7 @@ class TestStreamSpans:
         _assert_engine_matches_oracle(instance, _CONFIG, trials, seed)
         report = run_coverage(instance, _CONFIG, 2 * rows + 1, seed)  # past two boundaries
         oracle = [oracle_report(instance, _CONFIG, seed, trial) for trial in range(2 * rows + 1)]
-        counts = {row.bound: row.failures for row in report.rows}
+        counts = {row.bound: row.failures for row in report}
         assert counts == {name: sum(r.failures()[name] for r in oracle) for name in counts}
         assert counts["hoeffding_zcp"] > 0
 

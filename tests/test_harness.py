@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 
 import zcp_paclab
+from conftest import oracle_expected_sample_variance, oracle_losses
 from zcp_paclab import (
     BoundConfig,
     CheckRow,
-    CoverageReport,
-    CoverageRow,
     FixedPosterior,
     GibbsPosterior,
     LearningInstance,
@@ -31,7 +30,6 @@ from zcp_paclab import (
     gaussian_instance_check,
     hoeffding_zcp_bound,
     learning_instance_from_dict,
-    expected_sample_variance,
     kt_bettor,
     make_discrete,
     max_log_wealth,
@@ -77,7 +75,7 @@ class TestLearningInstance:
 
     def test_abs_losses_are_distances_to_a_shared_point(self):
         inst = _instance(m=10)
-        losses = inst.draw_losses(6, np.random.default_rng(1))
+        losses = oracle_losses(inst, 6, np.random.default_rng(1))
         assert losses.shape == (6, 10)
         # atom 0 sits at position 0, so column 0 recovers the sample point
         for row in losses:
@@ -85,15 +83,9 @@ class TestLearningInstance:
 
     def test_bernoulli_losses_are_bits_with_matching_rates(self):
         inst = _instance(m=3, loss=LossKind.BERNOULLI, bernoulli_means=[0.1, 0.5, 0.9])
-        losses = inst.draw_losses(20_000, np.random.default_rng(2))
+        losses = oracle_losses(inst, 20_000, np.random.default_rng(2))
         assert set(np.unique(losses)) <= {0.0, 1.0}
         np.testing.assert_allclose(losses.mean(axis=0), [0.1, 0.5, 0.9], atol=0.02)
-
-    def test_draw_losses_deterministic_in_the_generator(self):
-        inst = _instance()
-        a = inst.draw_losses(5, np.random.default_rng(9))
-        b = inst.draw_losses(5, np.random.default_rng(9))
-        np.testing.assert_array_equal(a, b)
 
     def test_fixed_posterior_is_returned_verbatim(self):
         target = make_discrete([0.9] + [0.1 / 7] * 7)
@@ -167,10 +159,6 @@ class TestLearningInstance:
         with pytest.raises(ValidationError, match="^prior support must equal m$"):
             learning_instance_from_dict({"m": 2, "prior": [1, 2, 3], "posterior": "fixed"})
 
-    def test_draw_losses_rejects_bad_n(self):
-        with pytest.raises(ValidationError):
-            _instance().draw_losses(0, np.random.default_rng(0))
-
 
 class _FixedDraw:
     """Stands in for a generator whose ``random(n)`` returns given points."""
@@ -184,7 +172,7 @@ class _FixedDraw:
 
 
 def _assert_sums_match_matrix(inst, n, make_rng):
-    losses = inst.draw_losses(n, make_rng())
+    losses = oracle_losses(inst, n, make_rng())
     s1, s2 = inst.loss_sums(n, make_rng())
     np.testing.assert_allclose(s1, losses.sum(axis=0), rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(s2, (losses * losses).sum(axis=0), rtol=1e-12, atol=1e-12)
@@ -192,7 +180,7 @@ def _assert_sums_match_matrix(inst, n, make_rng):
     posterior = make_discrete(np.linspace(1.0, 2.0, inst.theta_count))
     np.testing.assert_allclose(
         float(posterior.weights @ sample_variance_from_sums(s1, s2, n)),
-        expected_sample_variance(losses, posterior),
+        oracle_expected_sample_variance(losses, posterior),
         rtol=1e-10,
         atol=1e-15,
     )
@@ -239,7 +227,7 @@ class TestLossSums:
             np.testing.assert_array_equal(bits.sum(axis=0), s1)
             np.testing.assert_allclose(
                 float(posterior.weights @ sample_variance_from_sums(s1, s2, n)),
-                expected_sample_variance(bits, posterior),
+                oracle_expected_sample_variance(bits, posterior),
                 rtol=1e-13,
                 atol=1e-16,
             )
@@ -252,15 +240,6 @@ class TestLossSums:
     def test_variance_kernel_needs_two_samples(self):
         with pytest.raises(ValidationError):
             sample_variance_from_sums(np.ones(3), np.ones(3), 1)
-
-    @pytest.mark.parametrize("loss", list(LossKind))
-    def test_coverage_never_builds_the_loss_matrix(self, monkeypatch, loss):
-        def refuse(self, n, rng):
-            raise AssertionError("coverage trials must not build the (n, m) loss matrix")
-
-        monkeypatch.setattr(LearningInstance, "draw_losses", refuse)
-        config = BoundConfig(n=50, delta=0.05)
-        assert len(list(coverage_reports(_instance(m=20, loss=loss), config, 3, 0))) == 3
 
 
 class TestInstanceFromDict:
@@ -283,7 +262,7 @@ class TestInstanceFromDict:
     def test_defaults(self):
         inst = learning_instance_from_dict({"m": 4})
         assert inst.loss_kind is LossKind.ABS_DISTANCE
-        assert inst.posterior_rule == GibbsPosterior(1.0)
+        assert inst.posterior_rule == GibbsPosterior(5.0)
         np.testing.assert_allclose(inst.prior.weights, np.full(4, 0.25), rtol=1e-15)
 
     @pytest.mark.parametrize(
@@ -311,11 +290,24 @@ class TestInstanceFromDict:
             {"m": 3, "loss": "bernoulli", "bernoulli_means": None},
             {"m": 3, "loss": None},
             {"m": 3, "posterior": None},
+            # a bool, alone or in a list, used to be read as the number 0 or 1
+            {"m": True},
+            {"m": 3, "eta": True},
+            {"m": 3, "prior": [True, False, True]},
+            {"m": 3, "prior": [1, True, 1]},
+            {"m": 3, "posterior": "fixed", "fixed_weights": [False, False, True]},
+            {"m": 2, "loss": "bernoulli", "bernoulli_means": [True, False]},
         ],
     )
     def test_rejects_malformed_payloads(self, payload):
         with pytest.raises(ValidationError):
             learning_instance_from_dict(payload)
+
+    def test_a_bool_refusal_names_its_key(self):
+        with pytest.raises(ValidationError, match="^instance config key 'eta' cannot be true$"):
+            learning_instance_from_dict({"m": 3, "eta": True})
+        with pytest.raises(ValidationError, match="^instance config key 'prior' cannot be false$"):
+            learning_instance_from_dict({"m": 3, "prior": [1, False, 1]})
 
     @pytest.mark.parametrize(
         "payload",
@@ -379,18 +371,18 @@ class TestCoverage:
     def test_report_accounting(self):
         inst = _instance(loss=LossKind.BERNOULLI)
         report = run_coverage(inst, BoundConfig(n=50, delta=0.05), 100, 3)
-        assert all(row.trials == 100 for row in report.rows)
-        assert all(row.budget == 0.1 for row in report.rows)
-        assert [row.bound for row in report.rows] == [
+        assert all(row.trials == 100 for row in report)
+        assert all(row.budget == 0.1 for row in report)
+        assert [row.bound for row in report] == [
             "hoeffding_zcp",
             "mcallester",
             "emp_bernstein",
             "little_kl",
         ]
         reports = list(coverage_reports(inst, BoundConfig(n=50, delta=0.05), 100, 3))
-        for row in report.rows:
+        for row in report:
             assert row.failures == sum(r.failures()[row.bound] for r in reports)
-        for row in report.rows:
+        for row in report:
             assert row.failure_rate == row.failures / 100
             assert row.wilson_upper_99 == wilson_upper(row.failures, 100)
 
@@ -398,17 +390,11 @@ class TestCoverage:
         # a zero Hoeffding bound fails every trial with a positive gap, far beyond 2 delta
         monkeypatch.setattr(harness, "_hoeffding_zcp", lambda d_zcp, config: np.zeros_like(d_zcp))
         report = run_coverage(_instance(), BoundConfig(n=50, delta=0.05), 100, 3)
-        verdicts = {row.bound: row.passed for row in report.rows}
+        verdicts = {row.bound: row.passed for row in report}
         assert verdicts["mcallester"] and not verdicts["hoeffding_zcp"]
-        for row in report.rows:
+        for row in report:
             assert row.passed == (row.wilson_upper_99 <= row.budget)
-        assert not report.all_passed
-        rows = (
-            CoverageRow("a", 0, 1000, 0.0, 0.005, 0.1, True),
-            CoverageRow("b", 500, 1000, 0.5, 0.54, 0.1, False),
-        )
-        assert CoverageReport(rows[:1]).all_passed
-        assert not CoverageReport(rows).all_passed
+        assert not all(row.passed for row in report)
 
     def test_trials_floor(self):
         with pytest.raises(ValidationError):
@@ -419,7 +405,7 @@ class TestPlainRows:
     def test_row_fields_are_python_scalars(self):
         # the CLI renders these rows as they are, so no numpy scalar may sit in one
         rows = [
-            *run_coverage(_instance(), BoundConfig(n=50, delta=0.05), 100, 3).rows,
+            *run_coverage(_instance(), BoundConfig(n=50, delta=0.05), 100, 3),
             *ville_experiment(50, [0.1, 0.05], 1000, 0),
             *gaussian_instance_check([0.1], 0.75),
             *divergence_scaling_table(1.0, [16, 32, 64, 128]).rows,

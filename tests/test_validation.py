@@ -28,7 +28,6 @@ from zcp_paclab import (
     coverage_reports,
     divergence_gaussian,
     empirical_bernstein_bound,
-    expected_sample_variance,
     fenchel_dual_bound,
     gaussian_instance,
     from_log_weights,
@@ -85,9 +84,6 @@ _NOT_COUNT = (*_NOT_INT, 10**18 + 1, 2**63)
 _TABLE = {
     "GibbsPosterior.eta": (GibbsPosterior, (*_NOT_REAL, INF, -INF)),
     "learning_instance_from_dict.m": (lambda v: learning_instance_from_dict({"m": v}), _NOT_INT),
-    "LearningInstance.draw_losses.n": (
-        lambda v: _instance().draw_losses(v, np.random.default_rng(0)), _NOT_COUNT
-    ),
     "LearningInstance.loss_sums.n": (
         lambda v: _instance().loss_sums(v, np.random.default_rng(0)), _NOT_COUNT
     ),
@@ -291,10 +287,6 @@ _ARRAY_TABLE = {
     "LearningInstance.posterior.empirical_means": (
         lambda v: _instance().posterior(v, 10),
         (*_not_reals(INF), [-INF, 0.25], [1.5, 0.25], [0.25], [[0.25, 0.25]]),
-    ),
-    "expected_sample_variance.losses": (
-        lambda v: expected_sample_variance(v, make_discrete([1.0, 1.0])),
-        (*([row, [0.5, 0.5]] for row in _not_reals(1.5)), [0.25, 0.25], [[]], [[[0.25]]]),
     ),
     "sample_variance_from_sums.s1": (
         lambda v: sample_variance_from_sums(v, [0.5, 0.5], 2), _not_reals(3.0)

@@ -72,6 +72,14 @@ CONFIGS = {
     "null_means.json": '{"instance": {"m": 3, "loss": "bernoulli", "bernoulli_means": null}}',
     "null_loss.json": '{"instance": {"m": 3, "loss": null}}',
     "null_m.json": '{"instance": {"m": null}}',
+    # a Gibbs posterior whose eta is the library's default
+    "gibbs.json": '{"n": 200, "instance": {"m": 3, "prior": [1, 2, 3]}}',
+    # booleans in instance lists, which were read as the numbers 0 and 1
+    "bool_prior.json": '{"n": 200, "instance": {"m": 3, "prior": [true, false, true]}}',
+    "bool_weights.json": '{"n": 200, "instance": {"m": 3, "posterior": "fixed", '
+    '"fixed_weights": [false, false, true]}}',
+    "bool_means.json": '{"n": 200, "instance": {"m": 2, "loss": "bernoulli", '
+    '"bernoulli_means": [true, false]}}',
 }
 _CONFIG_DIR = "<config-dir>"
 
@@ -172,6 +180,7 @@ def _golden() -> list[tuple[str, ...]]:
         ("coverage", *_config("flags.json"), "--loss", "abs"),  # an explicit flag wins
         ("ville", *_config("list.json")),
         ("bound", *_config("instance.json")),
+        ("bound", *_config("gibbs.json")),
     ]
     return argvs
 
@@ -235,6 +244,7 @@ _OUT_OF_RANGE = (
     ("coverage", "--trials", "100", *_config("gibbs_weights.json")),
     *(("bound", "--n", "200", *_config(f"null_{name}.json"))
       for name in ("weights", "means", "loss", "m")),
+    *(("bound", *_config(f"bool_{name}.json")) for name in ("prior", "weights", "means")),
     # flags the kind does not use
     ("divergence", "--kind", "kl", "--p", "0.2,0.8", "--q", "0.5,0.5", "--alpha", "2", "--c", "3"),
     ("divergence", "--kind", "little_kl", "--p", "0.2", "--q", "0.5", "--alpha", "2"),
