@@ -224,6 +224,19 @@ class TestKtBettor:
         np.testing.assert_allclose(trace.log_wealth_star, 64.0 * math.log(1.3), rtol=1e-14)
         assert trace.log_regret > math.log(2.0 * math.sqrt(64.0)) + 8.0
 
+    def test_coins_are_checked_once(self, monkeypatch):
+        names = []
+        check = betting._floats
+
+        def counted(values, name, *args, **kwargs):
+            names.append(name)
+            return check(values, name, *args, **kwargs)
+
+        monkeypatch.setattr(betting, "_floats", counted)
+        trace = kt_bettor([0.5, -0.25, 1.0])
+        assert names == ["coins"]
+        assert trace.log_wealth_star == max_log_wealth([0.5, -0.25, 1.0])[1]
+
     def test_trace_arrays_read_only(self):
         trace = kt_bettor([0.5, -0.5])
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -240,6 +241,21 @@ class TestLossSums:
     def test_variance_kernel_needs_two_samples(self):
         with pytest.raises(ValidationError):
             sample_variance_from_sums(np.ones(3), np.ones(3), 1)
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_coverage_never_builds_the_loss_matrix(self, loss):
+        # at n = m = 2000 the (n, m) loss matrix would take 32 MB as float64 and 4 MB
+        # even as bytes; the trials need only per-hypothesis sums
+        n, m = 2000, 2000
+        inst, config = _instance(m=m, loss=loss), BoundConfig(n=n, delta=0.05)
+        list(coverage_reports(inst, config, 3, 0))  # builds the cached grid
+        tracemalloc.start()
+        try:
+            assert len(list(coverage_reports(inst, config, 3, 0))) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m, (loss, peak)
 
 
 class TestInstanceFromDict:
