@@ -106,7 +106,7 @@ def _normalized(lw: np.ndarray) -> np.ndarray:
     if (hi == -np.inf).any():
         raise ValidationError("log_weights must have at least one finite entry")
     shifted = lw - hi
-    return shifted - _logsumexp(shifted)[..., None]
+    return np.subtract(shifted, _logsumexp(shifted)[..., None], out=shifted)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -116,8 +116,8 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     hi = x.max(axis=-1, keepdims=True)
     top = x == hi
     k = top.sum(axis=-1)
-    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf, all of which is top
-        rest = np.exp(np.where(top, -np.inf, x - hi)).sum(axis=-1)
+    rest = np.subtract(x, hi, out=np.full_like(x, -np.inf), where=~top)  # exp(-inf) = 0 at top
+    rest = np.exp(rest, out=rest).sum(axis=-1)
     return np.log1p(rest / k) + np.log(k) + hi[..., 0]
 
 

@@ -71,7 +71,8 @@ def _log_abs_expm1(d: np.ndarray) -> np.ndarray:
     """ln|exp(d) - 1| elementwise for d in [-inf, +inf], never overflowing; -inf for the NaN d
     that lp - lq gives where p = q = 0."""
     with np.errstate(over="ignore", divide="ignore"):  # exp(d) past d = 709.78; ln 0 at d = 0
-        out = np.fmax(np.log(np.abs(np.expm1(d))), -np.inf)  # fmax(NaN, -inf) = -inf
+        out = np.expm1(d)
+        np.fmax(np.log(np.abs(out, out=out), out=out), -np.inf, out=out)  # fmax(NaN, -inf) = -inf
     big = d > 700.0
     if big.any():  # where exp(d) - 1 may overflow: d + ln(1 - exp(-d))
         out[big] = d[big] + np.log1p(-np.exp(-d[big]))
@@ -84,13 +85,13 @@ def _log1p_sq(ln_t, c: float) -> np.ndarray:
     if c == 0.0:
         return np.zeros_like(ln_t)
     with np.errstate(over="ignore"):  # 2 ln(ct) past the float range; exp(s2) where s2 > 700
-        s2 = np.add(ln_t, math.log(c), out=np.empty_like(ln_t))  # an array, even for a 0-d ln_t
-        s2 *= 2.0
-        out = np.exp(s2, out=np.empty_like(ln_t))
-        np.log1p(out, out=out)
-    big = s2 > 700.0
-    if big.any():  # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
-        out[big] = s2[big] + np.log1p(np.exp(-s2[big]))
+        out = np.add(ln_t, math.log(c), out=np.empty_like(ln_t))  # an array, even for a 0-d ln_t
+        out *= 2.0  # s2 = 2 ln(ct), then ln(1 + exp(s2)) in place
+        big = out > 700.0
+        s2 = out[big]
+        np.log1p(np.exp(out, out=out), out=out)
+    if s2.size:  # ct > 1e152 territory: 2 ln(ct) + ln(1 + (ct)^-2)
+        out[big] = s2 + np.log1p(np.exp(-s2))
     return out
 
 
@@ -106,7 +107,8 @@ def _abs_diff_of_exps(lp: np.ndarray, lq: np.ndarray, d: np.ndarray) -> np.ndarr
     """|exp(lp) - exp(lq)| per atom, exact when one side underflows, written over d = lp - lq."""
     np.expm1(np.negative(np.abs(d, out=d), out=d), out=d)
     np.fmax(d, -1.0, out=d)  # -1, not NaN, where p = q = 0: there d is NaN and exp(max) = 0
-    d *= np.exp(np.maximum(lp, lq))  # exp(max) (exp(-|lp - lq|) - 1) = -|p - q|
+    top = np.maximum(lp, lq)
+    d *= np.exp(top, out=top)  # exp(max) (exp(-|lp - lq|) - 1) = -|p - q|
     return np.negative(d, out=d)
 
 
@@ -122,7 +124,8 @@ def _renyi_log_terms(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray
 
 def _zcp_terms(abs_diff: np.ndarray, ln_t: np.ndarray, c: float) -> np.ndarray:
     """q |r - 1| sqrt(ln(1 + c^2 (r - 1)^2)) per atom from |p - q| and ln|r - 1|, r = p/q."""
-    root = np.sqrt(_log1p_sq(ln_t, c))
+    root = _log1p_sq(ln_t, c)
+    np.sqrt(root, out=root)
     wide = np.isinf(root) & np.isfinite(ln_t)  # there sqrt(ln(1 + (ct)^2)) = sqrt(2) sqrt(ln(ct))
     if wide.any():
         root[wide] = math.sqrt(2.0) * np.sqrt(math.log(c) + ln_t[wide])
@@ -177,16 +180,20 @@ def _undominated(lp: np.ndarray, lq: np.ndarray) -> np.ndarray:
 
 def _atoms_in_use(used: np.ndarray, *arrays: np.ndarray):
     """``used`` and ``arrays`` without the atoms no row uses, which add zeros that regroup a
-    row's pairwise sum: a row then sums as a 1-d call on it when all rows use the same atoms.
-    ``compress`` keeps the rows C-contiguous, as their sums need; ``a[..., keep]`` need not."""
-    keep = used.reshape(-1, used.shape[-1]).any(axis=0)
+    row's pairwise sum, so that each row sums as a 1-d call on it; None when rows use different
+    atoms.  ``compress`` keeps rows C-contiguous, as their sums need; ``a[..., keep]`` need not."""
     arrays = (used, *arrays)
-    return arrays if keep.all() else tuple(a.compress(keep, axis=-1) for a in arrays)
+    if used.all():
+        return arrays
+    keep = used.reshape(-1, used.shape[-1]).any(axis=0)
+    return None if (used != keep).any() else tuple(a.compress(keep, axis=-1) for a in arrays)
 
 
 def _kl_rows(lp: np.ndarray, lq: np.ndarray, p: np.ndarray) -> np.ndarray:
+    if (in_use := _atoms_in_use(lp > -np.inf, lp, lq, p)) is None:  # each row sums alone
+        return np.array([_kl_rows(*row) for row in zip(*np.broadcast_arrays(lp, lq, p))])
     infinite = _undominated(lp, lq)
-    support, lp, lq, p = _atoms_in_use(lp > -np.inf, lp, lq, p)
+    support, lp, lq, p = in_use
     with np.errstate(invalid="ignore"):
         terms = np.where(support, _kl_terms(lp, lq, p), 0.0)
     # KL >= 0, but rounding can put a value near 0 below it; + 0.0 turns -0.0 into +0.0
@@ -197,8 +204,10 @@ _NEAR_ONE = 0.25  # |alpha - 1| below which _renyi_rows takes D from log1p and e
 
 
 def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
+    if (in_use := _atoms_in_use(~((lp == -np.inf) & (lq == -np.inf)), lp, lq)) is None:
+        return np.array([_renyi_rows(*row, alpha) for row in zip(*np.broadcast_arrays(lp, lq))])
     infinite = (alpha > 1.0) & _undominated(lp, lq)
-    active, lp, lq = _atoms_in_use(~((lp == -np.inf) & (lq == -np.inf)), lp, lq)
+    active, lp, lq = in_use
     # over: alpha lp and (1 - alpha) lq; divide: log1p(-1) where P and Q are disjoint
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         terms = _renyi_log_terms(lp, lq, alpha)
@@ -206,7 +215,8 @@ def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
         # factors its largest d = lp - lq out: D = alpha/(alpha - 1) d_max + LSE(lq + alpha (d -
         # d_max))/(alpha - 1).  Every other row keeps its bits.
         wrong = active & (np.isnan(terms) | np.isinf(terms) & (lp > -np.inf) & (lq > -np.inf))
-        value = np.asarray(_logsumexp(np.where(active & ~wrong, terms, -np.inf)) / (alpha - 1.0))
+        np.copyto(terms, -np.inf, where=wrong | ~active)
+        value = np.asarray(_logsumexp(terms) / (alpha - 1.0))
         redo = wrong.any(axis=-1) & ~infinite
         if redo.any():
             active, lp, lq = (a[redo] for a in np.broadcast_arrays(active, lp, lq))

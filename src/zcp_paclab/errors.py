@@ -21,7 +21,7 @@ class NumericalError(RuntimeError):
 
 def _number(value, name: str) -> float:
     """``value`` as a float, under ``_real``'s rules for what is numeric and for big ints."""
-    if isinstance(value, (str, bytes)):
+    if isinstance(value, (str, bytes, bool, np.bool_)):
         raise ValidationError(f"{name} must be numeric")
     try:
         return float(value)
@@ -36,8 +36,8 @@ def _real(
 ) -> float:
     """``value`` as a float in the interval from ``low`` to ``high``, closed unless opened.
 
-    A string or anything ``float()`` rejects is not numeric; NaN lies in no
-    interval; an int beyond the float range counts as +-inf.
+    A string, a bool or anything ``float()`` rejects is not numeric; NaN lies
+    in no interval; an int beyond the float range counts as +-inf.
     """
     x = _number(value, name)
     if not ((low < x if open_low else low <= x) and (x < high if open_high else x <= high)):
@@ -61,13 +61,13 @@ def _floats(
     """``values`` as a float array, each entry of which ``_real`` would take for the same
     interval; ragged input is not numeric, and a float64 array is returned as it is.  When
     given, ``ndim`` asks for a nonempty array with that many dimensions."""
-    try:
-        arr = np.asarray(values)
+    try:  # anything but an array entry by entry, so that a bool among numbers is seen
+        arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     except (TypeError, ValueError):  # ragged, for one
         raise ValidationError(f"{name} must be numeric") from None
-    if arr.dtype == object:  # big ints, None, mixed types: entry by entry
+    if arr.dtype == object:  # lists, big ints, None, mixed types: entry by entry
         arr = np.array([_number(v, name) for v in arr.flat]).reshape(arr.shape)
-    elif arr.dtype.kind not in "biuf":
+    elif arr.dtype.kind not in "iuf":  # a bool array is not numeric either
         raise ValidationError(f"{name} must be numeric")
     arr = np.asarray(arr, dtype=float)
     if ndim is not None and (arr.ndim != ndim or arr.size == 0):

@@ -166,29 +166,33 @@ class LearningInstance:
         """Per-atom sums (S1, S2) of the losses and squared losses of one
         i.i.d. sample of size n, without building the (n, m) loss matrix.
 
-        ABS_DISTANCE draws the sample as ``random(n)`` and sorts it:
+        ABS_DISTANCE sorts the sample ``random(n)``, the one row of ``_abs_sums``:
         with prefix sums C of the sorted sample and k = #{X_i < t_j},
         S1_j = t_j k - C[k] + (C[n] - C[k]) - t_j (n - k)
         = t_j (2k - n) + C[n] - 2 C[k] and
-        S2_j = n t_j^2 - 2 t_j sum X + sum X^2, in O(n log n + m log n).
+        S2_j = n t_j^2 - 2 t_j sum X + sum X^2, in O(n log n + m log n), with S1
+        clipped to [0, n] and S2 to [0, S1], so rounding never pushes a mean out of [0, 1].
         BERNOULLI draws the per-atom counts as Binomial(n, mean_j), the law
         of the column sums of an (n, m) matrix of Bernoulli(mean_j) bits;
-        bits square to themselves, so S2 = S1, in O(m).  S1 is
-        clipped to [0, n] and S2 to [0, S1], so rounding never pushes a
-        mean out of [0, 1].
+        bits square to themselves, so S2 = S1, in O(m).
         """
         n = _integer(n, "n", 1, _MAX_COUNT)
         if self.loss_kind is LossKind.BERNOULLI:
             counts = rng.binomial(n, self.bernoulli_means).astype(float)
             return counts, counts
-        x = np.sort(rng.random(n))
-        prefix = np.concatenate(([0.0], np.cumsum(x)))
-        t = self.atom_positions
-        k = np.searchsorted(x, t)
-        total = prefix[-1]
-        s1 = np.clip(t * (2 * k - n) + total - 2.0 * prefix[k], 0.0, n)
-        s2 = n * t * t - 2.0 * t * total + float(x @ x)
-        return s1, np.clip(s2, 0.0, s1)
+        return tuple(sums[0] for sums in self._abs_sums(rng.random(n)[None]))
+
+    def _abs_sums(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``loss_sums``' ABS_DISTANCE (S1, S2) of each row of the samples x, sorted in place."""
+        n, t = x.shape[-1], self.atom_positions
+        x.sort(axis=-1)
+        prefix = np.zeros((len(x), n + 1))
+        total = np.cumsum(x, axis=-1, out=prefix[:, 1:])[:, -1:]
+        k = np.array([np.searchsorted(sample, t) for sample in x])
+        s1 = t * (2 * k - n) + total - 2.0 * np.take_along_axis(prefix, k, axis=-1)
+        # sum X^2 by the dot product a 1-d ``@`` uses
+        s2 = n * t * t - 2.0 * t * total + np.matmul(x[:, None, :], x[:, :, None])[:, 0]
+        return s1, np.clip(s2, 0.0, np.clip(s1, 0.0, n, out=s1), out=s2)  # S1 clipped first
 
     def posterior(self, empirical_means: np.ndarray, n: int) -> DiscreteDistribution:
         """Posterior for one realized sample (empirical means, sample size)."""
@@ -208,9 +212,10 @@ class LearningInstance:
         it, so an eta * n that overflows gives the prior on the empirical minimizers, not inf * 0."""
         lq = self.prior.log_weights
         excess = mu_hat - np.min(mu_hat, axis=-1, keepdims=True, where=lq > -np.inf, initial=np.inf)
-        exponent = np.multiply(self.posterior_rule.eta * n, excess, out=np.zeros_like(excess),
-                               where=excess > 0.0)
-        return _normalized(lq - exponent)
+        positive = excess > 0.0
+        np.multiply(self.posterior_rule.eta * n, excess, out=excess, where=positive)
+        np.copyto(excess, 0.0, where=~positive)
+        return _normalized(np.subtract(lq, excess, out=excess))  # lq - the exponent
 
 
 _INSTANCE_KEYS = ("m", "loss", "posterior", "eta", "prior", "fixed_weights", "bernoulli_means")
@@ -286,10 +291,11 @@ def wilson_upper(failures: int, trials: int) -> float:
     return min(1.0, (center + radius) / (1.0 + z2n))
 
 
-# Entries in one (trials, m) array of a coverage block.  8,192 ran m = 2000
-# coverage about 10% faster, but its peak RSS at m = 50 was 1.0 MB above
-# that of one trial at a time; 4,096 keeps that rise near 0.5 MB.
+# A coverage block holds max(_BLOCK_ROWS, _BLOCK_ENTRIES // m) trials, 81 at m = 50 and 4 at
+# m = 2000, whose 62.5 KiB (trials, m) arrays stay under glibc's 128 KiB mmap threshold, and
+# draws abs-loss samples for at most max(1, _BLOCK_ENTRIES // max(n, m)) trials at a time.
 _BLOCK_ENTRIES = 4096
+_BLOCK_ROWS = 4
 # Entries in one (paths, n) coin array of a Ville block: 8 paths at
 # n = 1000.  The allocator reuses arrays this small: at 16,384 entries each
 # block's arrays went back to the system, and `ville --n 1000 --paths 10000`
@@ -303,33 +309,30 @@ def _trial_block(
 ) -> dict[str, np.ndarray]:
     """BoundReport field -> its value in each trial of ``trials``.
 
-    Trial t draws its per-atom sums into one row of S1 and S2 from the next
-    of ``generators``, which stands at the trial's first word of the run's
-    stream (``_trial_generators``).  The posteriors, divergences and bounds
-    of all rows are then computed at once, each row with the bits of a block
-    of that row alone.
+    The sample statistics are taken before the divergences' arrays are made.
+    All rows are computed at once, each with the bits of a block of that row alone.
     """
     n = _integer(config.n, "n", 2)  # the sample variance needs two draws
-    rngs = itertools.islice(generators, len(trials))
-    s1, s2 = map(np.array, zip(*(instance.loss_sums(n, rng) for rng in rngs)))
-    mu_hat = s1 / n
+    s1, variances = _block_samples(instance, n, generators, len(trials))
+    mu_hat = np.divide(s1, n, out=s1)
     rule = instance.posterior_rule
     if isinstance(rule, GibbsPosterior) and rule.eta > 0.0:
         lp = instance._gibbs_log_weights(mu_hat, n)
     else:  # one posterior serves the whole block
         lp = (rule.distribution if isinstance(rule, FixedPosterior) else instance.prior).log_weights
     w = _summing_to_one(np.exp(lp))
-    lq = instance.prior.log_weights
-    true_mu = instance.true_means()
+    lq, true_mu = instance.prior.log_weights, instance.true_means()
 
     def mean(values):  # w @ values per row, by the dot product a 1-d ``@`` uses
         return np.matmul(w[..., None, :], values[..., :, None])[..., 0, 0]
 
+    v_hat, p_hat_mean = mean(variances), mean(mu_hat)
+    realized_gap = mean(np.subtract(mu_hat, true_mu, out=mu_hat))
+    del s1, mu_hat, variances
     d_tv, d_zcp1, d_zcp2 = _tv_zcp_rows(lp, lq, config.thm1_c, config.thm2_c)
     d_kl = _kl_rows(lp, lq, w)
     d_alpha = _renyi_rows(lp, lq, config.alpha)
     comp = _complexity(d_alpha, d_zcp2, config)
-    v_hat = mean(_sample_variance(s1, s2, n))
     fields = {
         "d_kl": d_kl,
         "d_tv": d_tv,
@@ -340,14 +343,14 @@ def _trial_block(
         "hoeffding_zcp": _hoeffding_zcp(d_zcp1, config),
         "mcallester": _mcallester(d_kl, config),
         "emp_bernstein": _empirical_bernstein(comp, v_hat, n),
-        "realized_gap": mean(mu_hat - true_mu),
+        "realized_gap": realized_gap,
         "v_hat": v_hat,
-        "p_hat_mean": mean(mu_hat),
+        "p_hat_mean": p_hat_mean,
         "p_mean": mean(true_mu),
     }
     for name, values in fields.items():
-        if values.shape != mu_hat.shape[:1]:  # a divergence or bound of the one posterior
-            fields[name] = values = np.broadcast_to(values, mu_hat.shape[:1])
+        if values.shape != (len(trials),):  # a divergence or bound of the one posterior
+            fields[name] = values = np.broadcast_to(values, (len(trials),))
         if np.isnan(values).any():  # a NaN fails no bound, so it must not count as a pass
             raise ValidationError(f"{name} is NaN in trial {trials[np.isnan(values).argmax()]}")
     # every other field is >= 0 by construction; the kl inversion's arguments are checked here
@@ -355,6 +358,23 @@ def _trial_block(
     budgets = (_floats(fields["comp_n"], "comp", 0.0, math.inf) / n).tolist()
     fields["little_kl_bound"] = np.array(list(map(_little_kl_inverse_upper, p_hat, budgets)))
     return fields
+
+
+def _block_samples(instance: LearningInstance, n: int, generators, rows: int):
+    """S1 and the per-atom sample variances of ``rows`` trials, row t from the ``loss_sums`` of
+    trial t and the next of ``generators`` (``_trial_generators``).  The abs loss's one
+    generator draws (trials, n) samples, the doubles of as many ``random(n)`` calls."""
+    s1 = np.empty((rows, instance.theta_count))
+    if instance.loss_kind is LossKind.BERNOULLI:
+        for row, rng in zip(s1, itertools.islice(generators, rows)):
+            row[:] = rng.binomial(n, instance.bernoulli_means)
+        return s1, _sample_variance(s1, s1, n)
+    rng, s2 = next(generators), np.empty_like(s1)
+    chunk = max(1, _BLOCK_ENTRIES // max(n, instance.theta_count))
+    for first in range(0, rows, chunk):
+        last = min(first + chunk, rows)
+        s1[first:last], s2[first:last] = instance._abs_sums(rng.random((last - first, n)))
+    return s1, _sample_variance(s1, s2, n)
 
 
 def _trial_generators(instance: LearningInstance, seed: int) -> Iterator[np.random.Generator]:
@@ -384,9 +404,9 @@ def _trial_generators(instance: LearningInstance, seed: int) -> Iterator[np.rand
 def _trial_blocks(
     instance: LearningInstance, config: BoundConfig, trials: int, seed: int
 ) -> Iterator[tuple[range, dict[str, np.ndarray]]]:
-    """Each block of max(1, _BLOCK_ENTRIES // m) consecutive trials, and its fields."""
+    """Each block of max(_BLOCK_ROWS, _BLOCK_ENTRIES // m) consecutive trials, and its fields."""
     generators = _trial_generators(instance, seed)
-    rows = max(1, _BLOCK_ENTRIES // instance.theta_count)
+    rows = max(_BLOCK_ROWS, _BLOCK_ENTRIES // instance.theta_count)
     for first in range(0, trials, rows):
         block = range(first, min(first + rows, trials))
         yield block, _trial_block(instance, config, block, generators)

@@ -120,7 +120,9 @@ class TestBlocks:
         # coverage_reports around one block, run_coverage (>= 100 trials) around two
         blocked = list(coverage_reports(instance, _CONFIG, rows + offset, 4))
         blocked_run = run_coverage(instance, _CONFIG, 2 * rows + offset, 4)
+        # one trial per block, and one trial per draw of samples
         monkeypatch.setattr(harness, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(harness, "_BLOCK_ROWS", 1)
         single = list(coverage_reports(instance, _CONFIG, rows + offset, 4))
         assert [_bits(r) for r in blocked] == [_bits(r) for r in single]
         assert run_coverage(instance, _CONFIG, 2 * rows + offset, 4) == blocked_run
@@ -179,17 +181,18 @@ class TestStreamSpans:
     @given(
         seed=st.integers(0, 2**200),
         loss=st.sampled_from(["abs", "bernoulli"]),
-        m=st.integers(1, 2000),  # blocks of 4,096 // m trials: 2 to 4,096
+        m=st.integers(1, 10_000),  # blocks of max(4, 4,096 // m) trials: 4 to 4,096
         trials=st.integers(1, 12),
         n=st.integers(2, 300),
+        eta=st.sampled_from([5.0, 1e308]),  # at 1e308 the rows' posterior supports differ
     )
-    def test_a_trial_alone_is_its_row_of_any_block(self, seed, loss, m, trials, n):
-        instance = learning_instance_from_dict({"m": m, "loss": loss, "eta": 5.0})
+    def test_a_trial_alone_is_its_row_of_any_block(self, seed, loss, m, trials, n, eta):
+        instance = learning_instance_from_dict({"m": m, "loss": loss, "eta": eta})
         _assert_engine_matches_oracle(instance, BoundConfig(n, 0.05, 2.0), trials, seed)
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 5], ids=["0", "2**64+5"])
     @pytest.mark.parametrize("loss", ["abs", "bernoulli"])
-    @pytest.mark.parametrize("m, trials", [(50, 83), (2000, 9)])  # 81- and 2-trial blocks
+    @pytest.mark.parametrize("m, trials", [(50, 83), (2000, 9)])  # 81- and 4-trial blocks
     def test_block_boundaries_match_the_oracle_trials(self, m, trials, loss, seed):
         # the run's one generator carries on, or is reset and advanced, across each boundary
         instance = learning_instance_from_dict({"m": m, "loss": loss, "eta": 5.0})
@@ -225,15 +228,15 @@ class TestStreamSpans:
 class TestNaNIsNeverAPass:
     @pytest.mark.parametrize("eta", [0.0, 5.0])
     def test_nan_loss_sums_raise(self, eta, monkeypatch):
-        original = LearningInstance.loss_sums
+        original = harness._block_samples
 
-        def poisoned(self, n, rng):
-            s1, s2 = original(self, n, rng)
+        def poisoned(*args):  # the (trials, m) sums the engine reads
+            s1, variances = original(*args)
             s1 = s1.copy()
-            s1[3] = math.nan
-            return s1, s2
+            s1[:, 3] = math.nan
+            return s1, variances
 
-        monkeypatch.setattr(LearningInstance, "loss_sums", poisoned)
+        monkeypatch.setattr(harness, "_block_samples", poisoned)
         instance = learning_instance_from_dict({"m": 8, "eta": eta})
         with pytest.raises(ValidationError, match="NaN"):
             run_coverage(instance, BoundConfig(100, 0.05), 100, 0)
@@ -248,6 +251,22 @@ class TestNaNIsNeverAPass:
         instance = learning_instance_from_dict({"m": 8, "eta": 5.0})
         with pytest.raises(ValidationError, match=r"^mcallester is NaN in trial 3$"):
             run_coverage(instance, BoundConfig(100, 0.05), 100, 0)
+
+
+class TestBlockComposition:
+    """A trial's bits do not depend on which trials share its block."""
+
+    def test_rows_on_different_supports_sum_alone(self):
+        # at eta * n = inf each Gibbs row keeps only its empirical minimizers, so the rows of one
+        # block have different supports; each must sum its KL terms over its own atoms
+        instance = learning_instance_from_dict({"m": 2048, "loss": "abs", "eta": 1e308})
+        config = BoundConfig(n=200, delta=0.05, alpha=2.0)
+        pair = next(coverage_reports(instance, config, 2, 1))
+        alone = next(coverage_reports(instance, config, 1, 1))
+        assert alone.d_kl.hex() == "0x1.3f137132c31d6p+2"
+        assert pair.d_kl.hex() == alone.d_kl.hex()
+        assert pair.mcallester.hex() == alone.mcallester.hex()
+        assert _bits(pair) == _bits(alone) == _bits(oracle_report(instance, config, 1, 0))
 
 
 class TestBlockChecks:
@@ -308,11 +327,13 @@ class TestRowKernels:
             weights[0] = 1.0
             prior = make_discrete(weights)
             # rows sharing the prior's zero atoms, as Gibbs posteriors do, form one block;
-            # rows with zero atoms of their own (some not dominated) each form a block of one
+            # rows with zero atoms of their own (some not dominated) form one block, and each
+            # a block of one
             shared = _normalized(prior.log_weights - rng.exponential(3.0, (5, m)))
             own = np.where(rng.random((4, m)) < 0.3, -np.inf, rng.normal(size=(4, m)))
             own[:, 0] = 0.0
-            blocks = [shared, *(row[None] for row in _normalized(own))]
+            own = _normalized(own)
+            blocks = [shared, own, *(row[None] for row in own)]
             for lp in blocks:
                 for rows, scalar, extra in kinds:
                     values = rows(lp, prior.log_weights, *extra)
@@ -407,3 +428,16 @@ class TestBlockMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= 378_000, (loss, peak)
+
+    def test_a_wide_run_peaks_below_600_kb(self):
+        # at m = 2000 a block holds 4 trials and each (trials, m) array takes 64 KB
+        for loss in ("abs", "bernoulli"):
+            instance = learning_instance_from_dict({"m": 2000, "loss": loss, "eta": 5.0})
+            run_coverage(instance, _CONFIG, 100, 1)  # builds the cached grid
+            tracemalloc.start()
+            try:
+                run_coverage(instance, _CONFIG, 100, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 600_000, (loss, peak)

@@ -341,12 +341,40 @@ class TestArrayChecks:
 
     def test_entries_follow_the_scalar_rules(self):
         assert _floats([10**400, -(10**400), 2], "y").tolist() == [INF, -INF, 2.0]
-        assert _floats([True, 3], "w").dtype == np.float64
+        with pytest.raises(ValidationError, match=r"^w must be numeric$"):
+            _floats([True, 3], "w")  # a bool is not read as the number 1
         assert _floats([[0.5, 1.0]], "losses", 0.0, 1.0, ndim=2).shape == (1, 2)
 
     def test_a_float_array_is_not_copied(self):
         coins = np.linspace(-1.0, 1.0, 5)
         assert _floats(coins, "coins", -1.0, 1.0, ndim=1) is coins
+
+
+class TestBoolRefusal:
+    """A bool is not read as the number 0 or 1, alone, in an array or among numbers."""
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_scalar_checks(self, value):
+        with pytest.raises(ValidationError, match=r"^x must be numeric$"):
+            _real(value, "x")
+        with pytest.raises(ValidationError, match=r"^n must be numeric$"):
+            _integer(value, "n", 0)
+
+    @pytest.mark.parametrize(
+        "values", [np.array([True, False]), [True, False], [0.5, True], [[1.0], [np.False_]]])
+    def test_array_checks(self, values):
+        with pytest.raises(ValidationError, match=r"^w must be numeric$"):
+            _floats(values, "w")
+
+    def test_public_calls(self):
+        with pytest.raises(ValidationError, match=r"^eta must be numeric$"):
+            GibbsPosterior(True)
+        with pytest.raises(ValidationError, match=r"^weights must be numeric$"):
+            make_discrete([True, False, True])
+        with pytest.raises(ValidationError, match=r"^coins must be numeric$"):
+            kt_bettor([True, False])
+        with pytest.raises(ValidationError, match=r"^n must be numeric$"):
+            BoundConfig(n=True, delta=0.05)
 
 
 def test_package_all_lists_each_module_export_once():
