@@ -184,17 +184,18 @@ class BoundReport:
 
     def failures(self) -> dict[str, bool]:
         """Which bounds the realized quantities violate."""
-        return _failures(**asdict(self))
+        return _failures(**asdict(self), little_kl=self.p_mean > self.little_kl_bound)
 
 
-def _failures(realized_gap, p_mean, hoeffding_zcp, mcallester, emp_bernstein, little_kl_bound,
-              **_):
-    """Bound name -> whether the realized quantities violate it; numbers or arrays, elementwise."""
+def _failures(realized_gap, hoeffding_zcp, mcallester, emp_bernstein, little_kl, **_):
+    """Bound name -> whether the realized quantities violate it; numbers or arrays, elementwise.
+    ``little_kl`` is already the verdict p_mean > little_kl_bound, which the coverage engine
+    takes from ``divergences._above_kl_inverse`` without the inversion."""
     return {
         "hoeffding_zcp": realized_gap > hoeffding_zcp,
         "mcallester": realized_gap > mcallester,
         "emp_bernstein": abs(realized_gap) > emp_bernstein,
-        "little_kl": p_mean > little_kl_bound,
+        "little_kl": little_kl,
     }
 
 

@@ -647,17 +647,19 @@ _FLAG_HELP = {
 
 
 @functools.cache
-def _parsers() -> tuple[_Parser, _Parser]:
-    """The early --config reader and the full parser, built on first use."""
+def _parsers(command: str | None) -> tuple[_Parser, _Parser]:
+    """The early --config reader and the parser of ``command``, built on first use; of every
+    command when it is None, for help and a bad-subcommand error.  The top-level usage names
+    no choices, so a parser with one subparser prints the same usage and errors."""
     # without abbreviations, so that --c is never read as --config
     config_reader = _Parser(prog="zcp-paclab", add_help=False, allow_abbrev=False)
     config_reader.add_argument("--config")
 
     parser = _Parser(prog="zcp-paclab", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    for name, (_, flags) in _COMMANDS.items():
+    for name in _COMMANDS if command is None else (command,):
         sub = subparsers.add_parser(name, prog=f"zcp-paclab {name}")
-        for flag, (kind, default) in {**flags, **_COMMON_FLAGS}.items():
+        for flag, (kind, default) in {**_COMMANDS[name][1], **_COMMON_FLAGS}.items():
             options = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
             options["required"] = default is _REQUIRED
             sub.add_argument(f"--{flag}", default=default, help=_FLAG_HELP[flag], **options)
@@ -701,8 +703,8 @@ def _read_config(command: str, path: str) -> tuple[list[str], dict | None]:
 
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    config_reader, parser = _parsers()
     command = argv[0] if argv and argv[0] in _COMMANDS else None
+    config_reader, parser = _parsers(command)
     try:
         if command is None:
             parser.parse_args(argv)  # exits with help, or with a bad-subcommand error

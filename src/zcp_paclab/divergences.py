@@ -312,6 +312,34 @@ def _little_kl_inverse_upper(p_hat: float, budget: float) -> float:
             hi = mid
 
 
+def _above_kl_inverse(q: np.ndarray, p_hat: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """``q > _little_kl_inverse_upper(p_hat, budget)`` entrywise, from one kl evaluation.
+
+    K(x) = kl(p_hat, x) = t1 + t2 exactly, and S(x) = |t1| + |t2|, both increase on [p_hat, 1].
+    The bisection's kl at any x, and the one computed here at q, are within 1e-13 S(x) + 5e-16
+    of K(x) (a few ulps of S, and the roundings of 1 - p_hat and 1 - x).  With
+    m = 1e-12 S(q) + 1e-15:
+    - kl - m > budget: K - 1e-13 S exceeds budget + 5e-16 at q; it is 0 at p_hat, falls, then
+      rises, so it rises on [q, 1].  The bisection rejects every midpoint >= q, so it ends below q.
+    - kl + m <= budget: K + 1e-13 S + 5e-16 <= budget on [p_hat, q], so the bisection accepts
+      every midpoint <= q; hi stays above q, and lo ends >= q as the loop stops only at adjacent
+      floats.  If a float lies between lo and hi, so does the midpoint: with s the float after
+      lo, fl(lo + the float after s) is 2s, so by monotone rounding the midpoint is at least s;
+      likewise it is below hi.
+    q <= p_hat reads kl = 0, never above.  The bisection decides entries inside the margin,
+    p_hat in {0, 1}, budget in {0, inf} and a kl that is not finite.
+    """
+    d = np.maximum(q - p_hat, 0.0)
+    with np.errstate(all="ignore"):  # at the edges, and where q = 1
+        t1, t2 = -p_hat * np.log1p(d / p_hat), (1.0 - p_hat) * np.log1p(d / (1.0 - q))
+        kl, margin = t1 + t2, 1e-12 * (t2 - t1) + 1e-15  # t1 <= 0 <= t2
+        above, below = kl - margin > budget, kl + margin <= budget
+    edge = (p_hat == 0.0) | (p_hat == 1.0) | (budget == 0.0) | (budget == math.inf)
+    for i in np.flatnonzero(edge | ~np.isfinite(kl) | ~(above | below)).tolist():
+        above[i] = q[i] > _little_kl_inverse_upper(float(p_hat[i]), float(budget[i]))
+    return above
+
+
 # ---------------------------------------------------------------------------
 # Closed-form upper bounds linking ZCP to TV and KL
 # ---------------------------------------------------------------------------

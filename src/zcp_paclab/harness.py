@@ -49,6 +49,7 @@ from .distributions import (
 )
 from .divergences import (
     DivergenceKind,
+    _above_kl_inverse,
     _kl_rows,
     _little_kl_inverse_upper,
     _renyi_rows,
@@ -306,8 +307,9 @@ _VILLE_BLOCK_ENTRIES = 8192
 def _trial_block(
     instance: LearningInstance, config: BoundConfig, trials: range,
     generators: Iterator[np.random.Generator],
-) -> dict[str, np.ndarray]:
-    """BoundReport field -> its value in each trial of ``trials``.
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """BoundReport field -> its value in each trial of ``trials``, but for ``little_kl_bound``,
+    and each trial's kl budget comp_n / n, which the kl inversion takes with p_hat_mean.
 
     The sample statistics are taken before the divergences' arrays are made.
     All rows are computed at once, each with the bits of a block of that row alone.
@@ -354,10 +356,8 @@ def _trial_block(
         if np.isnan(values).any():  # a NaN fails no bound, so it must not count as a pass
             raise ValidationError(f"{name} is NaN in trial {trials[np.isnan(values).argmax()]}")
     # every other field is >= 0 by construction; the kl inversion's arguments are checked here
-    p_hat = _floats(fields["p_hat_mean"], "p_hat_mean", 0.0, 1.0).tolist()
-    budgets = (_floats(fields["comp_n"], "comp", 0.0, math.inf) / n).tolist()
-    fields["little_kl_bound"] = np.array(list(map(_little_kl_inverse_upper, p_hat, budgets)))
-    return fields
+    _floats(fields["p_hat_mean"], "p_hat_mean", 0.0, 1.0)
+    return fields, _floats(fields["comp_n"], "comp", 0.0, math.inf) / n
 
 
 def _block_samples(instance: LearningInstance, n: int, generators, rows: int):
@@ -403,13 +403,13 @@ def _trial_generators(instance: LearningInstance, seed: int) -> Iterator[np.rand
 
 def _trial_blocks(
     instance: LearningInstance, config: BoundConfig, trials: int, seed: int
-) -> Iterator[tuple[range, dict[str, np.ndarray]]]:
-    """Each block of max(_BLOCK_ROWS, _BLOCK_ENTRIES // m) consecutive trials, and its fields."""
+) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
+    """``_trial_block`` of each block of max(_BLOCK_ROWS, _BLOCK_ENTRIES // m) consecutive
+    trials."""
     generators = _trial_generators(instance, seed)
     rows = max(_BLOCK_ROWS, _BLOCK_ENTRIES // instance.theta_count)
     for first in range(0, trials, rows):
-        block = range(first, min(first + rows, trials))
-        yield block, _trial_block(instance, config, block, generators)
+        yield _trial_block(instance, config, range(first, min(first + rows, trials)), generators)
 
 
 def coverage_reports(
@@ -422,7 +422,9 @@ def coverage_reports(
     so any subset of trials can be reproduced independently.
     """
     seed, trials = _integer(seed, "seed", 0), _integer(trials, "trials", 1)
-    for _, block in _trial_blocks(instance, config, trials, seed):
+    for block, budgets in _trial_blocks(instance, config, trials, seed):
+        p_hat, budgets = block["p_hat_mean"].tolist(), budgets.tolist()
+        block["little_kl_bound"] = np.array(list(map(_little_kl_inverse_upper, p_hat, budgets)))
         for row in zip(*(values.tolist() for values in block.values())):
             yield BoundReport(**dict(zip(block, row)))
 
@@ -454,8 +456,9 @@ def run_coverage(
     """
     trials, seed = _integer(trials, "trials", 100), _integer(seed, "seed", 0)
     counts = dict.fromkeys(BOUND_NAMES, 0)
-    for _, block in _trial_blocks(instance, config, trials, seed):
-        for name, mask in _failures(**block).items():
+    for block, budgets in _trial_blocks(instance, config, trials, seed):
+        above = _above_kl_inverse(block["p_mean"], block["p_hat_mean"], budgets)
+        for name, mask in _failures(**block, little_kl=above).items():
             counts[name] += int(np.count_nonzero(mask))
     budget = 2.0 * config.delta
     rows = []

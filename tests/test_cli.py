@@ -43,6 +43,19 @@ class TestExitCodes:
         code, _, _ = _run(capsys, ["frobnicate"])
         assert code == 1
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_subparser_prints_what_all_of_them_print(self, capsys, command):
+        # run builds the parser of the command it is given alone; its help and its usage
+        # errors must read as they do with every subcommand's parser built
+        assert list(cli._parsers(command)[1]._subparsers._group_actions[0].choices) == [command]
+        for argv in ([command, "-h"], [command, "--bogus"], [command, "--seed"], [command, "x"]):
+            results = []
+            for _, parser in (cli._parsers(command), cli._parsers(None)):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                results.append((exc.value.code, *capsys.readouterr()))
+            assert results[0] == results[1], argv
+
     def test_unknown_flag(self, capsys):
         code, _, _ = _run(capsys, ["divergence", "--bogus", "1"])
         assert code == 1

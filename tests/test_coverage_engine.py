@@ -141,6 +141,18 @@ class TestBlocks:
         assert all(type(count) is int for count in failures.values())
         assert caplog.records == []
 
+    def test_little_kl_failures_match_the_inverted_bounds(self, monkeypatch):
+        # run_coverage decides little_kl without the inversion; with budgets a hundredth of the
+        # true ones at n = 2, about a third of the trials fail it
+        kernel = bounds._complexity
+        monkeypatch.setattr(harness, "_complexity", lambda *args: kernel(*args) * 0.01)
+        instance = learning_instance_from_dict({"m": 50, "loss": "abs", "eta": 5.0})
+        config = BoundConfig(n=2, delta=0.05)
+        failed = sum(r.failures()["little_kl"] for r in coverage_reports(instance, config, 200, 3))
+        [row] = [row for row in run_coverage(instance, config, 200, 3) if row.bound == "little_kl"]
+        assert row.failures == failed
+        assert 0 < failed < 200
+
 
 # seeds of one to four 32-bit words
 _SEEDS = [0, 1, 2**32, 2**64 + 5, 10**30]
@@ -347,7 +359,7 @@ class TestRowKernels:
         names = list(BoundReport.__dataclass_fields__)
         fields = {name: rng.uniform(-0.5, 1.0, 100) for name in names}
         fields["hoeffding_zcp"][:3] = fields["realized_gap"][:3]  # ties do not fail
-        failed = bounds._failures(**fields)
+        failed = bounds._failures(**fields, little_kl=fields["p_mean"] > fields["little_kl_bound"])
         for i in range(100):
             report = BoundReport(**{name: float(values[i]) for name, values in fields.items()})
             assert report.failures() == {name: bool(values[i]) for name, values in failed.items()}

@@ -200,6 +200,21 @@ class TestDiscreteEdgeCases:
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def _inverse_pairs(count, seed):
+    """(p_hat, budget) pairs for the kl inversion: edge p_hat values over 200 budgets, the edge
+    rows, and ``count`` random pairs."""
+    rng = np.random.default_rng(seed)
+    edges = [1e-300, 1e-17, 0.5, 1.0 - 2.0**-53]
+    budgets = np.geomspace(1e-15, 100.0, 200).tolist()
+    pairs = [(p, b) for p in edges for b in budgets]
+    pairs += [(p, b) for p in [0.0, 1.0, *edges] for b in [0.0, 5e-324, 1e-300, math.inf]]
+    # mostly uniform p_hat: one near 0 takes up to twice the halvings of one near 1/2 (about
+    # 55), many through _rel_entr's slower branch, and 100,000 pairs must run in seconds
+    p_hat = np.where(rng.random(count) < 0.95, rng.random(count),
+                     10.0 ** rng.uniform(-300.0, 0.0, count))
+    return pairs + list(zip(p_hat.tolist(), (10.0 ** rng.uniform(-15.0, 2.0, count)).tolist()))
+
+
 class TestLittleKl:
     def test_known_values(self):
         assert little_kl(0.5, 0.5) == 0.0
@@ -271,20 +286,31 @@ class TestLittleKl:
 
     def test_kernel_makes_the_first_bisections_comparisons(self):
         # the unchecked kernel against the bisection as first written on _little_kl, bit for bit
-        rng = np.random.default_rng(18)
-        edges = [1e-300, 1e-17, 0.5, 1.0 - 2.0**-53]
-        budgets = np.geomspace(1e-15, 100.0, 200).tolist()
-        pairs = [(p, b) for p in edges for b in budgets]
-        pairs += [(p, b) for p in [0.0, 1.0, *edges] for b in [0.0, 5e-324, 1e-300, math.inf]]
-        # mostly uniform p_hat: one near 0 takes up to twice the halvings of one near 1/2 (about
-        # 55), many through _rel_entr's slower branch, and 100,000 pairs must run in seconds
-        p_hat = np.where(rng.random(100_000) < 0.95, rng.random(100_000),
-                         10.0 ** rng.uniform(-300.0, 0.0, 100_000))
-        pairs += zip(p_hat.tolist(), (10.0 ** rng.uniform(-15.0, 2.0, 100_000)).tolist())
+        pairs = _inverse_pairs(100_000, seed=18)
         for p, b in pairs:
             assert divergences._little_kl_inverse_upper(p, b).hex() == (
                 oracle_kl_inverse_upper(p, b).hex()), (p, b)
         assert len(pairs) > 100_000
+
+
+class TestAboveKlInverse:
+    def test_verdicts_equal_the_bisections(self, monkeypatch):
+        # q at the root r, 1, 2 and 40 spacings of r and 1e-6 either side of it, p_hat and 1
+        pairs = _inverse_pairs(3_000, seed=29)
+        r = np.array([oracle_kl_inverse_upper(p, b) for p, b in pairs])
+        offsets = [k * np.spacing(r) for k in (0, 1, -1, 2, -2, 40, -40)] + [1e-6, -1e-6]
+        p_hat, budget = (np.array(column) for column in zip(*pairs))
+        q = np.clip(np.concatenate([r + x for x in offsets] + [p_hat, np.ones_like(r)]), 0.0, 1.0)
+        p_hat, budget, r = (np.tile(a, len(offsets) + 2) for a in (p_hat, budget, r))
+        assert divergences._above_kl_inverse(q, p_hat, budget).tolist() == (q > r).tolist()
+        # the bisection's entries read as above at a root of -inf and not above at +inf; every
+        # route is taken: certified above, certified not above, and the bisection
+        verdicts = []
+        for root in (-math.inf, math.inf):
+            monkeypatch.setattr(divergences, "_little_kl_inverse_upper", lambda p, b: root)
+            verdicts.append(divergences._above_kl_inverse(q, p_hat, budget))
+        low, high = verdicts
+        assert (low & high).any() and (~low & ~high).any() and (low & ~high).any()
 
 
 class TestChainBounds:
