@@ -419,11 +419,11 @@ def _check_chain_args(kl: float, tv: float, c: float) -> tuple[float, float, flo
 # Half-width of the domain in units of the wider scale, and the relative part of the error target.
 _HALF_WIDTH = 20.0
 _REL_TOL = 1e-8
-# Simpson steps per panel of the rough pass that sizes the error budget.
+# Simpson steps per panel of the seed level, whose Simpson pairs start the refinement.
 _ROUGH_STEPS = 32
 # Intervals refined per integrand call; bounds memory when many refine at once.
 _BATCH = 2048
-# Halvings after which an interval is accepted as it is, flagging the result exhausted.
+# Halvings below its seed after which an interval is accepted as is, flagging the result exhausted.
 _MAX_DEPTH = 60
 # Integrand evaluations one integral may spend, as QUADPACK's ``limit``, past which it refuses:
 # the benchmark integrals use at most about 3,000, a mixture weight of 1e-6 about a million.
@@ -456,32 +456,25 @@ def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
     return integrand
 
 
-def _adaptive_simpson(f, edges: np.ndarray, budget: float, max_depth: int):
-    """Adaptive Simpson on every panel between ``edges``; returns (value, error, exhausted).
+def _adaptive_simpson(f, seeds: np.ndarray, budget: float, max_depth: int):
+    """Adaptive Simpson from the seed intervals ``seeds``; returns (value, error, exhausted).
 
-    A panel gets tolerance budget * width / total width.  An interval is
-    accepted when its halves' Simpson sum is within 15 tol of its own (the
-    Richardson-corrected sum counts), or when it is max_depth levels deep,
-    which marks the result exhausted; otherwise both halves are refined at
-    tol / 2.  Each test depends only on the interval itself, so the accepted
-    intervals are those of the depth-first recursion; they are refined level
-    by level instead, evaluating f on at most 2 * _BATCH nodes per call.
+    ``seeds`` holds the rows of k adjacent intervals (``_seed_intervals``).  An interval gets
+    tolerance budget * width / total width.  It is accepted when its halves' Simpson sum is
+    within 15 tol of its own (the Richardson-corrected sum counts), or when it is max_depth
+    halvings below its seed, which marks the result exhausted; otherwise both halves are refined
+    at tol / 2.  Each test depends only on the interval itself, so the accepted intervals are
+    those of the depth-first recursion from each seed; they are refined level by level instead.
 
-    Each stack entry is one (8, k) array of k intervals, its rows a, m, b,
-    f(a), f(m), f(b), the interval's Simpson sum and its tol, with the
-    entry's remaining depth.  A pop evaluates f once on both quarter points
-    of every interval, and the refined intervals' children, left halves
-    then right halves, go back in chunks of _BATCH columns.  The chunks, the
-    order of the pops and the grouping of every sum are those of one array
-    per row, so the stacking changes no bit of the value or the error.
+    Each stack entry is one (8, k) array of k intervals, the seed rows and tol, with the entry's
+    remaining depth; the seeds are the first entry.  A pop evaluates f once on both quarter
+    points of every interval, and the refined intervals' children, left halves then right
+    halves, go back in chunks of _BATCH columns, so a later call evaluates f on at most
+    2 * _BATCH nodes.  The chunks, the order of the pops and the grouping of every sum are those
+    of one array per row, so the stacking changes no bit of the value or the error.
     """
-    a, b = edges[:-1], edges[1:]
-    m = 0.5 * (a + b)
-    fe, fm = f(edges), f(m)
-    fa, fb = fe[:-1], fe[1:]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = budget * (b - a) / (edges[-1] - edges[0])
-    stack = [(np.stack([a, m, b, fa, fm, fb, whole, tol]), max_depth)]
+    tol = budget * (seeds[2] - seeds[0]) / (seeds[2, -1] - seeds[0, 0])
+    stack = [(np.vstack([seeds, tol]), max_depth)]
     value = err = 0.0
     exhausted = False
     while stack:
@@ -517,22 +510,28 @@ def _adaptive_simpson(f, edges: np.ndarray, budget: float, max_depth: int):
 
 def _panel_edges(pair: GaussianMixturePair) -> np.ndarray:
     """Breakpoints over +/- _HALF_WIDTH times the wider scale that always bracket the narrow
-    component's spike."""
+    component's spike, and put the kink of |p - q| where P and Q cross on an edge."""
     width = _HALF_WIDTH * max(1.0, pair.sigma2)
     offsets = {0.0, width}
     for scale in (pair.sigma2, 1.0):
         for k in (1.0, 2.0, 5.0, 10.0):
             offsets.add(min(k * scale, width))
+    if 0.0 < pair.p < 1.0 and pair.sigma2 != 1.0:
+        # P - Q = p (N(0, 1) - Q) is 0 at x*^2 = 2 ln sigma2 / (1 - sigma2^-2), x* between sigma2
+        # and 1; over t = min(sigma2, 1/sigma2) no square overflows, nor x* underflows to 0
+        t = min(pair.sigma2, 1.0 / pair.sigma2)
+        ratio = 2.0 * abs(math.log(pair.sigma2)) / (1.0 - t * t)
+        offsets.add(min(1.0, pair.sigma2) * math.sqrt(ratio))
     one_sided = sorted(offsets)
     return np.array([-o for o in reversed(one_sided[1:])] + one_sided)
 
 
-def _rough_composite(f, edges: np.ndarray) -> float:
-    """Composite Simpson with _ROUGH_STEPS steps on each panel, all nodes in one call."""
-    ys = f(np.linspace(edges[:-1], edges[1:], _ROUGH_STEPS + 1, axis=-1))
-    h = np.diff(edges) / _ROUGH_STEPS
-    odd, even = ys[:, 1::2].sum(axis=1), ys[:, 2:-1:2].sum(axis=1)
-    return float(np.sum(h / 3.0 * (ys[:, 0] + ys[:, -1] + 4.0 * odd + 2.0 * even)))
+def _seed_intervals(f, edges: np.ndarray) -> np.ndarray:
+    """Rows a, m, b, f(a), f(m), f(b) and Simpson sum of the seed intervals, panel after panel:
+    f once on _ROUGH_STEPS + 1 equal-spaced nodes per panel, (a, m, b) = nodes 2j, 2j+1, 2j+2."""
+    x = np.linspace(edges[:-1], edges[1:], _ROUGH_STEPS + 1, axis=-1)
+    a, m, b, fa, fm, fb = (v[:, j : j + _ROUGH_STEPS - 1 : 2] for v in (x, f(x)) for j in range(3))
+    return np.stack([a, m, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb)]).reshape(7, -1)
 
 
 def divergence_gaussian(
@@ -544,17 +543,18 @@ def divergence_gaussian(
 ) -> DivergenceValue:
     """Divergence of a GaussianMixturePair by adaptive Simpson quadrature.
 
-    Supports KL, TV, ZCP (requires c >= 0) and RENYI (requires alpha > 0,
-    alpha != 1).  The defining integrand is integrated over +/- _HALF_WIDTH
-    times max(1, sigma2), so a Q wider than P's unit component keeps its mass,
-    with panel edges seeded at multiples of both component scales, so the
-    narrow spike cannot be stepped over.  RENYI is +inf, without
-    integrating, when p > 0 and the integrand's tail exponent, a positive
-    multiple of (alpha - 1) - alpha sigma2^2, is >= 0.
-    An interval still unresolved after _MAX_DEPTH halvings is accepted as
-    it is.  Raises NumericalError when the summed error estimate then
-    exceeds _REL_TOL * |value| + 1e-12, or when the integral would spend
-    more than _MAX_EVALUATIONS integrand evaluations.
+    Supports KL, TV, ZCP (requires c >= 0) and RENYI (requires alpha > 0, alpha != 1).  The
+    defining integrand is integrated over +/- _HALF_WIDTH times max(1, sigma2), so a Q wider
+    than P's unit component keeps its mass.  Panel edges sit at multiples of both component
+    scales, so the narrow spike cannot be stepped over, and, for 0 < p < 1, where P and Q cross,
+    so the kink of |p - q| falls on an edge.  The integrand is evaluated once on
+    _ROUGH_STEPS + 1 equally spaced nodes of each panel; their Simpson pairs are the seed
+    intervals, whose summed Simpson sums size the error budget and from which the refinement
+    starts.  RENYI is +inf, without integrating, when p > 0 and the integrand's tail exponent,
+    a positive multiple of (alpha - 1) - alpha sigma2^2, is >= 0.  An interval still unresolved
+    _MAX_DEPTH halvings below its seed interval is accepted as it is.  Raises NumericalError
+    when the summed error estimate then exceeds _REL_TOL * |value| + 1e-12, or when the
+    integral would spend more than _MAX_EVALUATIONS integrand evaluations.
     """
     try:
         kind = DivergenceKind(kind)
@@ -579,12 +579,12 @@ def divergence_gaussian(
             return DivergenceValue(math.inf, 0.0)
 
     f = _integrand(pair, kind, alpha, c)
-    edges = _panel_edges(pair)
-    rough = _rough_composite(f, edges)
-    if not math.isfinite(rough):
+    seeds = _seed_intervals(f, _panel_edges(pair))
+    seed_sum = float(seeds[6].sum())
+    if not math.isfinite(seed_sum):
         raise NumericalError("integrand overflows float64 on the truncated domain")
-    budget = 0.5 * (_REL_TOL * abs(rough) + 1e-12)
-    value, err, exhausted = _adaptive_simpson(f, edges, budget, _MAX_DEPTH)
+    budget = 0.5 * (_REL_TOL * abs(seed_sum) + 1e-12)
+    value, err, exhausted = _adaptive_simpson(f, seeds, budget, _MAX_DEPTH)
     if not math.isfinite(value):
         raise NumericalError("integrand overflows float64 on the truncated domain")
     if err > _REL_TOL * abs(value) + 1e-12:

@@ -273,17 +273,13 @@ def oracle_integrand(pair, kind, alpha, c):
     return integrand
 
 
-def oracle_adaptive_simpson(f, edges, budget, max_depth):
+def oracle_adaptive_simpson(f, seeds, budget, max_depth):
     """Adaptive Simpson as first written, each field of an interval its own array and the
-    children concatenated field by field; it reads ``divergences._BATCH`` as the library does.
-    The library's stacked refinement must accept the same intervals in the same order and so
-    return the same bits."""
-    a, b = edges[:-1], edges[1:]
-    m = 0.5 * (a + b)
-    fe, fm = f(edges), f(m)
-    fa, fb = fe[:-1], fe[1:]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = budget * (b - a) / (edges[-1] - edges[0])
+    children concatenated field by field, entered from the library's seed intervals; it reads
+    ``divergences._BATCH`` as the library does.  The library's stacked refinement must accept
+    the same intervals in the same order and so return the same bits."""
+    a, m, b, fa, fm, fb, whole = seeds
+    tol = budget * (b - a) / (b[-1] - a[0])
     stack = [(a, m, b, fa, fm, fb, whole, tol, max_depth)]
     value = err = 0.0
     exhausted = False

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 from statistics import NormalDist
@@ -533,15 +534,15 @@ class TestQuadrature:
         # just below the threshold alpha = 1/(1 - p^2) the integral converges
         assert math.isfinite(divergence_gaussian(pair, "renyi", alpha=1.04).value)
 
-    @pytest.mark.parametrize("max_depth", [1, 3])
-    def test_subdivision_budget_exhausted(self, monkeypatch, max_depth):
+    def test_subdivision_budget_exhausted(self, monkeypatch):
+        # from the seed intervals one halving already resolves this KL; none does not
         pair = gaussian_instance(0.2, 1.0)
-        monkeypatch.setattr(divergences, "_MAX_DEPTH", max_depth)
+        monkeypatch.setattr(divergences, "_MAX_DEPTH", 0)
         with pytest.raises(NumericalError, match=r"\(subdivision budget exhausted\)"):
             divergence_gaussian(pair, "kl")
 
     def test_evaluation_budget_exhausted(self, monkeypatch):
-        # p = 1e-4 TV takes 11,947 integrand evaluations, the rough pass included
+        # p = 1e-4 TV takes 11,404 integrand evaluations, the seed level included
         pair = gaussian_instance(1e-4, 1.0)
         default = divergence_gaussian(pair, "tv")
         monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", 10_000)
@@ -646,6 +647,58 @@ class TestQuadrature:
             divergence_gaussian(pair, "kl", alpha=2.0)  # stray parameter
 
 
+# (p, exponent), kind, parameters and the integral to 40 digits (mpmath, on the same truncated
+# domain), rounded to the nearest float
+_REFERENCES = [
+    ((1e-6, 1.0), "tv", {}, 9.999956590970304e-07),
+    ((0.1, 1.0), "tv", {}, 0.07982159409123248),
+    ((0.05, 0.75), "kl", {}, 1.9634399911024625),
+    ((0.2, 1.0), "zcp", {"c": 1.0}, 0.6082802084212066),
+]
+
+
+class TestQuadratureReferences:
+    @pytest.mark.parametrize("instance, kind, kwargs, reference", _REFERENCES)
+    def test_error_estimate_covers_the_reference(self, instance, kind, kwargs, reference):
+        # the TV at p = 1e-6 holds its estimate only with the kink of |p - q| on a panel edge
+        result = divergence_gaussian(gaussian_instance(*instance), kind, **kwargs)
+        assert abs(result.value - reference) <= result.abs_error
+
+
+class TestCrossingEdge:
+    """``_panel_edges`` puts the points where P and Q cross on panel edges."""
+
+    @pytest.mark.parametrize("sigma2", [1e-310, 1e-200, 1e-6, 0.2, 0.5, 2.0, 100.0, 1e200])
+    def test_the_crossings_are_edges(self, sigma2):
+        pair = GaussianMixturePair(sigma2=sigma2, p=0.3)
+        edges = divergences._panel_edges(pair)
+        assert np.isfinite(edges).all()
+        plain = divergences._panel_edges(GaussianMixturePair(sigma2=sigma2, p=0.0))
+        (x,) = set(edges[edges > 0.0].tolist()) - set(plain.tolist())
+        assert -x in edges and min(1.0, sigma2) <= x <= max(1.0, sigma2)
+        if x >= sys.float_info.min:
+            # ln q sums terms as large as |ln sigma2|, so its rounding is a few of their ulps
+            lp, lq = pair._log_pdfs(x)
+            assert abs(lp - lq) <= 4.0 * math.ulp(max(abs(lq), abs(math.log(sigma2))))
+
+    def test_no_crossing_edge_without_a_crossing(self):
+        unit = [-20.0, -10.0, -5.0, -2.0, -1.0, 0.0, 1.0, 2.0, 5.0, 10.0, 20.0]
+        assert divergences._panel_edges(GaussianMixturePair(sigma2=1.0, p=0.3)).tolist() == unit
+        for sigma2 in (0.2, 100.0):
+            plain, full, mixed = (
+                divergences._panel_edges(GaussianMixturePair(sigma2=sigma2, p=p)).tolist()
+                for p in (0.0, 1.0, 0.3)
+            )
+            assert full == plain and len(mixed) == len(plain) + 2
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.75])
+    def test_tv_refines_little_past_the_seeds(self, monkeypatch, exponent):
+        # with the kink of |p - q| inside a panel, each of these takes 20 or more integrand calls
+        for p in (0.2, 0.1, 0.05, 0.02):
+            calls = _integrand_calls(monkeypatch, gaussian_instance(p, exponent), "tv")
+            assert len(calls) <= 12, p
+
+
 # every kind, at the ZCP scales and Renyi orders the refinement must keep the bits of
 _QUADRATURE_KINDS = [
     ("kl", {}),
@@ -686,8 +739,8 @@ def _quadrature(monkeypatch, oracle, pair, kind, **kwargs):
     return outcome, [(value.hex(), err.hex(), exhausted) for value, err, exhausted in raw]
 
 
-def _evaluations(monkeypatch, pair, kind, **kwargs):
-    """Integrand evaluations one divergence_gaussian call spends."""
+def _integrand_calls(monkeypatch, pair, kind, **kwargs):
+    """The number of nodes of each integrand call one divergence_gaussian call makes."""
     make, sizes = divergences._integrand, []
 
     def counting(*args):
@@ -697,7 +750,7 @@ def _evaluations(monkeypatch, pair, kind, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(divergences, "_integrand", counting)
         divergence_gaussian(pair, kind, **kwargs)
-    return sum(sizes)
+    return sizes
 
 
 class TestQuadratureOracle:
@@ -731,8 +784,9 @@ class TestQuadratureOracle:
     def test_same_bits_within_the_depth_limit_at_a_tiny_weight(
         self, monkeypatch, kind, kwargs, exponent
     ):
-        # TV at a mixture weight of 1e-6 halves intervals 57 levels deep at exponent 1 and 60 at
-        # 0.75, so _MAX_DEPTH = 60 leaves no margin; a pass at the limit would be exhausted
+        # TV at a mixture weight of 1e-6 halves intervals 53 levels below their seed at exponent 1
+        # and 56 at 0.75, so _MAX_DEPTH = 60 leaves a margin of 4; a pass at the limit would be
+        # exhausted
         pair = gaussian_instance(1e-6, exponent)
         expected = _quadrature(monkeypatch, True, pair, kind, **kwargs)
         got = _quadrature(monkeypatch, False, pair, kind, **kwargs)
@@ -745,7 +799,7 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("kind, kwargs", _QUADRATURE_KINDS)
     def test_same_refusal_when_the_evaluations_run_out(self, monkeypatch, kind, kwargs):
         pair = gaussian_instance(1e-4, 1.0)
-        spent = _evaluations(monkeypatch, pair, kind, **kwargs)
+        spent = sum(_integrand_calls(monkeypatch, pair, kind, **kwargs))
         if spent == 0:  # Renyi past its threshold is +inf without integrating
             assert divergence_gaussian(pair, kind, **kwargs).value == math.inf
             return
@@ -856,10 +910,11 @@ class TestNoNegativeDivergence:
         assert tv_discrete(p, q) == tv_discrete(q, p) == 1.0
 
     def test_quadrature_renyi_at_tiny_alpha_is_plus_zero(self):
-        # the integral's log is -1.29e-11 below 0 at alpha = 1e-12; the error estimate stays
+        # the integral's log over alpha - 1 is 6.0e-13 below 0 at alpha = 1e-12; the error
+        # estimate stays
         result = divergence_gaussian(gaussian_instance(0.2, 1.0), "renyi", alpha=1e-12)
         assert _plus_zero(result.value)
-        assert result.abs_error.hex() == (1.3196878806390033e-10).hex()
+        assert result.abs_error.hex() == (1.0804243035960722e-10).hex()
 
 
 # a weight of 0 or of 1e-30 to 1, so that P and Q span 30 orders of magnitude

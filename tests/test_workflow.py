@@ -16,6 +16,7 @@ _STEP = "- name: Coin stream, fuzz block and CSV array path tests"
 def _floor_job_argv() -> list[str]:
     """The argv of the numpy-floor job's pytest step."""
     text = (_ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    assert _STEP in text, f"no step {_STEP!r} in .github/workflows/tests.yml"
     _, step = text.split(_STEP, 1)
     return shlex.split(re.search(r"^\s*run: (.*)$", step, re.MULTILINE).group(1))
 

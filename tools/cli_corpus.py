@@ -15,8 +15,9 @@ argv whose output changed:
 what a reworded message now says.  An exception that escapes ``cli.run``
 (a traceback from the installed script) is reported as the exit code
 ``raised:<type>``.  The corpus has two parts: GOLDEN, valid runs of every
-subcommand at the benchmark shapes, and INVALID, flags that must be refused
-(NaN and infinities for every float flag, and out-of-range integers).
+subcommand at the benchmark shapes and the top-level help, and INVALID,
+argvs that must be refused (NaN and infinities for every float flag,
+out-of-range integers, and a missing or unknown subcommand).
 ``--config`` cases read the files of CONFIGS, written to a temporary
 directory, and ``--out`` cases write under it; their argvs and stderr print
 that directory as ``<config-dir>``.
@@ -182,6 +183,7 @@ def _golden() -> list[tuple[str, ...]]:
         ("bound", *_config("instance.json")),
         ("bound", *_config("gibbs.json")),
     ]
+    argvs += [("-h",), ("--help",)]  # the top-level usage
     return argvs
 
 
@@ -212,6 +214,8 @@ _FLOAT_SWEEP = (
 )
 
 _OUT_OF_RANGE = (
+    (),  # no subcommand, and one that does not exist
+    ("bogus",),
     ("bound", "--n", "1"),
     ("bound", "--n", "0"),
     ("bound", "--n", "100", "--m", "0"),
