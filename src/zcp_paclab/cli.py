@@ -8,8 +8,8 @@ or — with --out — atomically to a file (temp file in the target directory,
 then rename).  Identical argv and seed produce byte-identical output.
 
 Exit codes: 0 success, 1 usage or validation error, 2 when a verification
-subcommand (coverage, gaussian-check, ville, inequalities, self-check)
-finds a failed PASS criterion and so writes ``all_passed=false`` in its summary.
+subcommand (coverage, gaussian-check, ville, self-check) finds a failed PASS
+criterion and so writes ``all_passed=false`` in its summary.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import types
 import numpy as np
 
 from .betting import kt_bettor, mean_zero_coins, wealth_quadratic_lower
-from .bounds import _LEMMA_TOLERANCE, BoundConfig, analytic_inequality_suite
+from .bounds import BoundConfig
 from .distributions import (
     _multivariate_ln_a, bernoulli_instance, gaussian_instance, make_discrete, multivariate_instance
 )
@@ -533,13 +533,6 @@ def _cmd_ville(args) -> tuple[dict, dict]:
     return _table(rows), summary
 
 
-def _cmd_inequalities(args) -> tuple[dict, dict]:
-    rows = analytic_inequality_suite(trials=args.trials, seed=args.seed)
-    summary = {"trials": args.trials, "tolerance": _LEMMA_TOLERANCE,
-               "all_passed": all(row.passed for row in rows)}
-    return _table(rows), summary
-
-
 def _cmd_self_check(args) -> tuple[dict, dict]:
     rows = self_check_suite(trials=args.trials, seed=args.seed)
     for row in rows:
@@ -607,7 +600,6 @@ _COMMANDS = {
         _cmd_ville,
         {"n": (int, 1000), "delta": (float_list, (0.1, 0.05)), "paths": (int, 10_000)},
     ),
-    "inequalities": (_cmd_inequalities, {"trials": (int, 100_000)}),
     "self-check": (_cmd_self_check, {"trials": (int, 50_000)}),
 }
 

@@ -212,16 +212,16 @@ class GaussianMixturePair:
         return -0.5 * z * z - math.log(self.sigma2) - 0.5 * _LOG_2PI
 
     def _log_pdfs(self, x):
-        """(ln p, ln q) at x, with ln q computed once and shared by ln p; at p = 0 they are the
-        same array, which no caller may write into."""
+        """(ln p, ln q, ln phi) at x, phi the N(0, 1) density, ln q computed once; ln p is the
+        array ln q at p = 0 and ln phi at p = 1, and no caller may write into them."""
         x = np.asarray(x, dtype=float)
         lq = self.log_pdf_q(x)
-        if self.p == 0.0:
-            return lq, lq
         l1 = -0.5 * x * x - 0.5 * _LOG_2PI
+        if self.p == 0.0:
+            return lq, lq, l1
         if self.p == 1.0:
-            return l1, lq
-        return np.logaddexp(math.log(self.p) + l1, math.log1p(-self.p) + lq), lq
+            return l1, lq, l1
+        return np.logaddexp(math.log(self.p) + l1, math.log1p(-self.p) + lq), lq, l1
 
 
 def gaussian_instance(p: float, exponent: float) -> GaussianMixturePair:

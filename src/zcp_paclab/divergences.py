@@ -55,7 +55,7 @@ class DivergenceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class DivergenceValue:
-    """A divergence computed by quadrature and its absolute error estimate."""
+    """A divergence of a mixture pair and its absolute error estimate."""
 
     value: float
     abs_error: float
@@ -115,11 +115,6 @@ def _abs_diff_of_exps(lp: np.ndarray, lq: np.ndarray, d: np.ndarray) -> np.ndarr
 def _kl_terms(lp: np.ndarray, lq: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p ln(p/q) per atom, p = exp(lp); the atoms must have p > 0 and q > 0."""
     return p * (lp - lq)
-
-
-def _renyi_log_terms(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
-    """ln(p^alpha q^(1 - alpha)) per atom; the atoms must not have p = q = 0."""
-    return alpha * lp + (1.0 - alpha) * lq
 
 
 def _zcp_terms(abs_diff: np.ndarray, ln_t: np.ndarray, c: float) -> np.ndarray:
@@ -210,7 +205,7 @@ def _renyi_rows(lp: np.ndarray, lq: np.ndarray, alpha: float) -> np.ndarray:
     active, lp, lq = in_use
     # over: alpha lp and (1 - alpha) lq; divide: log1p(-1) where P and Q are disjoint
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        terms = _renyi_log_terms(lp, lq, alpha)
+        terms = alpha * lp + (1.0 - alpha) * lq  # ln(p^alpha q^(1 - alpha))
         # a huge alpha can overflow a term, whose true value is lq + alpha (lp - lq); such a row
         # factors its largest d = lp - lq out: D = alpha/(alpha - 1) d_max + LSE(lq + alpha (d -
         # d_max))/(alpha - 1).  Every other row keeps its bits.
@@ -426,20 +421,26 @@ _BATCH = 2048
 # Halvings below its seed after which an interval is accepted as is, flagging the result exhausted.
 _MAX_DEPTH = 60
 # Integrand evaluations one integral may spend, as QUADPACK's ``limit``, past which it refuses:
-# the benchmark integrals use at most about 3,000, a mixture weight of 1e-6 about a million.
+# the benchmark integrals use at most about 3,200, a mixture weight of 1e-6 at most about 8,400.
 _MAX_EVALUATIONS = 2**23
 
 
 def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
-    """The divergence's per-atom terms at an array of nodes; refuses a batch of nodes that would
-    take the evaluations past ``_MAX_EVALUATIONS``.  No kernel writes into lp or lq, which are one
-    array when p = 0."""
+    """The divergence's per-atom terms at an array of nodes; refuses past ``_MAX_EVALUATIONS``."""
+
+    def renyi(lp, lq, l1):
+        # q (r^alpha - 1) with r - 1 = p expm1(ln phi - ln q), which does not cancel; ln r is
+        # lp - lq where |r - 1| >= 1/2, as r - 1 may overflow, and q r^alpha - q is 0 * inf far out
+        u = pair.p * np.expm1(l1 - lq)
+        ln_r = np.log1p(u, out=lp - lq, where=np.abs(u) < 0.5)
+        a, q = alpha * ln_r, np.exp(lq)
+        return np.where(a > 30.0, np.exp(lq + a) - q, q * np.expm1(a))
+
     terms = {
-        DivergenceKind.KL: lambda lp, lq: _kl_terms(lp, lq, np.exp(lp)),
-        DivergenceKind.TV: lambda lp, lq: 0.5 * _abs_diff_of_exps(lp, lq, lp - lq),
-        DivergenceKind.ZCP: lambda lp, lq: _zcp_terms(
+        DivergenceKind.KL: lambda lp, lq, l1: _kl_terms(lp, lq, np.exp(lp)),
+        DivergenceKind.ZCP: lambda lp, lq, l1: _zcp_terms(
             _abs_diff_of_exps(lp, lq, lp - lq), _log_abs_expm1(lp - lq), c),
-        DivergenceKind.RENYI: lambda lp, lq: np.exp(_renyi_log_terms(lp, lq, alpha)),
+        DivergenceKind.RENYI: renyi,
     }[kind]
 
     spent = 0
@@ -508,21 +509,21 @@ def _adaptive_simpson(f, seeds: np.ndarray, budget: float, max_depth: int):
     return value, err, exhausted
 
 
-def _panel_edges(pair: GaussianMixturePair) -> np.ndarray:
+def _crossing(sigma2: float) -> float:
+    """x* > 0 where N(0, 1) and N(0, sigma2^2 != 1) cross, found over t = min(sigma2, 1/sigma2)."""
+    t = min(sigma2, 1.0 / sigma2)
+    return min(1.0, sigma2) * math.sqrt(2.0 * abs(math.log(sigma2)) / (1.0 - t * t))
+
+
+def _panel_edges(pair: GaussianMixturePair, *offsets: float) -> np.ndarray:
     """Breakpoints over +/- _HALF_WIDTH times the wider scale that always bracket the narrow
-    component's spike, and put the kink of |p - q| where P and Q cross on an edge."""
+    component's spike, with one where P and Q cross and the nonnegative ``offsets``."""
     width = _HALF_WIDTH * max(1.0, pair.sigma2)
-    offsets = {0.0, width}
-    for scale in (pair.sigma2, 1.0):
-        for k in (1.0, 2.0, 5.0, 10.0):
-            offsets.add(min(k * scale, width))
+    multiples = (k * scale for scale in (pair.sigma2, 1.0) for k in (1.0, 2.0, 5.0, 10.0))
+    offsets = {0.0, width, *offsets, *multiples}
     if 0.0 < pair.p < 1.0 and pair.sigma2 != 1.0:
-        # P - Q = p (N(0, 1) - Q) is 0 at x*^2 = 2 ln sigma2 / (1 - sigma2^-2), x* between sigma2
-        # and 1; over t = min(sigma2, 1/sigma2) no square overflows, nor x* underflows to 0
-        t = min(pair.sigma2, 1.0 / pair.sigma2)
-        ratio = 2.0 * abs(math.log(pair.sigma2)) / (1.0 - t * t)
-        offsets.add(min(1.0, pair.sigma2) * math.sqrt(ratio))
-    one_sided = sorted(offsets)
+        offsets.add(_crossing(pair.sigma2))  # P - Q = p (N(0, 1) - Q) is 0 at +/- x*
+    one_sided = sorted({min(o, width) for o in offsets})
     return np.array([-o for o in reversed(one_sided[1:])] + one_sided)
 
 
@@ -541,20 +542,15 @@ def divergence_gaussian(
     alpha: float | None = None,
     c: float | None = None,
 ) -> DivergenceValue:
-    """Divergence of a GaussianMixturePair by adaptive Simpson quadrature.
-
-    Supports KL, TV, ZCP (requires c >= 0) and RENYI (requires alpha > 0, alpha != 1).  The
-    defining integrand is integrated over +/- _HALF_WIDTH times max(1, sigma2), so a Q wider
-    than P's unit component keeps its mass.  Panel edges sit at multiples of both component
-    scales, so the narrow spike cannot be stepped over, and, for 0 < p < 1, where P and Q cross,
-    so the kink of |p - q| falls on an edge.  The integrand is evaluated once on
-    _ROUGH_STEPS + 1 equally spaced nodes of each panel; their Simpson pairs are the seed
-    intervals, whose summed Simpson sums size the error budget and from which the refinement
-    starts.  RENYI is +inf, without integrating, when p > 0 and the integrand's tail exponent,
-    a positive multiple of (alpha - 1) - alpha sigma2^2, is >= 0.  An interval still unresolved
-    _MAX_DEPTH halvings below its seed interval is accepted as it is.  Raises NumericalError
-    when the summed error estimate then exceeds _REL_TOL * |value| + 1e-12, or when the
-    integral would spend more than _MAX_EVALUATIONS integrand evaluations.
+    """Divergence of a GaussianMixturePair: 0 when P = Q, TV in closed form with its rounding
+    bound, and KL, ZCP (requires c >= 0) and RENYI (requires alpha > 0, alpha != 1) by adaptive
+    Simpson over +/- _HALF_WIDTH times max(1, sigma2), from seed intervals that are the Simpson
+    pairs of _ROUGH_STEPS + 1 equally spaced nodes per panel.  RENYI integrates J = integral
+    q (r^alpha - 1), r = dP/dQ, and reports log1p(J)/(alpha - 1), +inf without integrating where
+    (alpha - 1) - alpha sigma2^2 >= 0.  An interval unresolved _MAX_DEPTH halvings below its
+    seed is accepted as it is.  Raises NumericalError when the summed error estimate then exceeds
+    _REL_TOL * |integral| + 1e-12, when the integral would spend more than _MAX_EVALUATIONS
+    integrand evaluations, or when J is within its error of -1.
     """
     try:
         kind = DivergenceKind(kind)
@@ -571,15 +567,26 @@ def divergence_gaussian(
     elif c is not None:
         raise ValidationError(f"c is only meaningful for ZCP, not {kind.value}")
 
-    if kind is DivergenceKind.RENYI and pair.p > 0.0:
-        # far out p^alpha q^(1 - alpha) ~ exp(tail * x^2) with tail =
-        # ((alpha - 1) - alpha sigma2^2) / (2 sigma2^2), so tail >= 0 diverges; sigma2 * sigma2
-        # overflows to inf where sigma2**2 would raise
-        if (alpha - 1.0) - alpha * (pair.sigma2 * pair.sigma2) >= 0.0:
+    if pair.p == 0.0 or pair.sigma2 == 1.0:  # P = Q
+        return DivergenceValue(0.0, 0.0)
+    if kind is DivergenceKind.TV:
+        # TV = p |P1(|X| < x*) - Q(|X| < x*)|, stationary in x*; a rounded argument moves erf by at
+        # most erf times its relative error, so ulps of p (ea + eb) bound the error of ea - eb
+        a = _crossing(pair.sigma2) / math.sqrt(2.0)
+        ea, eb = math.erf(a), math.erf(a / pair.sigma2)
+        return DivergenceValue(pair.p * abs(ea - eb), 16.0 * math.ulp(pair.p * (ea + eb)))
+    edges = ()
+    if kind is DivergenceKind.RENYI:
+        # past the spike's cliff the integrand is about (p phi)^alpha q^(1 - alpha) ~ exp(-spread
+        # x^2 / (2 sigma2^2)): it diverges for spread <= 0, and is e^-70 phi(0) at this edge
+        spread = alpha * (pair.sigma2 * pair.sigma2) + (1.0 - alpha)  # sigma2**2 could raise
+        if spread <= 0.0:
             return DivergenceValue(math.inf, 0.0)
+        log_peak = alpha * math.log(pair.p) + (alpha - 1.0) * math.log(pair.sigma2) + 70.0
+        edges = (pair.sigma2 * math.sqrt(2.0 * max(log_peak, 0.0) / spread),)
 
     f = _integrand(pair, kind, alpha, c)
-    seeds = _seed_intervals(f, _panel_edges(pair))
+    seeds = _seed_intervals(f, _panel_edges(pair, *edges))
     seed_sum = float(seeds[6].sum())
     if not math.isfinite(seed_sum):
         raise NumericalError("integrand overflows float64 on the truncated domain")
@@ -595,8 +602,9 @@ def divergence_gaussian(
         )
 
     if kind is DivergenceKind.RENYI:
-        if value <= 0.0:
-            raise NumericalError("Renyi integral underflowed to a nonpositive value")
-        value, err = math.log(value) / (alpha - 1.0), err / (abs(alpha - 1.0) * value)
+        low = 1.0 + value - err  # log1p's slope over J +/- err is at most 1 / low
+        if low <= 0.0:
+            raise NumericalError(f"Renyi integral J = {value!r} is within its error of -1")
+        value, err = math.log1p(value) / (alpha - 1.0), err / (abs(alpha - 1.0) * low)
     # every divergence is >= 0, but rounding can put a value near 0 below it; max gives +0.0
     return DivergenceValue(max(0.0, value), err)

@@ -28,9 +28,9 @@ from zcp_paclab.divergences import (
     _kl_terms,
     _log_abs_expm1,
     _rel_entr,
-    _renyi_log_terms,
     _zcp_terms,
 )
+from zcp_paclab.distributions import GaussianMixturePair
 
 
 def random_pair(rng, max_support=64, min_support=2):
@@ -248,14 +248,22 @@ def oracle_kl_inverse_upper(p_hat, budget):
 
 
 def oracle_integrand(pair, kind, alpha, c):
-    """The quadrature integrand as first written, with ln q computed in both of the pair's
-    log-density calls; it reads ``divergences._MAX_EVALUATIONS`` as the library does."""
+    """The quadrature integrand as first written, with ln q computed in each of the pair's
+    log-density calls, and Renyi's q (r^alpha - 1) selecting its branches with np.where; it
+    reads ``divergences._MAX_EVALUATIONS`` as the library does."""
+    unit = GaussianMixturePair(sigma2=pair.sigma2, p=1.0)  # its ln p is ln phi
+
+    def renyi(lp, lq, l1):
+        u = pair.p * np.expm1(l1 - lq)  # r - 1
+        ln_r = np.where(np.abs(u) < 0.5, np.log1p(u), lp - lq)
+        a, q = alpha * ln_r, np.exp(lq)
+        return np.where(a > 30.0, np.exp(lq + a) - q, q * np.expm1(a))
+
     terms = {
-        DivergenceKind.KL: lambda lp, lq: _kl_terms(lp, lq, np.exp(lp)),
-        DivergenceKind.TV: lambda lp, lq: 0.5 * _abs_diff_of_exps(lp, lq, lp - lq),
-        DivergenceKind.ZCP: lambda lp, lq: _zcp_terms(
+        DivergenceKind.KL: lambda lp, lq, l1: _kl_terms(lp, lq, np.exp(lp)),
+        DivergenceKind.ZCP: lambda lp, lq, l1: _zcp_terms(
             _abs_diff_of_exps(lp, lq, lp - lq), _log_abs_expm1(lp - lq), c),
-        DivergenceKind.RENYI: lambda lp, lq: np.exp(_renyi_log_terms(lp, lq, alpha)),
+        DivergenceKind.RENYI: renyi,
     }[kind]
 
     spent = 0
@@ -267,8 +275,9 @@ def oracle_integrand(pair, kind, alpha, c):
         if spent > limit:
             message = f"quadrature needs more than {limit} integrand evaluations"
             raise NumericalError(message + " (evaluation budget exhausted)")
-        with np.errstate(over="ignore", invalid="ignore"):  # invalid: -inf - -inf where p = q = 0
-            return terms(pair.log_pdf_p(x), pair.log_pdf_q(x))
+        # invalid: -inf - -inf where p = q = 0; divide: log1p(-1) in the branch np.where drops
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return terms(pair.log_pdf_p(x), pair.log_pdf_q(x), unit.log_pdf_p(x))
 
     return integrand
 

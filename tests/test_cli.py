@@ -863,13 +863,6 @@ class TestVerificationCommands:
         assert code == 0
         assert "# all_passed=true" in out
 
-    def test_inequalities_pass(self, capsys):
-        code, out, _ = _run(capsys, ["inequalities", "--trials", "2000"])
-        assert code == 0
-        payload = out.splitlines()
-        assert payload[0] == "check,worst_slack,violations,passed"
-        assert "# all_passed=true" in out
-
     @pytest.mark.parametrize("alpha", ["1e300", "1e308"])
     def test_huge_renyi_order_is_finite_and_silent(self, capsys, alpha):
         argv = ["divergence", "--kind", "renyi", "--alpha", alpha,
@@ -990,7 +983,6 @@ _SMALL_RUNS = [
     ["scaling", "--d", "8,16,32"],
     ["gaussian-check", "--p", "0.2"],
     ["ville", "--n", "50", "--paths", "1000"],
-    ["inequalities", "--trials", "1000"],
     ["self-check", "--trials", "1000"],
 ]
 
@@ -1029,7 +1021,6 @@ _VERDICTS = {
         "gaussian_instance_check", lambda ok: GaussianCheckRow(0.2, 1.0, 2.0, 0.1, 1.2, ok, 0.2, ok)
     ),
     "ville": ("ville_experiment", lambda ok: VilleRow(0.1, 0, 1000, 0.0, 0.005, ok)),
-    "inequalities": ("analytic_inequality_suite", lambda ok: CheckRow("fenchel_dual", 0.0, 0, ok)),
     "self-check": ("self_check_suite", lambda ok: CheckRow("betting_invariants", 0.0, 0, ok)),
 }
 

@@ -542,14 +542,21 @@ class TestQuadrature:
             divergence_gaussian(pair, "kl")
 
     def test_evaluation_budget_exhausted(self, monkeypatch):
-        # p = 1e-4 TV takes 11,404 integrand evaluations, the seed level included
+        # p = 1e-4 ZCP at c = 1 takes 1,996 integrand evaluations, the seed level included
         pair = gaussian_instance(1e-4, 1.0)
-        default = divergence_gaussian(pair, "tv")
-        monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", 10_000)
+        default = divergence_gaussian(pair, "zcp", c=1.0)
+        monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", 1_900)
         with pytest.raises(NumericalError, match=r"\(evaluation budget exhausted\)$"):
-            divergence_gaussian(pair, "tv")
-        monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", 12_000)
-        assert divergence_gaussian(pair, "tv") == default
+            divergence_gaussian(pair, "zcp", c=1.0)
+        monkeypatch.setattr(divergences, "_MAX_EVALUATIONS", 2_000)
+        assert divergence_gaussian(pair, "zcp", c=1.0) == default
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.75])
+    def test_zcp_refines_little_past_the_seeds(self, monkeypatch, exponent):
+        # at c = 1 each of these takes 4 or 5 integrand calls, the seed level included
+        for p in (0.2, 0.1, 0.05, 0.02):
+            calls = _integrand_calls(monkeypatch, gaussian_instance(p, exponent), "zcp", c=1.0)
+            assert len(calls) <= 5, p
 
     def test_default_budget_reproduces_the_benchmark_reference(self, capsys):
         path = Path(__file__).parents[1] / "bench" / "quadrature_reference.json"
@@ -647,21 +654,51 @@ class TestQuadrature:
             divergence_gaussian(pair, "kl", alpha=2.0)  # stray parameter
 
 
-# (p, exponent), kind, parameters and the integral to 40 digits (mpmath, on the same truncated
-# domain), rounded to the nearest float
+# pair, kind, parameters and the divergence to 40 to 60 digits (mpmath; the integrals on the
+# same truncated domain, TV on the whole line), rounded to the nearest float
 _REFERENCES = [
-    ((1e-6, 1.0), "tv", {}, 9.999956590970304e-07),
-    ((0.1, 1.0), "tv", {}, 0.07982159409123248),
-    ((0.05, 0.75), "kl", {}, 1.9634399911024625),
-    ((0.2, 1.0), "zcp", {"c": 1.0}, 0.6082802084212066),
+    (gaussian_instance(1e-6, 1.0), "tv", {}, 9.999956590970304e-07),
+    (gaussian_instance(0.1, 1.0), "tv", {}, 0.07982159409123248),
+    (gaussian_instance(0.05, 0.75), "kl", {}, 1.9634399911024625),
+    (gaussian_instance(0.2, 1.0), "zcp", {"c": 1.0}, 0.6082802084212066),
+    # ln p - ln q moves in steps of ulp(ln q) inside the spike, where log1p(-p) vanishes beside
+    # ln q: the quadrature gave p / 2 at p = 1e-15 and 1e-30
+    *((gaussian_instance(p, 1.0), "tv", {}, reference) for p, reference in (
+        (1e-8, 9.999999502893068e-09),
+        (1e-10, 9.999999994470271e-11),
+        (1e-15, 9.999999999999934e-16),
+        (1e-30, 1e-30),
+    )),
+    # the quadrature refused at sigma2 = 1e10 and 1e-30; the erf difference cancels near 1
+    *((GaussianMixturePair(sigma2=sigma2, p=0.3), "tv", {}, reference) for sigma2, reference in (
+        (1e-300, 0.3),
+        (1e-30, 0.3),
+        (1.0 - 1e-9, 1.4518243067803755e-10),
+        (1.0 + 1e-9, 1.4518244665134328e-10),
+        (1e10, 0.2999999998341081),
+        (1e300, 0.3),
+    )),
+    # ln I / (alpha - 1) was off by 12 times its error at p = 1e-6
+    *((gaussian_instance(p, 1.0), "renyi", {"alpha": 0.5}, reference) for p, reference in (
+        (1e-6, 9.9999432416370267e-7),
+        (1e-8, 9.9999993436998093e-9),
+        (1e-9, 9.9999999303302507e-10),
+        (1e-10, 9.9999999926498879e-11),
+        (1e-11, 9.9999999992284653e-12),
+        (1e-12, 9.9999999999193502e-13),
+    )),
+    (gaussian_instance(0.99, 1.0), "renyi", {"alpha": 0.9}, 8.959129869642778e-5),
 ]
 
 
 class TestQuadratureReferences:
-    @pytest.mark.parametrize("instance, kind, kwargs, reference", _REFERENCES)
-    def test_error_estimate_covers_the_reference(self, instance, kind, kwargs, reference):
-        # the TV at p = 1e-6 holds its estimate only with the kink of |p - q| on a panel edge
-        result = divergence_gaussian(gaussian_instance(*instance), kind, **kwargs)
+    @pytest.mark.parametrize("pair, kind, kwargs, reference", _REFERENCES)
+    def test_error_estimate_covers_the_reference(self, pair, kind, kwargs, reference):
+        # a refusal is allowed; a value must lie within its own error of the reference
+        try:
+            result = divergence_gaussian(pair, kind, **kwargs)
+        except NumericalError:
+            return
         assert abs(result.value - reference) <= result.abs_error
 
 
@@ -678,7 +715,7 @@ class TestCrossingEdge:
         assert -x in edges and min(1.0, sigma2) <= x <= max(1.0, sigma2)
         if x >= sys.float_info.min:
             # ln q sums terms as large as |ln sigma2|, so its rounding is a few of their ulps
-            lp, lq = pair._log_pdfs(x)
+            lp, lq, _ = pair._log_pdfs(x)
             assert abs(lp - lq) <= 4.0 * math.ulp(max(abs(lq), abs(math.log(sigma2))))
 
     def test_no_crossing_edge_without_a_crossing(self):
@@ -691,18 +728,10 @@ class TestCrossingEdge:
             )
             assert full == plain and len(mixed) == len(plain) + 2
 
-    @pytest.mark.parametrize("exponent", [1.0, 0.75])
-    def test_tv_refines_little_past_the_seeds(self, monkeypatch, exponent):
-        # with the kink of |p - q| inside a panel, each of these takes 20 or more integrand calls
-        for p in (0.2, 0.1, 0.05, 0.02):
-            calls = _integrand_calls(monkeypatch, gaussian_instance(p, exponent), "tv")
-            assert len(calls) <= 12, p
-
 
 # every kind, at the ZCP scales and Renyi orders the refinement must keep the bits of
 _QUADRATURE_KINDS = [
     ("kl", {}),
-    ("tv", {}),
     *(("zcp", {"c": c}) for c in (0.0, 1.0, 1e3)),
     *(("renyi", {"alpha": alpha}) for alpha in (0.5, 0.9, 1.04)),
 ]
@@ -784,9 +813,9 @@ class TestQuadratureOracle:
     def test_same_bits_within_the_depth_limit_at_a_tiny_weight(
         self, monkeypatch, kind, kwargs, exponent
     ):
-        # TV at a mixture weight of 1e-6 halves intervals 53 levels below their seed at exponent 1
-        # and 56 at 0.75, so _MAX_DEPTH = 60 leaves a margin of 4; a pass at the limit would be
-        # exhausted
+        # ZCP at c = 1, the deepest of these kinds at a mixture weight of 1e-6, halves intervals
+        # 14 levels below their seed at exponent 1 and 10 at 0.75, so _MAX_DEPTH = 60 leaves a
+        # margin of 46; a pass at the limit would be exhausted
         pair = gaussian_instance(1e-6, exponent)
         expected = _quadrature(monkeypatch, True, pair, kind, **kwargs)
         got = _quadrature(monkeypatch, False, pair, kind, **kwargs)
@@ -909,12 +938,12 @@ class TestNoNegativeDivergence:
         q = make_discrete([0, 0, 0, 0.0031622776601683794, 0, 1, 1, 0])
         assert tv_discrete(p, q) == tv_discrete(q, p) == 1.0
 
-    def test_quadrature_renyi_at_tiny_alpha_is_plus_zero(self):
-        # the integral's log over alpha - 1 is 6.0e-13 below 0 at alpha = 1e-12; the error
-        # estimate stays
+    def test_quadrature_renyi_at_tiny_alpha_is_never_minus_zero(self):
+        # ln I / (alpha - 1) was 6.0e-13 below 0 at alpha = 1e-12, and printed 0; log1p(J) keeps
+        # D = 1.19e-13 (50-digit mpmath, on the same truncated domain)
         result = divergence_gaussian(gaussian_instance(0.2, 1.0), "renyi", alpha=1e-12)
-        assert _plus_zero(result.value)
-        assert result.abs_error.hex() == (1.0804243035960722e-10).hex()
+        assert result.value >= 0.0 and math.copysign(1.0, result.value) == 1.0
+        assert abs(result.value - 1.192509326537492e-13) <= result.abs_error
 
 
 # a weight of 0 or of 1e-30 to 1, so that P and Q span 30 orders of magnitude

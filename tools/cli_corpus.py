@@ -117,7 +117,6 @@ def _golden() -> list[tuple[str, ...]]:
     argvs += [("bound", "--n", "2", "--loss", loss, "--eta", "1e308") for loss in ("abs", "bernoulli")]
     for seed in ("1", "2", "3"):
         argvs.append(("self-check", "--seed", seed))
-        argvs.append(("inequalities", "--seed", seed))
         argvs.append(("ville", "--n", "500", "--paths", "2000", "--delta", "0.1,0.05", "--seed", seed))
     argvs += [
         ("scaling",),
@@ -157,6 +156,11 @@ def _golden() -> list[tuple[str, ...]]:
         ("divergence", "--kind", "renyi", "--alpha", "0.5", "--mixture-p", "0.1"),
         ("divergence", "--kind", "zcp", "--c", "1", "--mixture-p", "0.1"),
         ("divergence", "--kind", "kl", "--mixture-p", "0.05", "--exponent", "0.75"),
+        # quadrature put TV off by 8 times its error at 1e-8 and at p / 2 at 1e-30, and Renyi
+        # off by 12 times its error at 1e-6
+        *(("divergence", "--kind", "tv", "--mixture-p", p) for p in ("1e-8", "1e-30")),
+        ("divergence", "--mixture-p", "1e-6", "--kind", "renyi", "--alpha", "0.5"),
+        ("divergence", "--mixture-p", "0.99", "--kind", "renyi", "--alpha", "0.9"),
         ("betting", "--coins", "0.5,-0.25,1,0.75,-1,0.1"),
         ("betting", "--n", "200", "--seed", "3"),
         # the benchmark's betting shapes
@@ -228,7 +232,6 @@ _OUT_OF_RANGE = (
     ("scaling", "--d", "8,4"),
     ("ville", "--n", "0", "--paths", "1000"),
     ("ville", "--n", "50", "--paths", "10"),
-    ("inequalities", "--trials", "0"),
     ("betting", "--n", "0"),
     ("divergence", "--kind", "renyi", "--alpha", "1", *_P, *_Q),
     ("divergence", "--kind", "renyi", "--alpha", "1", "--mixture-p", "0.1"),
@@ -264,8 +267,8 @@ _OUT_OF_RANGE = (
     ("instance", "--kind", "multivariate", "--d", "4096", "--u", "100"),  # d**(1.5u) overflows
     ("scaling", "--u", "100"),
     *(("instance", "--kind", "bernoulli", "--p", p) for p in ("0", "-0.0", "1e-200", "1e-320", "1e-160")),
-    # sigma2**2 underflowed to a ZeroDivisionError; the spike holding Q's mass now spends the
-    # evaluation budget
+    # sigma2**2 underflowed to a ZeroDivisionError; now ln q is -inf off the spike, where
+    # (x / sigma2)^2 overflows, so r^alpha is inf there and the seed level refuses at once
     ("divergence", "--mixture-p", "1e-300", "--kind", "renyi", "--alpha", "0.5"),
     # the pair is held on the standard scale, so there is no flag for its wide scale
     *(("divergence", "--mixture-p", "0.2", "--sigma1", sigma1, "--kind", "renyi",
@@ -277,7 +280,7 @@ _OUT_OF_RANGE = (
     ("bound", "--n", _HUGE, "--m", "2", "--loss", "bernoulli"),
     ("betting", "--n", str(2**63 - 1)),
     *((command, "--n", _HUGE) for command in ("coverage", "ville", "betting")),
-    *((command, "--trials", _HUGE) for command in ("inequalities", "self-check")),
+    ("self-check", "--trials", _HUGE),
     ("instance", "--kind", "multivariate", "--d", _HUGE, "--u", "1"),
     ("scaling", "--d", f"4,{_HUGE}"),
     # a delta so small that the complexity term's constant overflowed and printed inf
