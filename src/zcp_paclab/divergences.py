@@ -418,15 +418,13 @@ _REL_TOL = 1e-8
 _ROUGH_STEPS = 32
 # Intervals refined per integrand call; bounds memory when many refine at once.
 _BATCH = 2048
-# Halvings below its seed after which an interval is accepted as is, flagging the result exhausted.
-_MAX_DEPTH = 60
 # Integrand evaluations one integral may spend, as QUADPACK's ``limit``, past which it refuses:
 # the benchmark integrals use at most about 3,200, a mixture weight of 1e-6 at most about 8,400.
 _MAX_EVALUATIONS = 2**23
 
 
 def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
-    """The divergence's per-atom terms at an array of nodes; refuses past ``_MAX_EVALUATIONS``."""
+    """The divergence's per-atom terms at an array of nodes."""
 
     def renyi(lp, lq, l1):
         # q (r^alpha - 1) with r - 1 = p expm1(ln phi - ln q), which does not cancel; ln r is
@@ -443,43 +441,36 @@ def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
         DivergenceKind.RENYI: renyi,
     }[kind]
 
-    spent = 0
-
     def integrand(x: np.ndarray) -> np.ndarray:
-        nonlocal spent
-        spent += x.size
-        if spent > _MAX_EVALUATIONS:
-            message = f"quadrature needs more than {_MAX_EVALUATIONS} integrand evaluations"
-            raise NumericalError(message + " (evaluation budget exhausted)")
         with np.errstate(over="ignore", invalid="ignore"):  # invalid: -inf - -inf where p = q = 0
             return terms(*pair._log_pdfs(x))
 
     return integrand
 
 
-def _adaptive_simpson(f, seeds: np.ndarray, budget: float, max_depth: int):
-    """Adaptive Simpson from the seed intervals ``seeds``; returns (value, error, exhausted).
+def _adaptive_simpson(f, seeds: np.ndarray, budget: float):
+    """Adaptive Simpson from the seed intervals ``seeds``; returns (value, error).
 
     ``seeds`` holds the rows of k adjacent intervals (``_seed_intervals``).  An interval gets
-    tolerance budget * width / total width.  It is accepted when its halves' Simpson sum is
-    within 15 tol of its own (the Richardson-corrected sum counts), or when it is max_depth
-    halvings below its seed, which marks the result exhausted; otherwise both halves are refined
-    at tol / 2.  Each test depends only on the interval itself, so the accepted intervals are
+    tolerance budget * width / total width.  Both its halves are refined at tol / 2 when their
+    Simpson sum is more than 15 tol from its own; otherwise it is accepted and its
+    Richardson-corrected sum counts.  A NaN difference is accepted: an inf node makes the
+    difference inf where it first appears and NaN in the halves, so the value is not finite one
+    level later.  Each test depends only on the interval itself, so the accepted intervals are
     those of the depth-first recursion from each seed; they are refined level by level instead.
 
-    Each stack entry is one (8, k) array of k intervals, the seed rows and tol, with the entry's
-    remaining depth; the seeds are the first entry.  A pop evaluates f once on both quarter
-    points of every interval, and the refined intervals' children, left halves then right
-    halves, go back in chunks of _BATCH columns, so a later call evaluates f on at most
-    2 * _BATCH nodes.  The chunks, the order of the pops and the grouping of every sum are those
-    of one array per row, so the stacking changes no bit of the value or the error.
+    Each stack entry is one (8, k) array of k intervals, the seed rows and tol; the seeds are the
+    first entry.  A pop evaluates f once on both quarter points of every interval, and the
+    refined intervals' children, left halves then right halves, go back in chunks of _BATCH
+    columns, so a later call evaluates f on at most 2 * _BATCH nodes.  The chunks, the order of
+    the pops and the grouping of every sum are those of one array per row, so the stacking
+    changes no bit of the value or the error.
     """
     tol = budget * (seeds[2] - seeds[0]) / (seeds[2, -1] - seeds[0, 0])
-    stack = [(np.vstack([seeds, tol]), max_depth)]
+    stack = [np.vstack([seeds, tol])]
     value = err = 0.0
-    exhausted = False
     while stack:
-        s, depth = stack.pop()
+        s = stack.pop()
         lo, hi = s[0:2], s[1:3]  # (a, m) and (m, b): the left and right halves' ends
         quarters = 0.5 * (lo + hi)
         f_quarters = f(quarters.ravel()).reshape(2, -1)
@@ -488,10 +479,7 @@ def _adaptive_simpson(f, seeds: np.ndarray, budget: float, max_depth: int):
         halves = (hi - lo) / 6.0 * (f_lo + 4.0 * f_quarters + f_hi)
         pair_sum = halves[0] + halves[1]
         delta = pair_sum - s[6]
-        refine = ~(np.abs(delta) <= 15.0 * s[7])
-        if depth <= 0:
-            exhausted = exhausted or bool(refine.any())
-            refine[:] = False
+        refine = np.abs(delta) > 15.0 * s[7]
         done = ~refine
         correction = delta[done] / 15.0
         value += float((pair_sum[done] + correction).sum())
@@ -505,8 +493,8 @@ def _adaptive_simpson(f, seeds: np.ndarray, budget: float, max_depth: int):
         children[6], children[7] = halves, 0.5 * s[7]
         children = children[:, :, refine].reshape(8, -1)
         for start in range(0, children.shape[1], _BATCH):
-            stack.append((children[:, start : start + _BATCH], depth - 1))
-    return value, err, exhausted
+            stack.append(children[:, start : start + _BATCH])
+    return value, err
 
 
 def _crossing(sigma2: float) -> float:
@@ -547,10 +535,10 @@ def divergence_gaussian(
     Simpson over +/- _HALF_WIDTH times max(1, sigma2), from seed intervals that are the Simpson
     pairs of _ROUGH_STEPS + 1 equally spaced nodes per panel.  RENYI integrates J = integral
     q (r^alpha - 1), r = dP/dQ, and reports log1p(J)/(alpha - 1), +inf without integrating where
-    (alpha - 1) - alpha sigma2^2 >= 0.  An interval unresolved _MAX_DEPTH halvings below its
-    seed is accepted as it is.  Raises NumericalError when the summed error estimate then exceeds
-    _REL_TOL * |integral| + 1e-12, when the integral would spend more than _MAX_EVALUATIONS
-    integrand evaluations, or when J is within its error of -1.
+    (alpha - 1) - alpha sigma2^2 >= 0.  Raises NumericalError when the integral would spend more
+    than _MAX_EVALUATIONS integrand evaluations, when the seed sum or the integral is not finite,
+    when the summed error estimate exceeds _REL_TOL * |integral| + 1e-12, or when J is within
+    its error of -1.
     """
     try:
         kind = DivergenceKind(kind)
@@ -585,20 +573,30 @@ def divergence_gaussian(
         log_peak = alpha * math.log(pair.p) + (alpha - 1.0) * math.log(pair.sigma2) + 70.0
         edges = (pair.sigma2 * math.sqrt(2.0 * max(log_peak, 0.0) / spread),)
 
-    f = _integrand(pair, kind, alpha, c)
-    seeds = _seed_intervals(f, _panel_edges(pair, *edges))
-    seed_sum = float(seeds[6].sum())
-    if not math.isfinite(seed_sum):
-        raise NumericalError("integrand overflows float64 on the truncated domain")
-    budget = 0.5 * (_REL_TOL * abs(seed_sum) + 1e-12)
-    value, err, exhausted = _adaptive_simpson(f, seeds, budget, _MAX_DEPTH)
+    integrand = _integrand(pair, kind, alpha, c)
+    spent = 0
+
+    def f(x: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        spent += x.size
+        if spent > _MAX_EVALUATIONS:
+            message = f"quadrature needs more than {_MAX_EVALUATIONS} integrand evaluations"
+            raise NumericalError(message)
+        return integrand(x)
+
+    with np.errstate(invalid="ignore"):  # inf - inf or 0 * inf at an inf node; NaN refuses below
+        seeds = _seed_intervals(f, _panel_edges(pair, *edges))
+        seed_sum = float(seeds[6].sum())
+        if not math.isfinite(seed_sum):
+            raise NumericalError("integrand overflows float64 on the truncated domain")
+        budget = 0.5 * (_REL_TOL * abs(seed_sum) + 1e-12)
+        value, err = _adaptive_simpson(f, seeds, budget)
     if not math.isfinite(value):
         raise NumericalError("integrand overflows float64 on the truncated domain")
     if err > _REL_TOL * abs(value) + 1e-12:
         raise NumericalError(
             f"quadrature error estimate {err:.3e} exceeds "
             f"rel_tol*|value| + 1e-12 = {_REL_TOL * abs(value) + 1e-12:.3e}"
-            + (" (subdivision budget exhausted)" if exhausted else "")
         )
 
     if kind is DivergenceKind.RENYI:

@@ -9,7 +9,6 @@ from zcp_paclab import (
     BoundReport,
     DivergenceKind,
     LossKind,
-    NumericalError,
     cli,
     complexity_term,
     empirical_bernstein_bound,
@@ -249,8 +248,7 @@ def oracle_kl_inverse_upper(p_hat, budget):
 
 def oracle_integrand(pair, kind, alpha, c):
     """The quadrature integrand as first written, with ln q computed in each of the pair's
-    log-density calls, and Renyi's q (r^alpha - 1) selecting its branches with np.where; it
-    reads ``divergences._MAX_EVALUATIONS`` as the library does."""
+    log-density calls, and Renyi's q (r^alpha - 1) selecting its branches with np.where."""
     unit = GaussianMixturePair(sigma2=pair.sigma2, p=1.0)  # its ln p is ln phi
 
     def renyi(lp, lq, l1):
@@ -266,15 +264,7 @@ def oracle_integrand(pair, kind, alpha, c):
         DivergenceKind.RENYI: renyi,
     }[kind]
 
-    spent = 0
-
     def integrand(x):
-        nonlocal spent
-        spent += x.size
-        limit = divergences._MAX_EVALUATIONS
-        if spent > limit:
-            message = f"quadrature needs more than {limit} integrand evaluations"
-            raise NumericalError(message + " (evaluation budget exhausted)")
         # invalid: -inf - -inf where p = q = 0; divide: log1p(-1) in the branch np.where drops
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return terms(pair.log_pdf_p(x), pair.log_pdf_q(x), unit.log_pdf_p(x))
@@ -282,27 +272,23 @@ def oracle_integrand(pair, kind, alpha, c):
     return integrand
 
 
-def oracle_adaptive_simpson(f, seeds, budget, max_depth):
+def oracle_adaptive_simpson(f, seeds, budget):
     """Adaptive Simpson as first written, each field of an interval its own array and the
     children concatenated field by field, entered from the library's seed intervals; it reads
     ``divergences._BATCH`` as the library does.  The library's stacked refinement must accept
     the same intervals in the same order and so return the same bits."""
     a, m, b, fa, fm, fb, whole = seeds
     tol = budget * (b - a) / (b[-1] - a[0])
-    stack = [(a, m, b, fa, fm, fb, whole, tol, max_depth)]
+    stack = [(a, m, b, fa, fm, fb, whole, tol)]
     value = err = 0.0
-    exhausted = False
     while stack:
-        a, m, b, fa, fm, fb, whole, tol, depth = stack.pop()
+        a, m, b, fa, fm, fb, whole, tol = stack.pop()
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        refine = ~(np.abs(delta) <= 15.0 * tol)
-        if depth <= 0:
-            exhausted = exhausted or bool(refine.any())
-            refine[:] = False
+        refine = np.abs(delta) > 15.0 * tol
         done = ~refine
         value += float(np.sum(left[done] + right[done] + delta[done] / 15.0))
         err += float(np.sum(np.abs(delta[done]) / 15.0))
@@ -311,8 +297,8 @@ def oracle_adaptive_simpson(f, seeds, budget, max_depth):
                     (half_tol, half_tol))
         halves = [np.concatenate([lo[refine], hi[refine]]) for lo, hi in children]
         for start in range(0, halves[0].size, divergences._BATCH):
-            stack.append((*(h[start : start + divergences._BATCH] for h in halves), depth - 1))
-    return value, err, exhausted
+            stack.append(tuple(h[start : start + divergences._BATCH] for h in halves))
+    return value, err
 
 
 def _oracle_column(values):

@@ -25,7 +25,8 @@ that directory as ``<config-dir>``.
 ``--check`` also exits 1 when the corpus shows a fault on its own: a case
 that raised, a GOLDEN argv that exits nonzero or prints anything to stderr
 (a log line, or a Python warning shown as a ``<Category>: <message>`` line),
-or an INVALID argv that exits 0 or prints to stdout.  The test and the
+or an INVALID argv that exits 0, prints to stdout or shows a Python warning
+(a ``<Name>Warning: <message>`` line beside its refusal).  The test and the
 numpy-floor continuous-integration job run it that way:
 
     python tools/cli_corpus.py --src src --check > /dev/null
@@ -37,6 +38,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import re
 import sys
 import tempfile
 import warnings
@@ -46,6 +48,7 @@ _COVERAGE = ("--n", "1000", "--eta", "5", "--delta", "0.05", "--alpha", "2")
 _P, _Q = ("--p", "0.5,0.3,0.2,0"), ("--q", "0.25,0.25,0.25,0.25")
 _EQUAL = ("--p", "0.1,0.2,0.3,0.4", "--q", "0.1,0.2,0.3,0.4")
 _HUGE = str(10**20)
+_WARNING = re.compile(r"^\w*Warning: ", re.MULTILINE)  # a line of show_warning in _run
 
 # --config file name -> its text
 CONFIGS = {
@@ -160,6 +163,10 @@ def _golden() -> list[tuple[str, ...]]:
         # off by 12 times its error at 1e-6
         *(("divergence", "--kind", "tv", "--mixture-p", p) for p in ("1e-8", "1e-30")),
         ("divergence", "--mixture-p", "1e-6", "--kind", "renyi", "--alpha", "0.5"),
+        # KL grows like 1/(2p) at small weights while ZCP stays bounded
+        ("divergence", "--mixture-p", "1e-6", "--kind", "kl"),
+        ("divergence", "--mixture-p", "1e-6", "--kind", "zcp", "--c", "1"),
+        ("divergence", "--mixture-p", "1e-6", "--exponent", "0.75", "--kind", "kl"),
         ("divergence", "--mixture-p", "0.99", "--kind", "renyi", "--alpha", "0.9"),
         ("betting", "--coins", "0.5,-0.25,1,0.75,-1,0.1"),
         ("betting", "--n", "200", "--seed", "3"),
@@ -270,6 +277,8 @@ _OUT_OF_RANGE = (
     # sigma2**2 underflowed to a ZeroDivisionError; now ln q is -inf off the spike, where
     # (x / sigma2)^2 overflows, so r^alpha is inf there and the seed level refuses at once
     ("divergence", "--mixture-p", "1e-300", "--kind", "renyi", "--alpha", "0.5"),
+    # a subnormal scale: the seed level's Simpson sums are not finite, which refuses as an overflow
+    ("divergence", "--mixture-p", "5e-324", "--kind", "zcp", "--c", "1"),
     # the pair is held on the standard scale, so there is no flag for its wide scale
     *(("divergence", "--mixture-p", "0.2", "--sigma1", sigma1, "--kind", "renyi",
        "--alpha", "0.5") for sigma1 in ("1e-300", "1e200")),
@@ -342,7 +351,10 @@ def main() -> None:
                     shown = repr(err) if args.show_stderr else _sha(err)
                     line = f"{code} {_sha(out)} {shown} {' '.join((*argv, *fmt))}"
                     print(line)
-                    fault = code != "0" or err if golden else code == "0" or out
+                    if golden:
+                        fault = code != "0" or err
+                    else:
+                        fault = code == "0" or out or _WARNING.search(err)
                     if code.startswith("raised:") or fault:
                         faults.append(line)
     if args.check and faults:
