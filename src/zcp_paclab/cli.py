@@ -319,8 +319,6 @@ def _json_column(values) -> list[str]:
 def _json_object(keys, indent: str) -> str:
     """A %-format with one %s per value: the object of ``keys`` as ``json.dumps(...,
     indent=2)`` lays it out when its opening brace is indented by ``indent``."""
-    if not keys:
-        return "{}"
     members = (f"\n{indent}  {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
     return "{" + ",".join(members) + f"\n{indent}}}"
 

@@ -99,9 +99,8 @@ def from_log_weights(log_weights) -> DiscreteDistribution:
 def _normalized(lw: np.ndarray) -> np.ndarray:
     """Each row of log-weights minus its log-sum-exp, so that its weights sum to 1: first the
     row maximum, then the shifted row's log-sum-exp.  Subtracting the log-sum-exp at once would
-    round at the scale of the log-weights, and near -1.5e5 their ulp is 3e-11."""
-    if np.isnan(lw).any() or (lw == np.inf).any():
-        raise ValidationError("log_weights must be < +inf and not NaN")
+    round at the scale of the log-weights, and near -1.5e5 their ulp is 3e-11.  No entry may be
+    NaN or +inf: ``from_log_weights`` refuses both, and ``_gibbs_log_weights`` makes neither."""
     hi = lw.max(axis=-1, keepdims=True)
     if (hi == -np.inf).any():
         raise ValidationError("log_weights must have at least one finite entry")
@@ -157,10 +156,7 @@ def multivariate_instance(d: int, u: float) -> tuple[DiscreteDistribution, Discr
     ln_a = _multivariate_ln_a(d, u)
     half = d // 2
     log_p = (-1.0 - u) * math.log(d)
-    log_half_mass = math.log(half) + log_p  # ln(p * d/2) < 0
-    if log_half_mass >= 0.0:
-        raise ValidationError("first-block mass p*d/2 must be < 1")
-
+    log_half_mass = math.log(half) + log_p  # ln(p * d/2) = -ln 2 - u ln d < 0
     lp_last = math.log1p(-math.exp(log_half_mass)) - math.log(half)
     lq_first = log_p - ln_a
     lq_last = math.log1p(-math.exp(log_half_mass - ln_a)) - math.log(half)

@@ -504,14 +504,14 @@ def _crossing(sigma2: float) -> float:
 
 
 def _panel_edges(pair: GaussianMixturePair, *offsets: float) -> np.ndarray:
-    """Breakpoints over +/- _HALF_WIDTH times the wider scale that always bracket the narrow
-    component's spike, with one where P and Q cross and the nonnegative ``offsets``."""
-    width = _HALF_WIDTH * max(1.0, pair.sigma2)
+    """Breakpoints that always bracket the narrow component's spike, with one where P and Q
+    cross and the nonnegative ``offsets``, over +/- the widest of them and _HALF_WIDTH times the
+    wider scale."""
     multiples = (k * scale for scale in (pair.sigma2, 1.0) for k in (1.0, 2.0, 5.0, 10.0))
-    offsets = {0.0, width, *offsets, *multiples}
+    offsets = {0.0, _HALF_WIDTH * max(1.0, pair.sigma2), *offsets, *multiples}
     if 0.0 < pair.p < 1.0 and pair.sigma2 != 1.0:
         offsets.add(_crossing(pair.sigma2))  # P - Q = p (N(0, 1) - Q) is 0 at +/- x*
-    one_sided = sorted({min(o, width) for o in offsets})
+    one_sided = sorted(offsets)
     return np.array([-o for o in reversed(one_sided[1:])] + one_sided)
 
 
@@ -534,11 +534,11 @@ def divergence_gaussian(
     bound, and KL, ZCP (requires c >= 0) and RENYI (requires alpha > 0, alpha != 1) by adaptive
     Simpson over +/- _HALF_WIDTH times max(1, sigma2), from seed intervals that are the Simpson
     pairs of _ROUGH_STEPS + 1 equally spaced nodes per panel.  RENYI integrates J = integral
-    q (r^alpha - 1), r = dP/dQ, and reports log1p(J)/(alpha - 1), +inf without integrating where
-    (alpha - 1) - alpha sigma2^2 >= 0.  Raises NumericalError when the integral would spend more
-    than _MAX_EVALUATIONS integrand evaluations, when the seed sum or the integral is not finite,
-    when the summed error estimate exceeds _REL_TOL * |integral| + 1e-12, or when J is within
-    its error of -1.
+    q (r^alpha - 1), r = dP/dQ, out to its e^-70 edge where that is wider, and reports
+    log1p(J)/(alpha - 1), +inf without integrating where (alpha - 1) - alpha sigma2^2 >= 0.
+    Raises NumericalError when the integral would spend more than _MAX_EVALUATIONS integrand
+    evaluations, when the seed sum or the integral is not finite, when the summed error estimate
+    exceeds _REL_TOL * |integral| + 1e-12, or when J is within its error of -1.
     """
     try:
         kind = DivergenceKind(kind)

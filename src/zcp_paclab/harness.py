@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -305,8 +304,8 @@ _VILLE_BLOCK_ENTRIES = 8192
 
 
 def _trial_block(
-    instance: LearningInstance, config: BoundConfig, trials: range,
-    generators: Iterator[np.random.Generator],
+    instance: LearningInstance, config: BoundConfig, trials: range, rng: np.random.Generator,
+    start: dict,
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """BoundReport field -> its value in each trial of ``trials``, but for ``little_kl_bound``,
     and each trial's kl budget comp_n / n, which the kl inversion takes with p_hat_mean.
@@ -315,7 +314,7 @@ def _trial_block(
     All rows are computed at once, each with the bits of a block of that row alone.
     """
     n = _integer(config.n, "n", 2)  # the sample variance needs two draws
-    s1, variances = _block_samples(instance, n, generators, len(trials))
+    s1, variances = _block_samples(instance, n, rng, start, trials)
     mu_hat = np.divide(s1, n, out=s1)
     rule = instance.posterior_rule
     if isinstance(rule, GibbsPosterior) and rule.eta > 0.0:
@@ -360,56 +359,44 @@ def _trial_block(
     return fields, _floats(fields["comp_n"], "comp", 0.0, math.inf) / n
 
 
-def _block_samples(instance: LearningInstance, n: int, generators, rows: int):
-    """S1 and the per-atom sample variances of ``rows`` trials, row t from the ``loss_sums`` of
-    trial t and the next of ``generators`` (``_trial_generators``).  The abs loss's one
-    generator draws (trials, n) samples, the doubles of as many ``random(n)`` calls."""
-    s1 = np.empty((rows, instance.theta_count))
+def _block_samples(
+    instance: LearningInstance, n: int, rng: np.random.Generator, start: dict, trials: range
+):
+    """S1 and the per-atom sample variances of ``trials``, row t from the ``loss_sums`` of
+    trial t's span of the stream whose first state is ``start``.
+
+    An ABS_DISTANCE trial reads n words with ``random(n)``, so the stream read in order
+    puts trial t at word t * n, and ``rng`` stands at trials[0]'s: a block's (trials, n)
+    samples are the doubles of as many ``random(n)`` calls.  A BERNOULLI trial's
+    ``binomial`` reads a varying number of words, so the bit generator goes back to
+    ``start`` and advances to word t * 2**64 (the binomial constants depend on (n, p) alone).
+    """
+    s1 = np.empty((len(trials), instance.theta_count))
     if instance.loss_kind is LossKind.BERNOULLI:
-        for row, rng in zip(s1, itertools.islice(generators, rows)):
+        for row, trial in zip(s1, trials):
+            rng.bit_generator.state = start
+            rng.bit_generator.advance(trial << 64)
             row[:] = rng.binomial(n, instance.bernoulli_means)
         return s1, _sample_variance(s1, s1, n)
-    rng, s2 = next(generators), np.empty_like(s1)
+    s2 = np.empty_like(s1)
     chunk = max(1, _BLOCK_ENTRIES // max(n, instance.theta_count))
-    for first in range(0, rows, chunk):
-        last = min(first + chunk, rows)
+    for first in range(0, len(trials), chunk):
+        last = min(first + chunk, len(trials))
         s1[first:last], s2[first:last] = instance._abs_sums(rng.random((last - first, n)))
     return s1, _sample_variance(s1, s2, n)
-
-
-def _trial_generators(instance: LearningInstance, seed: int) -> Iterator[np.random.Generator]:
-    """Trial 0, 1, ...'s generator in turn: one Generator over one ``PCG64(seed)`` made for
-    this call, so concurrent calls cannot interleave draws, at the trial's first word.
-
-    An ABS_DISTANCE trial reads n words with ``random(n)``, so the stream read
-    in order puts trial t at word t * n.  A BERNOULLI trial's ``binomial``
-    reads a varying number of words, so the bit generator advances from the
-    run's first state to word t * 2**64 (the binomial constants depend on
-    (n, p) alone).
-    """
-    generator = np.random.Generator(np.random.PCG64(seed))
-    if instance.loss_kind is LossKind.ABS_DISTANCE:
-        return itertools.repeat(generator)
-    bit_generator = generator.bit_generator
-    start = bit_generator.state
-
-    def at(trial: int) -> np.random.Generator:
-        bit_generator.state = start
-        bit_generator.advance(trial << 64)
-        return generator
-
-    return map(at, itertools.count())
 
 
 def _trial_blocks(
     instance: LearningInstance, config: BoundConfig, trials: int, seed: int
 ) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray]]:
     """``_trial_block`` of each block of max(_BLOCK_ROWS, _BLOCK_ENTRIES // m) consecutive
-    trials."""
-    generators = _trial_generators(instance, seed)
+    trials, all read from one ``PCG64(seed)`` made for this call, so concurrent calls cannot
+    interleave draws."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    start = rng.bit_generator.state
     rows = max(_BLOCK_ROWS, _BLOCK_ENTRIES // instance.theta_count)
     for first in range(0, trials, rows):
-        yield _trial_block(instance, config, range(first, min(first + rows, trials)), generators)
+        yield _trial_block(instance, config, range(first, min(first + rows, trials)), rng, start)
 
 
 def coverage_reports(
@@ -418,7 +405,7 @@ def coverage_reports(
     """Yield one BoundReport per trial, in trial-index order.
 
     Trial t reads its own span of one ``PCG64(seed)`` stream, from word t * n
-    for ABS_DISTANCE and from word t * 2**64 for BERNOULLI (``_trial_generators``),
+    for ABS_DISTANCE and from word t * 2**64 for BERNOULLI (``_block_samples``),
     so any subset of trials can be reproduced independently.
     """
     seed, trials = _integer(seed, "seed", 0), _integer(trials, "trials", 1)

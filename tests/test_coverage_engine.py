@@ -417,12 +417,12 @@ class TestBlockMemory:
         for loss in ("abs", "bernoulli"):
             instance = learning_instance_from_dict({"m": 50, "loss": loss, "eta": 5.0})
             trials = range(81)
-            # builds the cached grid
-            harness._trial_block(instance, _CONFIG, trials, harness._trial_generators(instance, 1))
-            generators = harness._trial_generators(instance, 1)
+            rng = np.random.Generator(np.random.PCG64(1))
+            start = rng.bit_generator.state
+            harness._trial_block(instance, _CONFIG, trials, rng, start)  # builds the cached grid
             tracemalloc.start()
             try:
-                harness._trial_block(instance, _CONFIG, trials, generators)
+                harness._trial_block(instance, _CONFIG, trials, rng, start)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

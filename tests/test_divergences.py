@@ -687,6 +687,28 @@ class TestNonFiniteRefusal:
         assert len(sizes) <= 5
 
 
+class TestQuadratureRefusals:
+    def test_each_parameter_belongs_to_its_kind(self):
+        pair = gaussian_instance(0.2, 1.0)
+        with pytest.raises(ValidationError, match="^c is only meaningful for ZCP, not kl$"):
+            divergence_gaussian(pair, "kl", c=1.0)
+        with pytest.raises(ValidationError, match="^alpha is only meaningful for RENYI, not zcp$"):
+            divergence_gaussian(pair, "zcp", alpha=0.5, c=1.0)
+
+    # no pair found reaches these two: the Simpson pass's (value, error) is set instead
+    @pytest.mark.parametrize("kind, kwargs, simpson, message", [
+        ("kl", {}, (1.0, 1.0), r"^quadrature error estimate 1\.000e\+00 exceeds "
+         r"rel_tol\*\|value\| \+ 1e-12 = 1\.000e-08$"),
+        ("renyi", {"alpha": 0.5}, (-0.9999999995, 1e-9),
+         r"^Renyi integral J = -0\.9999999995 is within its error of -1$"),
+    ])
+    def test_an_estimate_it_cannot_vouch_for_refuses(self, monkeypatch, kind, kwargs, simpson,
+                                                      message):
+        monkeypatch.setattr(divergences, "_adaptive_simpson", lambda *args: simpson)
+        with pytest.raises(NumericalError, match=message):
+            divergence_gaussian(gaussian_instance(0.2, 1.0), kind, **kwargs)
+
+
 # pair, kind, parameters and the divergence to 40 to 60 digits (mpmath; the integrals on the
 # same truncated domain, TV on the whole line), rounded to the nearest float
 _REFERENCES = [
@@ -739,6 +761,14 @@ _REFERENCES = [
       )),
     # Q's mass reaches past x = 20
     (GaussianMixturePair(sigma2=100.0, p=0.5), "kl", {}, 1.4119965940236325),
+    # on the whole line: for alpha > 1 the Renyi integrand outlasts x = 20 near the threshold
+    # alpha* = 1 / (1 - sigma2^2), and a domain clipped there gave 13.0007 and 28.87
+    *((gaussian_instance(0.2, 1.0), "renyi", {"alpha": alpha}, reference)
+      for alpha, reference in (
+          (1.04, 13.001559730113726),
+          (1.0416, 39.521934810424675),
+          (1.0 / (1.0 - 0.2 * 0.2) - 1e-9, 168.71422802989133),
+      )),
     (GaussianMixturePair(sigma2=1e6, p=0.5), "kl", {}, 5.964629704655999),
 ]
 

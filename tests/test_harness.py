@@ -153,6 +153,11 @@ class TestLearningInstance:
         with pytest.raises(ValidationError):
             _instance(**kwargs)
 
+    def test_posterior_rule_must_be_fixed_or_gibbs(self):
+        message = "^posterior_rule must be FixedPosterior or GibbsPosterior$"
+        with pytest.raises(ValidationError, match=message):
+            _instance(rule=object())
+
     def test_prior_support_must_match(self):
         # a config gives m and the prior apart, so learning_instance_from_dict checks them
         with pytest.raises(ValidationError, match="^prior support must equal m$"):

@@ -23,9 +23,10 @@ directory, and ``--out`` cases write under it; their argvs and stderr print
 that directory as ``<config-dir>``.
 
 ``--check`` also exits 1 when the corpus shows a fault on its own: a case
-that raised, a GOLDEN argv that exits nonzero or prints anything to stderr
-(a log line, or a Python warning shown as a ``<Category>: <message>`` line),
-or an INVALID argv that exits 0, prints to stdout or shows a Python warning
+that raised, a GOLDEN argv that exits nonzero, prints anything to stderr
+(a log line, or a Python warning shown as a ``<Category>: <message>`` line)
+or prints a ``nan`` cell (a CSV field or summary value, or a JSON
+``"nan"``), or an INVALID argv that exits 0, prints to stdout or shows a Python warning
 (a ``<Name>Warning: <message>`` line beside its refusal).  The test and the
 numpy-floor continuous-integration job run it that way:
 
@@ -49,6 +50,7 @@ _P, _Q = ("--p", "0.5,0.3,0.2,0"), ("--q", "0.25,0.25,0.25,0.25")
 _EQUAL = ("--p", "0.1,0.2,0.3,0.4", "--q", "0.1,0.2,0.3,0.4")
 _HUGE = str(10**20)
 _WARNING = re.compile(r"^\w*Warning: ", re.MULTILINE)  # a line of show_warning in _run
+_NAN = re.compile(r'(^|[,=])nan(,|$)|"nan"', re.MULTILINE)  # a CSV or JSON cell of a NaN
 
 # --config file name -> its text
 CONFIGS = {
@@ -84,6 +86,7 @@ CONFIGS = {
     '"fixed_weights": [false, false, true]}}',
     "bool_means.json": '{"n": 200, "instance": {"m": 2, "loss": "bernoulli", '
     '"bernoulli_means": [true, false]}}',
+    "scalar.json": '{"n": 200, "instance": 3}',
 }
 _CONFIG_DIR = "<config-dir>"
 
@@ -294,6 +297,15 @@ _OUT_OF_RANGE = (
     ("scaling", "--d", f"4,{_HUGE}"),
     # a delta so small that the complexity term's constant overflowed and printed inf
     *(("bound", "--n", n, "--delta", delta) for n, delta in (("1000", "1e-300"), ("2", "1e-308"))),
+    # a flag the kind or the input needs, left out
+    ("divergence", "--kind", "renyi", "--p", "0.5,0.5", "--q", "0.5,0.5"),
+    ("divergence", "--kind", "zcp", "--mixture-p", "0.1"),
+    ("instance", "--kind", "multivariate", "--d", "8"),
+    ("betting",),
+    # little_kl takes one number for each of --p and --q
+    ("divergence", "--kind", "little_kl", "--p", "0.1,0.2", "--q", "0.3"),
+    ("scaling", "--d", "4.5,8"),
+    ("bound", *_config("scalar.json")),  # an instance that is not an object
 )
 
 
@@ -352,7 +364,7 @@ def main() -> None:
                     line = f"{code} {_sha(out)} {shown} {' '.join((*argv, *fmt))}"
                     print(line)
                     if golden:
-                        fault = code != "0" or err
+                        fault = code != "0" or err or _NAN.search(out)
                     else:
                         fault = code == "0" or out or _WARNING.search(err)
                     if code.startswith("raised:") or fault:
