@@ -419,7 +419,7 @@ _ROUGH_STEPS = 32
 # Intervals refined per integrand call; bounds memory when many refine at once.
 _BATCH = 2048
 # Integrand evaluations one integral may spend, as QUADPACK's ``limit``, past which it refuses:
-# the benchmark integrals use at most about 3,200, a mixture weight of 1e-6 at most about 8,400.
+# the benchmark integrals use at most about 2,050, a mixture weight of 1e-6 at most about 2,000.
 _MAX_EVALUATIONS = 2**23
 
 
@@ -451,26 +451,25 @@ def _integrand(pair: GaussianMixturePair, kind: DivergenceKind, alpha, c):
 def _adaptive_simpson(f, seeds: np.ndarray, budget: float):
     """Adaptive Simpson from the seed intervals ``seeds``; returns (value, error).
 
-    ``seeds`` holds the rows of k adjacent intervals (``_seed_intervals``).  An interval gets
-    tolerance budget * width / total width.  Both its halves are refined at tol / 2 when their
-    Simpson sum is more than 15 tol from its own; otherwise it is accepted and its
-    Richardson-corrected sum counts.  A NaN difference is accepted: an inf node makes the
+    ``seeds`` holds the rows of k adjacent intervals (``_seed_intervals``).  The budget splits by
+    subdivision: each seed gets tolerance budget / k, and both halves of an interval are refined
+    at tol / 2 when their Simpson sum is more than 15 tol from its own; otherwise it is accepted
+    and its Richardson-corrected sum counts.  A NaN difference is accepted: an inf node makes the
     difference inf where it first appears and NaN in the halves, so the value is not finite one
     level later.  Each test depends only on the interval itself, so the accepted intervals are
     those of the depth-first recursion from each seed; they are refined level by level instead.
 
-    Each stack entry is one (8, k) array of k intervals, the seed rows and tol; the seeds are the
-    first entry.  A pop evaluates f once on both quarter points of every interval, and the
-    refined intervals' children, left halves then right halves, go back in chunks of _BATCH
-    columns, so a later call evaluates f on at most 2 * _BATCH nodes.  The chunks, the order of
-    the pops and the grouping of every sum are those of one array per row, so the stacking
-    changes no bit of the value or the error.
+    Each stack entry is a (7, k) array of k intervals of one depth, the seed rows, and their one
+    tolerance; the seeds are the first entry.  A pop evaluates f once on both quarter points of
+    every interval, and the refined intervals' children, left halves then right halves, go back
+    in chunks of _BATCH columns, so a later call evaluates f on at most 2 * _BATCH nodes.  The
+    chunks, the order of the pops and the grouping of every sum are those of one array per row,
+    so the stacking changes no bit of the value or the error.
     """
-    tol = budget * (seeds[2] - seeds[0]) / (seeds[2, -1] - seeds[0, 0])
-    stack = [np.vstack([seeds, tol])]
+    stack = [(seeds, budget / seeds.shape[1])]
     value = err = 0.0
     while stack:
-        s = stack.pop()
+        s, tol = stack.pop()
         lo, hi = s[0:2], s[1:3]  # (a, m) and (m, b): the left and right halves' ends
         quarters = 0.5 * (lo + hi)
         f_quarters = f(quarters.ravel()).reshape(2, -1)
@@ -479,7 +478,7 @@ def _adaptive_simpson(f, seeds: np.ndarray, budget: float):
         halves = (hi - lo) / 6.0 * (f_lo + 4.0 * f_quarters + f_hi)
         pair_sum = halves[0] + halves[1]
         delta = pair_sum - s[6]
-        refine = np.abs(delta) > 15.0 * s[7]
+        refine = np.abs(delta) > 15.0 * tol
         done = ~refine
         correction = delta[done] / 15.0
         value += float((pair_sum[done] + correction).sum())
@@ -487,13 +486,10 @@ def _adaptive_simpson(f, seeds: np.ndarray, budget: float):
         if not refine.any():
             continue
         # children[:, 0] is each left half and children[:, 1] each right half, row for row as s
-        children = np.empty((8, 2, s.shape[1]))
-        children[0], children[1], children[2] = lo, quarters, hi
-        children[3], children[4], children[5] = f_lo, f_quarters, f_hi
-        children[6], children[7] = halves, 0.5 * s[7]
-        children = children[:, :, refine].reshape(8, -1)
+        children = np.stack([lo, quarters, hi, f_lo, f_quarters, f_hi, halves])
+        children = children[:, :, refine].reshape(7, -1)
         for start in range(0, children.shape[1], _BATCH):
-            stack.append(children[:, start : start + _BATCH])
+            stack.append((children[:, start : start + _BATCH], 0.5 * tol))
     return value, err
 
 
@@ -584,7 +580,7 @@ def divergence_gaussian(
             raise NumericalError(message)
         return integrand(x)
 
-    with np.errstate(invalid="ignore"):  # inf - inf or 0 * inf at an inf node; NaN refuses below
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum refuses below
         seeds = _seed_intervals(f, _panel_edges(pair, *edges))
         seed_sum = float(seeds[6].sum())
         if not math.isfinite(seed_sum):

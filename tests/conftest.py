@@ -278,7 +278,7 @@ def oracle_adaptive_simpson(f, seeds, budget):
     ``divergences._BATCH`` as the library does.  The library's stacked refinement must accept
     the same intervals in the same order and so return the same bits."""
     a, m, b, fa, fm, fb, whole = seeds
-    tol = budget * (b - a) / (b[-1] - a[0])
+    tol = np.full(a.size, budget / a.size)
     stack = [(a, m, b, fa, fm, fb, whole, tol)]
     value = err = 0.0
     while stack:
